@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .combinatorics import GuardrailExceeded, derangement_count, signed_derangement_sum
 from .identities import (
+    DET_KINDS,
     IDENTITIES,
     MatrixKind,
     build_matrix,
@@ -33,16 +34,6 @@ from .rationals import parse_rational
 
 REPORT_FIELDS = ("identity", "n", "params", "expected", "computed",
                  "passed", "elapsed_seconds", "tool_version")
-
-_DET_KINDS = {
-    "a": MatrixKind.A,
-    "b": MatrixKind.B,
-    "c": MatrixKind.C_HOLLOW,
-    "c1": MatrixKind.C_PLUS_I,
-    "tilde-a": MatrixKind.TILDE_A,
-    "s19": MatrixKind.S19,
-}
-
 
 class UsageError(Exception):
     pass
@@ -171,10 +162,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_det(args) -> int:
-    kind = _DET_KINDS.get(args.matrix)
+    kind = DET_KINDS.get(args.matrix)
     if kind is None:
         raise UsageError(f"unknown matrix kind {args.matrix!r}; "
-                         "known: " + ", ".join(_DET_KINDS))
+                         "known: " + ", ".join(DET_KINDS))
     if args.n < 2:
         raise UsageError("n must be at least 2")
     try:
@@ -246,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("det", help="print one exact determinant")
     p_det.add_argument("--matrix", required=True,
-                       help="matrix kind: " + "|".join(_DET_KINDS))
+                       help="matrix kind: " + "|".join(DET_KINDS))
     p_det.add_argument("--n", type=int, required=True)
     p_det.add_argument("--x", default=None,
                        help="rational shift added to every entry (p/q)")

@@ -78,6 +78,28 @@ def derangement_count(m: int) -> int:
     return total
 
 
+def signed_product_sum(matrix, perms):
+    """Sum over the 1-based permutations ``perms`` of
+    sign(p) * prod_j M[j, p(j)]: the Leibniz determinant expansion,
+    restricted to ``perms``."""
+    ctx = matrix.ctx
+    total = ctx.zero()
+    data, cols = matrix.data, matrix.cols
+    for perm in perms:
+        prod = ctx.one()
+        for j, img in enumerate(perm):
+            e = data[j * cols + (img - 1)]
+            if not e:
+                break
+            prod = prod * e
+        else:
+            if perm_sign(perm) == 1:
+                total = total + prod
+            else:
+                total = total - prod
+    return total
+
+
 def signed_derangement_sum(matrix, force: bool = False):
     """Sum over derangements tau of sign(tau) * prod_j M[j, tau(j)].
 
@@ -93,21 +115,4 @@ def signed_derangement_sum(matrix, force: bool = False):
         raise GuardrailExceeded(
             f"signed derangement sum over dimension {m} exceeds the "
             f"guardrail ({SIGNED_SUM_GUARDRAIL}); pass force=True to override")
-    ctx = matrix.ctx
-    total = ctx.zero()
-    data, cols = matrix.data, matrix.cols
-    for tau in derangements(m):
-        prod = ctx.one()
-        for j, img in enumerate(tau):
-            e = data[j * cols + (img - 1)]
-            if not e:
-                prod = None
-                break
-            prod = prod * e
-        if prod is None:
-            continue
-        if perm_sign(tau) == 1:
-            total = total + prod
-        else:
-            total = total - prod
-    return total
+    return signed_product_sum(matrix, derangements(m))

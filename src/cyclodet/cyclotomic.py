@@ -369,7 +369,9 @@ class CycloElem:
             and self.num == other.num
 
     def __hash__(self):
-        return hash((self.ctx.n, self.num, self.den))
+        # rational elements hash as the Fraction they compare equal to
+        q = self.as_rational()
+        return hash(q) if q is not None else hash((self.ctx.n, self.num, self.den))
 
     def render(self, symbol: str = "z") -> str:
         """Human-readable "c0 + c1*z + ..." with zero terms dropped."""

@@ -18,9 +18,11 @@ the characteristic polynomial.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
@@ -225,128 +227,95 @@ def _require_odd(n: int, minimum: int = 3):
 # -- determinant identities --------------------------------------------------
 
 
-def verify_a_det(n: int, oracle: bool = False, force: bool = False) -> IdentityReport:
-    """det[x + entries] of the zero-diagonal ratio matrix (size n-1) equals
-    (-1)^((n-1)/2) ((n-2)!!)^2 / n independently of x, i.e. the affine split
-    is (closed form, 0).  Optionally cross-checks the signed derangement-sum
-    oracle (n <= 9 unless forced)."""
-    t0 = time.perf_counter()
-    _require_odd(n)
-    target = a_det_value(n)
-    run_oracle = oracle and (n <= 9 or force)
-    expected = f"(d0, d1) = ({format_rational(target)}, 0)"
-    if run_oracle:
-        expected += f"; derangement sum {format_rational(target)}"
-    ctx = shared_context(n)
-    matrix = build_matrix(MatrixKind.A, ctx, n - 1)
+def _odd_range(a: int, b: int) -> tuple[int, ...]:
+    return tuple(n for n in range(a, b + 1) if n % 2 == 1)
+
+
+@dataclass(frozen=True)
+class DetIdentity:
+    """det of the ``kind`` matrix at size n-1 (odd n) equals ``value(n)``.
+    With a ``slope`` the claim is the affine split det[x + m_jk] = d0 + d1*x
+    with (d0, d1) = (value(n), slope(n)); ``None`` means a plain det.
+    ``oracle`` rows (zero diagonal) can cross-check the signed derangement
+    sum; ``galois`` rows also get a galois-<name> root-independence check."""
+
+    kind: MatrixKind
+    value: Callable[[int], Fraction]
+    slope: Callable[[int], Fraction] | None
+    grid: tuple[int, ...]
+    oracle: bool = False
+    galois: bool = False
+
+
+DETS: dict[str, DetIdentity] = {
+    # independent of x: the affine split is (closed form, 0)
+    "a-det": DetIdentity(MatrixKind.A, a_det_value, lambda n: 0,
+                         _odd_range(3, 25), oracle=True, galois=True),
+    "c-det": DetIdentity(MatrixKind.C_HOLLOW, c_det_value, None,
+                         _odd_range(3, 25), oracle=True, galois=True),
+    # det[x + entries] = (nx + 1) d0
+    "b-det": DetIdentity(MatrixKind.B, b_det_value, lambda n: n * b_det_value(n),
+                         _odd_range(3, 25), galois=True),
+    "tilde-a-det": DetIdentity(MatrixKind.TILDE_A, tilde_a_det_value, None,
+                               _odd_range(3, 25)),
+    "c1-det": DetIdentity(MatrixKind.C_PLUS_I, c1_det_value, None, _odd_range(3, 25)),
+    # the algebraic image of the tangent determinant det[tan(pi (j-k)/n)]
+    "s19-det": DetIdentity(MatrixKind.S19, s19_det_value, None, _odd_range(3, 13)),
+}
+
+# the kinds with a determinant identity, in MatrixKind order
+DET_KINDS = {k.value: k for k in MatrixKind if any(d.kind is k for d in DETS.values())}
+
+
+def _closed_text(det: DetIdentity, n: int) -> str:
+    if det.slope is None:
+        return format_rational(det.value(n))
+    return f"({format_rational(det.value(n))}, {format_rational(det.slope(n))})"
+
+
+def _det_text(det: DetIdentity, matrix: CMatrix) -> str:
+    """The determinant of ``matrix`` rendered like ``_closed_text``."""
+    if det.slope is None:
+        return value_str(matrix.det())
     d0, d1 = matrix.det_affine()
-    computed = f"(d0, d1) = ({value_str(d0)}, {value_str(d1)})"
+    return f"({value_str(d0)}, {value_str(d1)})"
+
+
+def verify_det(name: str, n: int, oracle: bool = False, force: bool = False) -> IdentityReport:
+    """Checks the ``DETS[name]`` closed form at odd n.  With ``oracle`` on a
+    row that supports it, also recovers the value term by term from the
+    signed derangement sum (n <= 9 unless forced): a zero diagonal restricts
+    the Leibniz expansion to derangements."""
+    t0 = time.perf_counter()
+    det = DETS[name]
+    _require_odd(n)
+    run_oracle = det.oracle and oracle and (n <= 9 or force)
+    prefix = "" if det.slope is None else "(d0, d1) = "
+    expected = prefix + _closed_text(det, n)
+    matrix = build_matrix(det.kind, shared_context(n), n - 1)
+    computed = prefix + _det_text(det, matrix)
     if run_oracle:
+        expected += f"; derangement sum {format_rational(det.value(n))}"
         osum = signed_derangement_sum(matrix, force=force)
         computed += f"; derangement sum {value_str(osum)}"
-    return _report("a-det", n, {"size": n - 1, "oracle": run_oracle},
-                   expected, computed, t0)
-
-
-def verify_tilde_a_det(n: int, **_ignored) -> IdentityReport:
-    """det of the averaged matrix (1/(1-zeta^u) off-diagonal, 1/2 diagonal,
-    size n-1) equals (-1)^((n-1)/2) ((n-2)!!)^2 / (n 2^(n-1))."""
-    t0 = time.perf_counter()
-    _require_odd(n)
-    target = tilde_a_det_value(n)
-    ctx = shared_context(n)
-    d = build_matrix(MatrixKind.TILDE_A, ctx, n - 1).det()
-    return _report("tilde-a-det", n, {"size": n - 1},
-                   format_rational(target), value_str(d), t0)
-
-
-def verify_c_det(n: int, oracle: bool = False, force: bool = False) -> IdentityReport:
-    """det of the hollow reciprocal matrix (size n-1) equals
-    (-1)^((n-1)/2) (((n-1)/2)!)^2 / n; with the derangement-sum oracle the
-    same value is recovered term by term (zero diagonal restricts the
-    Leibniz expansion to derangements)."""
-    t0 = time.perf_counter()
-    _require_odd(n)
-    target = c_det_value(n)
-    run_oracle = oracle and (n <= 9 or force)
-    expected = format_rational(target)
-    if run_oracle:
-        expected += f"; derangement sum {format_rational(target)}"
-    ctx = shared_context(n)
-    matrix = build_matrix(MatrixKind.C_HOLLOW, ctx, n - 1)
-    computed = value_str(matrix.det())
-    if run_oracle:
-        osum = signed_derangement_sum(matrix, force=force)
-        computed += f"; derangement sum {value_str(osum)}"
-    return _report("c-det", n, {"size": n - 1, "oracle": run_oracle},
-                   expected, computed, t0)
-
-
-def verify_b_det(n: int, **_ignored) -> IdentityReport:
-    """det[x + entries] of the unit-diagonal ratio matrix (size n-1) equals
-    (nx + 1) d0 with d0 = (-1)^((n+1)/2) ((n-1)!!)^2 / (n(n-1)); the affine
-    split is (d0, n*d0)."""
-    t0 = time.perf_counter()
-    _require_odd(n)
-    d0_target = b_det_value(n)
-    expected = f"(d0, d1) = ({format_rational(d0_target)}, {format_rational(n * d0_target)})"
-    ctx = shared_context(n)
-    d0, d1 = build_matrix(MatrixKind.B, ctx, n - 1).det_affine()
-    computed = f"(d0, d1) = ({value_str(d0)}, {value_str(d1)})"
-    return _report("b-det", n, {"size": n - 1}, expected, computed, t0)
-
-
-def verify_c1_det(n: int, **_ignored) -> IdentityReport:
-    """det of the reciprocal matrix with unit diagonal (size n-1) equals
-    (-1)^((n+1)/2) (n+1)((n-1)!!)^2 / (n(n-1) 2^(n-1))."""
-    t0 = time.perf_counter()
-    _require_odd(n)
-    target = c1_det_value(n)
-    ctx = shared_context(n)
-    d = build_matrix(MatrixKind.C_PLUS_I, ctx, n - 1).det()
-    return _report("c1-det", n, {"size": n - 1},
-                   format_rational(target), value_str(d), t0)
-
-
-def verify_s19_det(n: int, **_ignored) -> IdentityReport:
-    """det of the inverted-ratio matrix ((1-zeta^u)/(1+zeta^u), zero
-    diagonal, size n-1) equals (-1)^((n-1)/2) n^(n-2) -- the algebraic image
-    of the tangent determinant."""
-    t0 = time.perf_counter()
-    _require_odd(n)
-    target = s19_det_value(n)
-    ctx = shared_context(n)
-    d = build_matrix(MatrixKind.S19, ctx, n - 1).det()
-    return _report("s19-det", n, {"size": n - 1},
-                   format_rational(target), value_str(d), t0)
+    params = {"size": n - 1, "oracle": run_oracle} if det.oracle else {"size": n - 1}
+    return _report(name, n, params, expected, computed, t0)
 
 
 # -- spectra -----------------------------------------------------------------
 
 
-def verify_c1_spectrum(n: int, **_ignored) -> IdentityReport:
-    """charpoly of the unit-diagonal reciprocal matrix (size n) equals
-    prod_{s=1..n} (x - (s - (n-1)/2))."""
+def verify_spectrum(kind: MatrixKind, n: int, **_ignored) -> IdentityReport:
+    """charpoly of the ``kind`` matrix at size n (any n >= 2) equals the
+    product of (x - lambda) over ``claimed_spectrum(kind, n)``; for c1 that
+    is prod_{s=1..n} (x - (s - (n-1)/2)), for two-c prod (x - (2s - n - 1))."""
     t0 = time.perf_counter()
     if n < 2:
         raise ValueError("requires n >= 2")
     ctx = shared_context(n)
-    target = spectrum_poly(ctx, [Fraction(2 * s - n + 1, 2) for s in range(1, n + 1)])
-    computed = build_matrix(MatrixKind.C_PLUS_I, ctx, n).charpoly()
-    return _report("c1-spectrum", n, {"size": n},
-                   target.render(), computed.render(), t0)
-
-
-def verify_two_c_spectrum(n: int, **_ignored) -> IdentityReport:
-    """charpoly of the doubled hollow reciprocal matrix (size n) equals
-    prod_{s=1..n} (x - (2s - n - 1))."""
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("requires n >= 2")
-    ctx = shared_context(n)
-    target = spectrum_poly(ctx, claimed_spectrum(MatrixKind.TWO_C, n))
-    computed = build_matrix(MatrixKind.TWO_C, ctx, n).charpoly()
-    return _report("two-c-spectrum", n, {"size": n},
+    target = spectrum_poly(ctx, claimed_spectrum(kind, n))
+    computed = build_matrix(kind, ctx, n).charpoly()
+    return _report(f"{kind.value}-spectrum", n, {"size": n},
                    target.render(), computed.render(), t0)
 
 
@@ -504,41 +473,23 @@ def verify_row_sum_x(n: int, **_ignored) -> IdentityReport:
 # -- root independence --------------------------------------------------------
 
 
-_GALOIS_TARGETS = {
-    "a-det": (MatrixKind.A, True),
-    "c-det": (MatrixKind.C_HOLLOW, False),
-    "b-det": (MatrixKind.B, True),
-}
-
-
 def verify_galois_invariance(identity_name: str, n: int, **_ignored) -> IdentityReport:
     """Recomputes a rational determinant identity with every builder entry
     mapped through each automorphism zeta -> zeta^t (t coprime to n); all
     primitive-root choices must yield the identical value."""
     t0 = time.perf_counter()
-    if identity_name not in _GALOIS_TARGETS:
-        raise ValueError(f"galois invariance is tracked for {sorted(_GALOIS_TARGETS)}")
+    det = DETS.get(identity_name)
+    if det is None or not det.galois:
+        tracked = sorted(name for name, d in DETS.items() if d.galois)
+        raise ValueError(f"galois invariance is tracked for {tracked}")
     _require_odd(n)
-    kind, affine = _GALOIS_TARGETS[identity_name]
-    if identity_name == "a-det":
-        closed = f"({format_rational(a_det_value(n))}, 0)"
-    elif identity_name == "b-det":
-        d0 = b_det_value(n)
-        closed = f"({format_rational(d0)}, {format_rational(n * d0)})"
-    else:
-        closed = format_rational(c_det_value(n))
+    closed = _closed_text(det, n)
     ts = coprime_residues(n)
     expected = f"value {closed} under all {len(ts)} automorphisms"
-    ctx = shared_context(n)
-    base = build_matrix(kind, ctx, n - 1)
+    base = build_matrix(det.kind, shared_context(n), n - 1)
     failures = []
     for t in ts:
-        m = matrix_galois(base, t)
-        if affine:
-            d0c, d1c = m.det_affine()
-            got = f"({value_str(d0c)}, {value_str(d1c)})"
-        else:
-            got = value_str(m.det())
+        got = _det_text(det, matrix_galois(base, t))
         if got != closed:
             failures.append(f"t={t}: {got}")
     computed = expected if not failures else "mismatch at " + "; ".join(failures)
@@ -547,10 +498,6 @@ def verify_galois_invariance(identity_name: str, n: int, **_ignored) -> Identity
 
 
 # -- registry -----------------------------------------------------------------
-
-
-def _odd_range(a: int, b: int) -> tuple[int, ...]:
-    return tuple(n for n in range(a, b + 1) if n % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -562,18 +509,6 @@ class IdentityInfo:
     supports_oracle: bool = False
 
 
-def _eigen_runner(kind):
-    return lambda n, **kw: verify_eigenpairs(kind, n, **kw)
-
-
-def _eei_runner(kind):
-    return lambda n, **kw: verify_eei(kind, n, **kw)
-
-
-def _galois_runner(name):
-    return lambda n, **kw: verify_galois_invariance(name, n, **kw)
-
-
 IDENTITIES: dict[str, IdentityInfo] = {}
 
 
@@ -581,27 +516,24 @@ def _register(name, runner, grid, odd_only, supports_oracle=False):
     IDENTITIES[name] = IdentityInfo(name, runner, tuple(grid), odd_only, supports_oracle)
 
 
-_register("a-det", verify_a_det, _odd_range(3, 25), True, supports_oracle=True)
-_register("c-det", verify_c_det, _odd_range(3, 25), True, supports_oracle=True)
-_register("b-det", verify_b_det, _odd_range(3, 25), True)
-_register("tilde-a-det", verify_tilde_a_det, _odd_range(3, 25), True)
-_register("c1-det", verify_c1_det, _odd_range(3, 25), True)
-_register("c1-spectrum", verify_c1_spectrum, range(2, 13), False)
-_register("two-c-spectrum", verify_two_c_spectrum, range(2, 13), False)
-_register("s19-det", verify_s19_det, _odd_range(3, 13), True)
-_register("eigen-a", _eigen_runner(MatrixKind.A), _odd_range(3, 13), True)
-_register("eigen-b", _eigen_runner(MatrixKind.B), _odd_range(3, 13), True)
-_register("eigen-c1", _eigen_runner(MatrixKind.C_PLUS_I), _odd_range(3, 13), False)
-_register("eei-a", _eei_runner(MatrixKind.A), _odd_range(3, 13), True)
-_register("eei-b", _eei_runner(MatrixKind.B), _odd_range(3, 13), True)
-_register("eei-c1", _eei_runner(MatrixKind.C_PLUS_I), _odd_range(3, 13), True)
+for _name, _det in DETS.items():
+    _register(_name, partial(verify_det, _name), _det.grid, True, _det.oracle)
+_register("c1-spectrum", partial(verify_spectrum, MatrixKind.C_PLUS_I), range(2, 13), False)
+_register("two-c-spectrum", partial(verify_spectrum, MatrixKind.TWO_C), range(2, 13), False)
+_register("eigen-a", partial(verify_eigenpairs, MatrixKind.A), _odd_range(3, 13), True)
+_register("eigen-b", partial(verify_eigenpairs, MatrixKind.B), _odd_range(3, 13), True)
+_register("eigen-c1", partial(verify_eigenpairs, MatrixKind.C_PLUS_I), _odd_range(3, 13), False)
+_register("eei-a", partial(verify_eei, MatrixKind.A), _odd_range(3, 13), True)
+_register("eei-b", partial(verify_eei, MatrixKind.B), _odd_range(3, 13), True)
+_register("eei-c1", partial(verify_eei, MatrixKind.C_PLUS_I), _odd_range(3, 13), True)
 _register("root-sums", verify_root_sums, range(2, 51), False)
 _register("row-sums", verify_row_sums, range(2, 13), False)
 _register("partial-fraction", verify_partial_fraction, range(2, 13), False)
 _register("row-sum-x", verify_row_sum_x, range(2, 13), False)
-_register("galois-a-det", _galois_runner("a-det"), _odd_range(3, 9), True)
-_register("galois-c-det", _galois_runner("c-det"), _odd_range(3, 9), True)
-_register("galois-b-det", _galois_runner("b-det"), _odd_range(3, 9), True)
+for _name, _det in DETS.items():
+    if _det.galois:
+        _register(f"galois-{_name}", partial(verify_galois_invariance, _name),
+                  _odd_range(3, 9), True)
 
 
 def run_identity(name: str, n: int, oracle: bool = False, force: bool = False) -> IdentityReport:

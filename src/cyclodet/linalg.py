@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .combinatorics import perm_sign
+from .combinatorics import signed_product_sum
 from .cyclotomic import CycloContext, CycloElem
 from .polynomials import CPoly
 
@@ -122,24 +122,7 @@ class CMatrix:
             raise ValueError(
                 f"permutation expansion of dimension {dim} exceeds the "
                 f"guardrail ({PERM_DET_GUARDRAIL}); pass force=True to override")
-        ctx = self.ctx
-        total = ctx.zero()
-        data, cols = self.data, self.cols
-        for perm in permutations(range(dim)):
-            prod = ctx.one()
-            for j, img in enumerate(perm):
-                e = data[j * cols + img]
-                if not e:
-                    prod = None
-                    break
-                prod = prod * e
-            if prod is None:
-                continue
-            if perm_sign(tuple(i + 1 for i in perm)) == 1:
-                total = total + prod
-            else:
-                total = total - prod
-        return total
+        return signed_product_sum(self, permutations(range(1, dim + 1)))
 
     def trace(self) -> CycloElem:
         acc = self.ctx.zero()

@@ -3,7 +3,7 @@ import json
 
 from cyclodet import __version__
 from cyclodet.cli import REPORT_FIELDS, main
-from cyclodet.identities import IdentityReport
+from cyclodet.identities import DETS, IdentityReport, MatrixKind
 
 
 def run(capsys, *argv):
@@ -45,6 +45,17 @@ def test_det_unit_reciprocal(capsys):
 def test_det_rejects_bad_kind(capsys):
     code, _, err = run(capsys, "det", "--matrix", "q", "--n", "3")
     assert code == 2 and "unknown matrix kind" in err
+
+
+def test_det_accepts_exactly_the_table_kinds(capsys):
+    table_kinds = {d.kind for d in DETS.values()}
+    for kind in MatrixKind:
+        code, out, err = run(capsys, "det", "--matrix", kind.value, "--n", "3")
+        assert (code == 0) == (kind in table_kinds), (kind, out, err)
+    code, _, err = run(capsys, "det", "--matrix", "two-c", "--n", "3")
+    assert code == 2
+    assert err.strip() == ("error: unknown matrix kind 'two-c'; "
+                           "known: a, b, c, c1, tilde-a, s19")
 
 
 def test_det_rejects_bad_n(capsys):

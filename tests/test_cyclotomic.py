@@ -201,6 +201,18 @@ def test_as_rational():
     assert c3.zeta().as_rational() is None
 
 
+def test_rational_elements_hash_as_their_value():
+    # equal values must hash equal, so sets and dicts merge them
+    ctx = shared_context(5)
+    half = ctx.from_rational(Fraction(1, 2))
+    assert ctx.one() == 1 and hash(ctx.one()) == hash(1)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({ctx.one(), 1}) == 1
+    assert len({half, Fraction(1, 2)}) == 1
+    assert len({ctx.zero(), 0, ctx.one(), ctx.zeta()}) == 3
+    assert (ctx.zeta_pow(2) - ctx.zeta()) * 3 in {ctx.zeta_pow(2) * 3 - ctx.zeta() * 3}
+
+
 def test_as_rational_inverts_embedding():
     rng = random.Random(13)
     ctx = shared_context(7)

@@ -19,11 +19,7 @@ from cyclodet.identities import (
     s19_det_value,
     tilde_a_det_value,
     value_str,
-    verify_a_det,
-    verify_b_det,
-    verify_c1_det,
-    verify_c1_spectrum,
-    verify_c_det,
+    verify_det,
     verify_eei,
     verify_eigenpairs,
     verify_galois_invariance,
@@ -31,9 +27,6 @@ from cyclodet.identities import (
     verify_root_sums,
     verify_row_sum_x,
     verify_row_sums,
-    verify_s19_det,
-    verify_tilde_a_det,
-    verify_two_c_spectrum,
 )
 
 
@@ -116,34 +109,34 @@ def test_closed_form_values():
 
 @pytest.mark.parametrize("n,expect", [(3, "-1/3"), (5, "9/5"), (7, "-225/7")])
 def test_a_det_spot_values(n, expect):
-    report = verify_a_det(n)
+    report = verify_det("a-det", n)
     assert report.passed
     assert report.expected == f"(d0, d1) = ({expect}, 0)"
     assert report.identity == "a-det" and report.n == n
 
 
 def test_a_det_with_oracle():
-    report = verify_a_det(5, oracle=True)
+    report = verify_det("a-det", 5, oracle=True)
     assert report.passed and report.params["oracle"] is True
     assert "derangement sum 9/5" in report.computed
 
 
 def test_oracle_cutoff_above_nine():
     # the factorial-cost cross-check stays off past n = 9 unless forced
-    report = verify_a_det(11, oracle=True)
+    report = verify_det("a-det", 11, oracle=True)
     assert report.passed and report.params["oracle"] is False
     assert "derangement" not in report.computed
 
 
 def test_a_det_rejects_even():
     with pytest.raises(ValueError):
-        verify_a_det(4)
+        verify_det("a-det", 4)
 
 
 def test_tilde_a_spot_values():
-    assert verify_tilde_a_det(3).computed == "-1/12"
-    assert verify_tilde_a_det(5).computed == "9/80"
-    assert verify_tilde_a_det(5).passed
+    assert verify_det("tilde-a-det", 3).computed == "-1/12"
+    assert verify_det("tilde-a-det", 5).computed == "9/80"
+    assert verify_det("tilde-a-det", 5).passed
     # scaling relation to the x-shifted ratio determinant at x = 1
     ctx = shared_context(7)
     shifted = build_matrix(MatrixKind.A, ctx, 6).add_scalar(1)
@@ -151,14 +144,14 @@ def test_tilde_a_spot_values():
 
 
 def test_c_det_spot_values():
-    assert verify_c_det(3).computed == "-1/3"
-    r = verify_c_det(5, oracle=True)
+    assert verify_det("c-det", 3).computed == "-1/3"
+    r = verify_det("c-det", 5, oracle=True)
     assert r.passed and "4/5" in r.computed
-    assert verify_c_det(7).computed == "-36/7"
+    assert verify_det("c-det", 7).computed == "-36/7"
 
 
 def test_b_det_spot_values():
-    r3 = verify_b_det(3)
+    r3 = verify_det("b-det", 3)
     assert r3.passed and r3.computed == "(d0, d1) = (2/3, 2)"
     # x = 1 evaluation: (n+1) * d0
     ctx = shared_context(3)
@@ -167,29 +160,29 @@ def test_b_det_spot_values():
 
 
 def test_c1_det_spot_value():
-    r = verify_c1_det(3)
+    r = verify_det("c1-det", 3)
     assert r.passed and r.computed == "2/3"
 
 
 def test_s19_spot_values():
-    assert verify_s19_det(3).computed == "-3"
-    assert verify_s19_det(5).computed == "125"
-    assert verify_s19_det(7).computed == "-16807"
+    assert verify_det("s19-det", 3).computed == "-3"
+    assert verify_det("s19-det", 5).computed == "125"
+    assert verify_det("s19-det", 7).computed == "-16807"
     with pytest.raises(ValueError):
-        verify_s19_det(4)
+        verify_det("s19-det", 4)
 
 
 def test_c1_spectrum_small():
-    r = verify_c1_spectrum(3)
+    r = run_identity("c1-spectrum", 3)
     assert r.passed
     assert r.computed == "x^3 - 3*x^2 + 2*x"  # x(x-1)(x-2)
-    assert verify_c1_spectrum(4).passed
+    assert run_identity("c1-spectrum", 4).passed
 
 
 def test_two_c_spectrum_small():
-    assert verify_two_c_spectrum(2).computed == "x^2 - 1"
-    assert verify_two_c_spectrum(3).computed == "x^3 - 4*x"
-    r4 = verify_two_c_spectrum(4)
+    assert run_identity("two-c-spectrum", 2).computed == "x^2 - 1"
+    assert run_identity("two-c-spectrum", 3).computed == "x^3 - 4*x"
+    r4 = run_identity("two-c-spectrum", 4)
     assert r4.passed  # (x+3)(x+1)(x-1)(x-3)
 
 
@@ -303,7 +296,7 @@ def test_registry():
 
 
 def test_report_pass_iff_renderings_agree():
-    report = verify_a_det(3)
+    report = verify_det("a-det", 3)
     assert report.passed == (report.expected == report.computed)
     assert report.elapsed_seconds >= 0
     d = report.as_dict()
