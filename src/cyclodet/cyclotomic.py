@@ -5,7 +5,9 @@ The field is modelled as Q[x]/Phi_n(x) with zeta the residue class of x, so
 conjugate root is reachable through the Galois maps.  Elements are stored as
 an integer coordinate vector over the basis 1, zeta, ..., zeta^(d-1) together
 with one shared positive denominator, kept in lowest terms; the observable
-coordinates are Fractions (see ``CycloElem.coeffs``).
+coordinates are Fractions (see ``CycloElem.coeffs``).  Inverses go through
+the field norm N(a) = prod_t sigma_t(a), a product of Galois conjugates that
+stays in integer arithmetic (see ``CycloElem.inverse``).
 """
 
 from __future__ import annotations
@@ -294,27 +296,27 @@ class CycloElem:
         return result
 
     def inverse(self) -> CycloElem:
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_n (Phi_n is irreducible over Q, so any nonzero residue
-        is a unit)."""
+        """Multiplicative inverse through the field norm.
+
+        With x the integer numerator (self = x / den), the product conj of
+        the conjugates sigma_t(x) over t != 1 makes N(x) = x * conj a
+        rational, so self^-1 = conj * den / N(x).  Only integer ``galois``
+        and ``__mul__`` are used; a non-rational N(x) means the arithmetic
+        went wrong and raises ArithmeticError.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
-        r0 = [Fraction(c) for c in ctx.phi]
-        r1 = [Fraction(v, self.den) for v in self.num]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0: list[Fraction] = []
-        t1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _frac_poly_sub(t0, _frac_poly_mul(q, t1))
-        if not r1:
-            raise ArithmeticError("element shares a factor with Phi_n")
-        c = r1[0]
-        inv = [t / c for t in t1]
-        return ctx.from_coeffs(inv + [0] * (ctx.degree - len(inv)))
+        n = ctx.n
+        x = CycloElem(ctx, self.num, 1, _raw=True)
+        conj = ctx.one()
+        for t in range(2, n):
+            if gcd(t, n) == 1:
+                conj = conj * x.galois(t)
+        norm = (x * conj).as_rational()
+        if norm is None:
+            raise ArithmeticError("norm of a field element is not rational")
+        return conj * Fraction(self.den, norm)
 
     # -- field automorphisms ----------------------------------------------
 
@@ -365,8 +367,11 @@ class CycloElem:
                 and self.den == q.denominator
         if not isinstance(other, CycloElem):
             return NotImplemented
-        return self.ctx.n == other.ctx.n and self.den == other.den \
-            and self.num == other.num
+        if self.ctx.n != other.ctx.n:
+            # rationals lie in every Q(zeta_n): compare them by value
+            q = self.as_rational()
+            return q is not None and q == other.as_rational()
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # rational elements hash as the Fraction they compare equal to
@@ -401,58 +406,13 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-# -- Fraction polynomial helpers for the extended Euclidean inverse --------
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    lead = b[-1]
-    for k in range(len(r) - 1, db - 1, -1):
-        c = r[k]
-        if c:
-            f = c / lead
-            q[k - db] = f
-            for i in range(db + 1):
-                r[k - db + i] -= f * b[i]
-    while r and r[-1] == 0:
-        r.pop()
-    while q and q[-1] == 0:
-        q.pop()
-    return q, r
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def inv_one_minus_zeta(ctx: CycloContext, r: int) -> CycloElem:
     """Closed form for 1/(1 - zeta^r), r not divisible by n.
 
     (1 - zeta^r) * sum_{j<n} (j+1) zeta^(rj) = -n, so the inverse is
-    -(1/n) sum_{j<n} (j+1) zeta^(rj).  Cheaper than the Euclidean route and
-    cross-checked against it in the tests.
+    -(1/n) sum_{j<n} (j+1) zeta^(rj).  One pass over the power table, where
+    ``(1 - zeta^r).inverse()`` takes phi(n) products of conjugates; the two
+    are cross-checked in the tests.
     """
     n = ctx.n
     r %= n

@@ -155,6 +155,69 @@ def test_inv_one_minus_zeta_matches_euclid(n):
         assert closed == (one - ctx.zeta_pow(r)).inverse()
 
 
+def _random_unit(ctx, rng, bits, den_bits):
+    while True:
+        a = ctx.from_coeffs([Fraction(rng.randint(-(1 << bits), 1 << bits),
+                                      rng.randint(1, 1 << den_bits))
+                             for _ in range(ctx.degree)])
+        if a:
+            return a
+
+
+@pytest.mark.parametrize("n", [2, 13, 15, 17, 21, 24])
+def test_norm_inverse_two_sided(n):
+    # n = 2 has a trivial Galois group; 13 and 17 are prime (large norms)
+    rng = random.Random(100 + n)
+    ctx = shared_context(n)
+    for _ in range(15):
+        a = _random_unit(ctx, rng, 6, 3)
+        inv = a.inverse()
+        assert a * inv == 1
+        assert inv * a == 1
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_inverse_large_denominators(n):
+    rng = random.Random(n)
+    ctx = shared_context(n)
+    for _ in range(10):
+        a = _random_unit(ctx, rng, 40, 60)
+        assert a.den.bit_length() > 60
+        assert a * a.inverse() == 1
+        assert a.inverse().inverse() == a
+
+
+@pytest.mark.parametrize("n", [5, 9, 13])
+def test_inverse_is_multiplicative(n):
+    rng = random.Random(3 * n)
+    ctx = shared_context(n)
+    for _ in range(10):
+        a = _random_unit(ctx, rng, 4, 2)
+        b = _random_unit(ctx, rng, 4, 2)
+        assert (a * b).inverse() == a.inverse() * b.inverse()
+
+
+@pytest.mark.parametrize("n", [8, 11, 15])
+def test_inverse_commutes_with_galois(n):
+    rng = random.Random(5 * n)
+    ctx = shared_context(n)
+    ts = [t for t in range(1, n) if gcd(t, n) == 1]
+    for _ in range(10):
+        a = _random_unit(ctx, rng, 5, 3)
+        for t in ts:
+            assert a.galois(t).inverse() == a.inverse().galois(t)
+
+
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_inverse_of_rational_element(n):
+    ctx = shared_context(n)
+    for q in (Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-22, 5),
+              Fraction(10**30 + 1, 3**40)):
+        inv = ctx.from_rational(q).inverse()
+        assert inv == ctx.from_rational(1 / q)
+        assert inv.as_rational() == 1 / q
+
+
 def test_galois_examples():
     c3 = shared_context(3)
     assert c3.zeta().galois(2) == c3.zeta_pow(2)
@@ -211,6 +274,19 @@ def test_rational_elements_hash_as_their_value():
     assert len({half, Fraction(1, 2)}) == 1
     assert len({ctx.zero(), 0, ctx.one(), ctx.zeta()}) == 3
     assert (ctx.zeta_pow(2) - ctx.zeta()) * 3 in {ctx.zeta_pow(2) * 3 - ctx.zeta() * 3}
+
+
+def test_rational_elements_equal_across_contexts():
+    # a rational value is the same number in every Q(zeta_n)
+    one3, one5 = shared_context(3).one(), shared_context(5).one()
+    assert one3 == one5 and one3 == 1 and one5 == 1
+    assert len({shared_context(3).one(), shared_context(5).one(), 1}) == 1
+    half7 = shared_context(7).from_rational(Fraction(1, 2))
+    assert half7 == shared_context(4).from_rational(Fraction(1, 2))
+    assert half7 != shared_context(4).from_rational(Fraction(1, 3))
+    # non-rational elements compare only within one context
+    assert shared_context(3).zeta() != shared_context(6).zeta()
+    assert shared_context(3).zeta() != one3
 
 
 def test_as_rational_inverts_embedding():
