@@ -2,14 +2,12 @@
 
 __version__ = "0.1.0"
 
-from .rationals import rational, rat_pow, parse_rational, format_rational
+from .rationals import rational, parse_rational, format_rational
 from .cyclotomic import (
     CycloContext,
     CycloElem,
-    context_new,
     cyclotomic_polynomial,
     shared_context,
-    zeta_pow,
 )
 from .polynomials import CPoly, prod_one_minus_x_zeta, partial_fraction_check, row_sum_x_check
 from .linalg import CMatrix
@@ -33,7 +31,6 @@ __all__ = [
     "IdentityReport",
     "MatrixKind",
     "build_matrix",
-    "context_new",
     "cyclotomic_polynomial",
     "derangement_count",
     "derangements",
@@ -44,10 +41,8 @@ __all__ = [
     "perm_sign",
     "prod_one_minus_x_zeta",
     "partial_fraction_check",
-    "rat_pow",
     "rational",
     "row_sum_x_check",
     "shared_context",
     "signed_derangement_sum",
-    "zeta_pow",
 ]

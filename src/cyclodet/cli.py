@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import __version__
 from .combinatorics import GuardrailExceeded, derangement_count, signed_derangement_sum
@@ -57,12 +58,8 @@ def _grid_for(info, n_range) -> list[int]:
     if n_range is None:
         return list(info.default_grid)
     a, b = n_range
-    grid = [n for n in range(a, b + 1)
+    grid = [n for n in range(max(a, 3 if info.odd_only else 2), b + 1)
             if not info.odd_only or n % 2 == 1]
-    if info.odd_only:
-        grid = [n for n in grid if n >= 3]
-    else:
-        grid = [n for n in grid if n >= 2]
     if not grid:
         raise UsageError(f"n range {a}..{b} leaves no admissible n")
     return grid
@@ -79,19 +76,24 @@ def _dict_with_version(report) -> dict:
     return d
 
 
+def _summary(reports) -> dict:
+    passed = sum(r.passed for r in reports)
+    return {"total": len(reports), "passed": passed, "failed": len(reports) - passed}
+
+
+def _summary_line(reports) -> str:
+    return "summary: " + " ".join(f"{key}={count}" for key, count in _summary(reports).items())
+
+
 def _emit_reports(reports, fmt: str, out_path):
     if fmt == "text":
         lines = [_text_line(r) for r in reports]
-        passed = sum(r.passed for r in reports)
-        lines.append(f"summary: total={len(reports)} passed={passed} "
-                     f"failed={len(reports) - passed}")
+        lines.append(_summary_line(reports))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
-        passed = sum(r.passed for r in reports)
         doc = {
             "reports": [_dict_with_version(r) for r in reports],
-            "summary": {"total": len(reports), "passed": passed,
-                        "failed": len(reports) - passed},
+            "summary": _summary(reports),
         }
         payload = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
@@ -141,23 +143,16 @@ def cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs > 0 else min(os.cpu_count() or 1, 8)
     reports = []
     stream = sys.stderr if args.format != "text" or args.out else sys.stdout
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for report in pool.map(_run_task, tasks):
-                reports.append(report)
-                print(_text_line(report), file=stream, flush=True)
-    else:
-        for task in tasks:
-            report = _run_task(task)
+    parallel = jobs > 1 and len(tasks) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        for report in (pool.map if parallel else map)(_run_task, tasks):
             reports.append(report)
             print(_text_line(report), file=stream, flush=True)
     reports.sort(key=lambda r: (r.identity, r.n))
     if args.format != "text" or args.out:
         _emit_reports(reports, args.format, args.out)
     else:
-        passed = sum(r.passed for r in reports)
-        print(f"summary: total={len(reports)} passed={passed} "
-              f"failed={len(reports) - passed}")
+        print(_summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -40,11 +40,6 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return 1 if (m - cycles) % 2 == 0 else -1
 
 
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p after q): j -> p[q[j]]."""
-    return tuple(p[qj - 1] for qj in q)
-
-
 def factorial(k: int) -> int:
     if k < 0:
         raise ValueError("factorial of a negative integer")

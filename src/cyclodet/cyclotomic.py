@@ -132,18 +132,10 @@ class CycloContext:
         return self.zeta_pow(1)
 
 
-def context_new(n: int) -> CycloContext:
-    return CycloContext(n)
-
-
 @lru_cache(maxsize=None)
 def shared_context(n: int) -> CycloContext:
     """Cached context; verifier code reuses these across calls."""
     return CycloContext(n)
-
-
-def zeta_pow(ctx: CycloContext, e: int) -> CycloElem:
-    return ctx.zeta_pow(e)
 
 
 class CycloElem:
@@ -353,9 +345,6 @@ class CycloElem:
         if any(self.num[1:]):
             return None
         return Fraction(self.num[0], self.den)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def __bool__(self):
         return any(self.num)

@@ -124,12 +124,6 @@ class CMatrix:
                 f"guardrail ({PERM_DET_GUARDRAIL}); pass force=True to override")
         return signed_product_sum(self, permutations(range(1, dim + 1)))
 
-    def trace(self) -> CycloElem:
-        acc = self.ctx.zero()
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
-
     def charpoly(self) -> CPoly:
         """Monic characteristic polynomial det(x*I - M) by the
         Faddeev-LeVerrier recurrence."""
@@ -166,10 +160,6 @@ class CMatrix:
                     acc = acc + e * v
             out.append(acc)
         return out
-
-    def conj_transpose(self) -> CMatrix:
-        return CMatrix(self.ctx, [[self[r, c].conjugate() for r in range(self.rows)]
-                                  for c in range(self.cols)])
 
     def is_hermitian(self) -> bool:
         if not self.is_square():

@@ -118,11 +118,6 @@ class CPoly:
             acc = acc * point + c
         return acc
 
-    def coeff(self, k: int) -> CycloElem:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ctx.zero()
-
     def __eq__(self, other):
         if not isinstance(other, CPoly):
             return NotImplemented

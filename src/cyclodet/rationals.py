@@ -2,7 +2,7 @@
 
 Integers are plain Python ``int`` (arbitrary precision); rationals are
 ``fractions.Fraction``, which already keeps the canonical reduced form with a
-positive denominator.  This module pins down the constructors, powers and the
+positive denominator.  This module pins down the constructors and the
 "p/q" text format the rest of the package relies on.
 """
 
@@ -14,14 +14,6 @@ def rational(numer, denom=1) -> Fraction:
     if denom == 0:
         raise ZeroDivisionError("rational with zero denominator")
     return Fraction(numer, denom)
-
-
-def rat_pow(a, e: int) -> Fraction:
-    """Exact a**e; negative e requires a != 0."""
-    a = Fraction(a)
-    if e < 0 and a == 0:
-        raise ZeroDivisionError("0 cannot be raised to a negative power")
-    return a ** e
 
 
 def parse_rational(text: str) -> Fraction:

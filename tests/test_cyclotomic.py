@@ -6,7 +6,6 @@ import pytest
 
 from cyclodet.cyclotomic import (
     CycloContext,
-    context_new,
     cyclotomic_polynomial,
     inv_one_minus_zeta,
     shared_context,
@@ -71,14 +70,14 @@ def test_degree_is_totient(n):
 
 
 def test_context_examples():
-    assert context_new(3).degree == 2
-    assert context_new(5).degree == 4
-    assert context_new(9).degree == 6
+    assert CycloContext(3).degree == 2
+    assert CycloContext(5).degree == 4
+    assert CycloContext(9).degree == 6
 
 
 def test_context_rejects_small_n():
     with pytest.raises(ValueError):
-        context_new(1)
+        CycloContext(1)
 
 
 def test_zeta_pow_examples():
@@ -147,7 +146,7 @@ def test_inverse_two_sided_random(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 47])
-def test_inv_one_minus_zeta_matches_euclid(n):
+def test_inv_one_minus_zeta_matches_norm_inverse(n):
     ctx = shared_context(n)
     one = ctx.one()
     for r in range(1, n):

@@ -1,22 +1,23 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from cyclodet import identities
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import (
+    DETS,
     IDENTITIES,
-    EigenpairClaim,
     MatrixKind,
     a_det_value,
     b_det_value,
     build_matrix,
     c1_det_value,
     c_det_value,
-    claimed_spectrum,
-    eigen_claims,
     inv_one_plus_zeta,
     run_identity,
     s19_det_value,
+    spectrum,
     tilde_a_det_value,
     value_str,
     verify_det,
@@ -186,17 +187,14 @@ def test_two_c_spectrum_small():
     assert r4.passed  # (x+3)(x+1)(x-1)(x-3)
 
 
-def test_eigen_claims_match_spectrum_multiset():
-    for kind in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I):
-        for n in (3, 5, 7):
-            claims = sorted(c.eigenvalue for c in eigen_claims(kind, n))
-            assert claims == sorted(claimed_spectrum(kind, n))
-
-
-def test_eigenpair_claim_vector():
-    ctx = shared_context(5)
-    claim = EigenpairClaim(2, Fraction(-1))
-    assert claim.vector(ctx) == [ctx.zeta_pow(-2 * k) for k in range(1, 6)]
+def test_two_c_spectrum_labels_are_eigenpairs():
+    # the eigen-* verifiers cover a, b and c1; two-c is used as a multiset only
+    for n in (2, 3, 4, 5):
+        ctx = shared_context(n)
+        matrix = build_matrix(MatrixKind.TWO_C, ctx, n)
+        for s, lam in zip(range(1, n + 1), spectrum(MatrixKind.TWO_C, n)):
+            v = [ctx.zeta_pow(-k * s) for k in range(1, n + 1)]
+            assert matrix.matvec(v) == [vk * lam for vk in v]
 
 
 @pytest.mark.parametrize("kind", [MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I])
@@ -225,7 +223,8 @@ def test_eigenpairs_rejections():
 def test_eei_small():
     r = verify_eei(MatrixKind.A, 3)
     assert r.passed
-    assert r.expected == "charpoly_minor(0) = -1/3 for j = 1..3"
+    assert r.expected == "[-1/3, -1/3, -1/3]"
+    assert r.computed == "[-1/3, -1/3, -1/3]"
     assert verify_eei(MatrixKind.B, 5).passed
     assert verify_eei(MatrixKind.C_PLUS_I, 5).passed
     with pytest.raises(ValueError):
@@ -302,6 +301,32 @@ def test_report_pass_iff_renderings_agree():
     d = report.as_dict()
     assert set(d) == {"identity", "n", "params", "expected", "computed",
                       "passed", "elapsed_seconds"}
+
+
+def test_wrong_det_claim_keeps_computed_values(monkeypatch):
+    good = run_identity("galois-a-det", 5)
+    wrong = dataclasses.replace(DETS["a-det"], value=lambda n: a_det_value(n) + 1)
+    monkeypatch.setitem(DETS, "a-det", wrong)
+    bad = run_identity("galois-a-det", 5)
+    assert good.passed and not bad.passed
+    assert bad.expected == "[(14/5, 0), (14/5, 0), (14/5, 0), (14/5, 0)]"
+    assert bad.computed == good.computed == "[(9/5, 0), (9/5, 0), (9/5, 0), (9/5, 0)]"
+
+
+@pytest.mark.parametrize("name", ["eigen-a", "eei-a"])
+def test_wrong_spectrum_keeps_computed_values(monkeypatch, name):
+    good = run_identity(name, 5)
+    monkeypatch.setattr(identities, "spectrum",
+                        lambda kind, n: [2 * lam for lam in spectrum(kind, n)])
+    bad = run_identity(name, 5)
+    assert good.passed and not bad.passed
+    assert bad.expected != good.expected
+    assert bad.computed == good.computed
+
+
+def test_eigen_report_reads_eigenvalues_off_the_matrix():
+    r = run_identity("eigen-a", 3)
+    assert r.computed == "([-1, 1, 0], x^3 - x)"
 
 
 def test_value_str():

@@ -139,12 +139,6 @@ def test_hermitian_rejects_generic():
     assert not CMatrix(ctx, [[1, 2, 3], [4, 5, 6]]).is_hermitian()
 
 
-def test_conj_transpose_fixes_hermitian():
-    c5 = ctx5()
-    a = build_matrix(MatrixKind.A, c5, 4)
-    assert a.conj_transpose() == a
-
-
 def test_minor_delete_matches_truncated_builder():
     c5 = ctx5()
     full = build_matrix(MatrixKind.A, c5, 5)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclodet.rationals import format_rational, parse_rational, rat_pow, rational
+from cyclodet.rationals import format_rational, parse_rational, rational
 
 
 def test_canonical_reduction():
@@ -25,25 +25,6 @@ def test_zero_canonicalization():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         rational(1, 0)
-
-
-def test_pow_identity_exponent():
-    assert rat_pow(3, 1) == 3
-
-
-def test_pow_reciprocal():
-    assert rat_pow(2, -1) == Fraction(1, 2)
-
-
-def test_pow_zero_negative_rejected():
-    with pytest.raises(ZeroDivisionError):
-        rat_pow(0, -2)
-
-
-def test_pow_n_to_n_minus_2():
-    # the n^(n-2) determinant target at n=3 is just 3
-    n = 3
-    assert rat_pow(n, n - 2) == 3
 
 
 def test_parse_and_format():
