@@ -58,8 +58,7 @@ def _grid_for(info, n_range) -> list[int]:
     if n_range is None:
         return list(info.default_grid)
     a, b = n_range
-    grid = [n for n in range(max(a, 3 if info.odd_only else 2), b + 1)
-            if not info.odd_only or n % 2 == 1]
+    grid = [n for n in range(a, b + 1) if info.admits(n)]
     if not grid:
         raise UsageError(f"n range {a}..{b} leaves no admissible n")
     return grid
@@ -133,6 +132,8 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError(
             f"unknown identity {args.identity!r}; known: all, " + ", ".join(IDENTITIES))
+    if args.jobs < 0:
+        raise UsageError(f"--jobs must be 0 or more, got {args.jobs}")
     n_range = _parse_n_range(args.n) if args.n else None
     tasks = []
     for name in names:
@@ -140,7 +141,7 @@ def cmd_verify(args) -> int:
         for n in _grid_for(info, n_range):
             tasks.append((name, n, args.oracle and info.supports_oracle, args.force))
     tasks.sort(key=lambda t: (t[0], t[1]))
-    jobs = args.jobs if args.jobs > 0 else min(os.cpu_count() or 1, 8)
+    jobs = args.jobs or min(os.cpu_count() or 1, 8)
     reports = []
     stream = sys.stderr if args.format != "text" or args.out else sys.stdout
     parallel = jobs > 1 and len(tasks) > 1

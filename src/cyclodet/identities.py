@@ -1,12 +1,13 @@
-"""Matrix builders and identity verifiers.
+"""Matrix builders and the identity registry.
 
 Every matrix here is built from one residue formula: the entry at row j,
 column k (1-based) is a function of u = (j - k) mod n, with the diagonal
-overridden per kind.  Verifiers compute both sides of an identity in exact
-arithmetic as two exact values, the claim (``expected``) and what the
-verifier actually computed (``computed``).  A report passes exactly when the
-two values are equal; its ``expected`` and ``computed`` fields render them
-for output.
+overridden per kind.  Each identity is one row of ``IDENTITIES``; its check
+computes both sides in exact arithmetic and only returns them as two exact
+values, the claim (``expected``) and what it actually computed
+(``computed``).  ``run_identity`` is the one entry point: it rejects an n
+the row does not admit, times the check and builds the report, which passes
+exactly when the two values are equal and renders both for output.
 
 A note on eigenvalue labels: with entries keyed on row minus column, the
 vector v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns) pairs with eigenvalue 2s-n
@@ -30,6 +31,7 @@ from math import gcd
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import CycloContext, CycloElem, inv_one_minus_zeta, shared_context
 from .linalg import CMatrix
+from . import polynomials
 from .polynomials import CPoly
 from .rationals import format_rational
 
@@ -53,32 +55,25 @@ def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
     return inv_one_minus_zeta(ctx, two_u) * (ctx.one() - ctx.zeta_pow(u))
 
 
-def _offdiag_values(kind: MatrixKind, ctx: CycloContext) -> dict[int, CycloElem]:
-    one = ctx.one()
-    vals = {}
-    for u in range(1, ctx.n):
-        inv = inv_one_minus_zeta(ctx, u)
-        if kind in (MatrixKind.A, MatrixKind.B):
-            vals[u] = (one + ctx.zeta_pow(u)) * inv
-        elif kind in (MatrixKind.C_HOLLOW, MatrixKind.C_PLUS_I, MatrixKind.TILDE_A):
-            vals[u] = inv
-        elif kind is MatrixKind.TWO_C:
-            vals[u] = inv * 2
-        elif kind is MatrixKind.S19:
-            vals[u] = (one - ctx.zeta_pow(u)) * inv_one_plus_zeta(ctx, u)
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled kind {kind}")
-    return vals
+def _ratio(ctx: CycloContext, u: int, inv: CycloElem) -> CycloElem:
+    """(1 + zeta^u)/(1 - zeta^u), given inv = 1/(1 - zeta^u)."""
+    return (ctx.one() + ctx.zeta_pow(u)) * inv
 
 
-_DIAGONAL = {
-    MatrixKind.A: Fraction(0),
-    MatrixKind.B: Fraction(1),
-    MatrixKind.C_HOLLOW: Fraction(0),
-    MatrixKind.C_PLUS_I: Fraction(1),
-    MatrixKind.TILDE_A: Fraction(1, 2),
-    MatrixKind.S19: Fraction(0),
-    MatrixKind.TWO_C: Fraction(0),
+def _inverted_ratio(ctx: CycloContext, u: int, inv: CycloElem) -> CycloElem:
+    """(1 - zeta^u)/(1 + zeta^u); divides by 1 + zeta^u, so inv is unused."""
+    return (ctx.one() - ctx.zeta_pow(u)) * inv_one_plus_zeta(ctx, u)
+
+
+# {kind: (off-diagonal entry at residue u given inv = 1/(1 - zeta^u), diagonal)}
+_KINDS = {
+    MatrixKind.A: (_ratio, Fraction(0)),
+    MatrixKind.B: (_ratio, Fraction(1)),
+    MatrixKind.C_HOLLOW: (lambda ctx, u, inv: inv, Fraction(0)),
+    MatrixKind.C_PLUS_I: (lambda ctx, u, inv: inv, Fraction(1)),
+    MatrixKind.TILDE_A: (lambda ctx, u, inv: inv, Fraction(1, 2)),
+    MatrixKind.S19: (_inverted_ratio, Fraction(0)),
+    MatrixKind.TWO_C: (lambda ctx, u, inv: inv * 2, Fraction(0)),
 }
 
 
@@ -88,8 +83,9 @@ def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
     n = ctx.n
     if size not in (n - 1, n):
         raise ValueError(f"size must be {n - 1} or {n}")
-    vals = _offdiag_values(kind, ctx)
-    diag = ctx.from_rational(_DIAGONAL[kind])
+    entry, diagonal = _KINDS[kind]
+    vals = {u: entry(ctx, u, inv_one_minus_zeta(ctx, u)) for u in range(1, n)}
+    diag = ctx.from_rational(diagonal)
     rows = [[diag if j == k else vals[(j - k) % n] for k in range(size)]
             for j in range(size)]
     return CMatrix(ctx, rows)
@@ -203,21 +199,6 @@ def render(value) -> str:
     return format_rational(value)
 
 
-def _report(identity, n, params, expected, computed, t0, text=render) -> IdentityReport:
-    """The verdict compares the exact values; ``text`` renders both sides."""
-    return IdentityReport(
-        identity=identity, n=n, params=params,
-        expected=text(expected), computed=text(computed),
-        passed=expected == computed,
-        elapsed_seconds=time.perf_counter() - t0,
-    )
-
-
-def _require_odd(n: int, minimum: int = 3):
-    if n < minimum or n % 2 == 0:
-        raise ValueError(f"requires odd n >= {minimum}, got {n}")
-
-
 # -- determinant identities --------------------------------------------------
 
 
@@ -274,14 +255,12 @@ DETS: dict[str, DetIdentity] = {
 DET_KINDS = {k.value: k for k in MatrixKind if any(d.kind is k for d in DETS.values())}
 
 
-def verify_det(name: str, n: int, oracle: bool = False, force: bool = False) -> IdentityReport:
-    """Checks the ``DETS[name]`` closed form at odd n.  With ``oracle`` on a
-    row that supports it, also recovers the value term by term from the
-    signed derangement sum (n <= 9 unless forced): a zero diagonal restricts
-    the Leibniz expansion to derangements."""
-    t0 = time.perf_counter()
+def _det(name: str, n: int, oracle: bool = False, force: bool = False):
+    """The ``DETS[name]`` closed form at odd n.  With ``oracle`` on a row
+    that supports it, also recovers the value term by term from the signed
+    derangement sum (n <= 9 unless forced): a zero diagonal restricts the
+    Leibniz expansion to derangements."""
     det = DETS[name]
-    _require_odd(n)
     run_oracle = det.oracle and oracle and (n <= 9 or force)
     expected = [det.claim(n)]
     matrix = build_matrix(det.kind, shared_context(n), n - 1)
@@ -290,40 +269,29 @@ def verify_det(name: str, n: int, oracle: bool = False, force: bool = False) -> 
         expected.append(det.value(n))
         computed.append(signed_derangement_sum(matrix, force=force))
     params = {"size": n - 1, "oracle": run_oracle} if det.oracle else {"size": n - 1}
-    return _report(name, n, params, expected, computed, t0, text=det.text)
+    return params, expected, computed
 
 
 # -- spectra -----------------------------------------------------------------
 
 
-def verify_spectrum(kind: MatrixKind, n: int) -> IdentityReport:
-    """charpoly of the ``kind`` matrix at size n (any n >= 2) equals the
-    product of (x - lambda) over ``spectrum(kind, n)``; for c1 that is
+def _charpoly(kind: MatrixKind, n: int):
+    """charpoly of the ``kind`` matrix at size n equals the product of
+    (x - lambda) over ``spectrum(kind, n)``; for c1 that is
     prod_{s=1..n} (x - (s - (n-1)/2)), for two-c prod (x - (2s - n - 1))."""
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("requires n >= 2")
     ctx = shared_context(n)
     target = spectrum_poly(ctx, spectrum(kind, n))
-    computed = build_matrix(kind, ctx, n).charpoly()
-    return _report(f"{kind.value}-spectrum", n, {"size": n}, target, computed, t0)
+    return {"size": n}, target, build_matrix(kind, ctx, n).charpoly()
 
 
 # -- eigenpairs and the eigenvector-eigenvalue identity ----------------------
 
 
-def verify_eigenpairs(kind: MatrixKind, n: int) -> IdentityReport:
+def _eigenpairs(kind: MatrixKind, n: int):
     """For every s = 1..n reads mu_s off M v(s) and compares it with the
     label of ``spectrum`` (mu_s is None when v(s) is not an eigenvector),
     and compares charpoly(M) with the product over the spectrum (the
     multiset cross-check)."""
-    t0 = time.perf_counter()
-    if kind not in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I):
-        raise ValueError(f"eigenpair claims exist for kinds a, b, c1, not {kind.value}")
-    if kind in (MatrixKind.A, MatrixKind.B):
-        _require_odd(n)
-    elif n < 2:
-        raise ValueError("requires n >= 2")
     lams = spectrum(kind, n)
     ctx = shared_context(n)
     matrix = build_matrix(kind, ctx, n)
@@ -333,20 +301,14 @@ def verify_eigenpairs(kind: MatrixKind, n: int) -> IdentityReport:
         mu = w[0].mul_zeta_pow(s)  # v(s) starts with zeta^-s
         eigen = all(wk == mu.mul_zeta_pow(-k * s) for k, wk in enumerate(w, 1))
         mus.append(mu if eigen else None)
-    expected = (lams, spectrum_poly(ctx, lams))
-    computed = (mus, matrix.charpoly())
-    return _report(f"eigen-{kind.value}", n, {"size": n}, expected, computed, t0)
+    return {"size": n}, (lams, spectrum_poly(ctx, lams)), (mus, matrix.charpoly())
 
 
-def verify_eei(kind: MatrixKind, n: int) -> IdentityReport:
+def _eei(kind: MatrixKind, n: int):
     """Eigenvector-eigenvalue identity at the zero eigenvalue: for every
     j = 1..n, charpoly of the j-th principal minor evaluated at 0 equals
     (1/n) prod (0 - lambda) over the nonzero eigenvalues, 1/n being the
     squared modulus of every component of the zero-eigenvalue eigenvector."""
-    t0 = time.perf_counter()
-    if kind not in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I):
-        raise ValueError(f"eei applies to kinds a, b, c1, not {kind.value}")
-    _require_odd(n)
     others = spectrum(kind, n)
     others.remove(Fraction(0))  # exactly one zero eigenvalue for odd n
     target = Fraction(1, n)
@@ -354,19 +316,16 @@ def verify_eei(kind: MatrixKind, n: int) -> IdentityReport:
         target *= -lam
     matrix = build_matrix(kind, shared_context(n), n)
     computed = [matrix.minor_delete(j).charpoly().evaluate(0) for j in range(1, n + 1)]
-    return _report(f"eei-{kind.value}", n, {"size": n}, [target] * n, computed, t0)
+    return {"size": n}, [target] * n, computed
 
 
 # -- root sums and row sums ---------------------------------------------------
 
 
-def verify_root_sums(n: int) -> IdentityReport:
+def _root_sums(n: int):
     """Weighted sums over the nontrivial n-th roots:
     sum_{0<r<n} zeta^(-rs)/(1 - zeta^r) = (n-1)/2 - s for every s, and for
     odd n also sum_{0<r<n} zeta^(-rs)/(1 + zeta^r) = ((-1)^s n - 1)/2."""
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("requires n >= 2")
     ctx = shared_context(n)
     halves = [(inv_one_minus_zeta, lambda s: Fraction(n - 1, 2) - s)]
     if n % 2 == 1:
@@ -378,69 +337,49 @@ def verify_root_sums(n: int) -> IdentityReport:
             expected.append(closed(s))
             computed.append(sum((inv[r].mul_zeta_pow(-r * s) for r in range(1, n)),
                                 ctx.zero()))
-    return _report("root-sums", n, {"checks": len(computed)}, expected, computed, t0)
+    return {"checks": len(computed)}, expected, computed
 
 
-def verify_row_sums(n: int) -> IdentityReport:
+def _row_sums(n: int):
     """For every k and s: sum_{j != k} ratio(zeta^(j-k)) zeta^(s(k-j))
     equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k)."""
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("requires n >= 2")
     ctx = shared_context(n)
-    one = ctx.one()
-    ratio = {u: (one + ctx.zeta_pow(u)) * inv_one_minus_zeta(ctx, u)
-             for u in range(1, n)}
+    ratio = {u: _ratio(ctx, u, inv_one_minus_zeta(ctx, u)) for u in range(1, n)}
     ks = range(1, n + 1)
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
     computed = [[sum((ratio[(j - k) % n].mul_zeta_pow(s * (k - j)) for j in ks if j != k),
                      ctx.zero())
                  for s in range(n)] for k in ks]
-    return _report("row-sums", n, {"checks": n * n}, expected, computed, t0)
+    return {"checks": n * n}, expected, computed
 
 
-def verify_partial_fraction(n: int) -> IdentityReport:
+def _partial_fraction(n: int):
     """Cross-multiplied partial-fraction expansion holds for every s."""
-    from .polynomials import partial_fraction_check
-
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("requires n >= 2")
     ctx = shared_context(n)
-    computed = [partial_fraction_check(ctx, s) for s in range(n)]
-    return _report("partial-fraction", n, {"checks": n}, [True] * n, computed, t0)
+    computed = [polynomials.partial_fraction_check(ctx, s) for s in range(n)]
+    return {"checks": n}, [True] * n, computed
 
 
-def verify_row_sum_x(n: int) -> IdentityReport:
+def _row_sum_x(n: int):
     """Cross-multiplied x-weighted row-sum identity holds for every k, s."""
-    from .polynomials import row_sum_x_check
-
-    t0 = time.perf_counter()
-    if n < 2:
-        raise ValueError("requires n >= 2")
     ctx = shared_context(n)
-    computed = [[row_sum_x_check(ctx, k, s) for s in range(n)] for k in range(1, n + 1)]
-    return _report("row-sum-x", n, {"checks": n * n}, [[True] * n] * n, computed, t0)
+    computed = [[polynomials.row_sum_x_check(ctx, k, s) for s in range(n)]
+                for k in range(1, n + 1)]
+    return {"checks": n * n}, [[True] * n] * n, computed
 
 
 # -- root independence --------------------------------------------------------
 
 
-def verify_galois_invariance(identity_name: str, n: int) -> IdentityReport:
-    """Recomputes a rational determinant identity with every builder entry
+def _galois(name: str, n: int):
+    """Recomputes the ``DETS[name]`` determinant with every builder entry
     mapped through each automorphism zeta -> zeta^t (t coprime to n); all
     primitive-root choices must yield the identical value."""
-    t0 = time.perf_counter()
-    det = DETS.get(identity_name)
-    if det is None or not det.galois:
-        tracked = sorted(name for name, d in DETS.items() if d.galois)
-        raise ValueError(f"galois invariance is tracked for {tracked}")
-    _require_odd(n)
+    det = DETS[name]
     ts = coprime_residues(n)
     base = build_matrix(det.kind, shared_context(n), n - 1)
     computed = [det.of(matrix_galois(base, t)) for t in ts]
-    return _report(f"galois-{identity_name}", n, {"automorphisms": len(ts)},
-                   [det.claim(n)] * len(ts), computed, t0)
+    return {"automorphisms": len(ts)}, [det.claim(n)] * len(ts), computed
 
 
 # -- registry -----------------------------------------------------------------
@@ -448,44 +387,56 @@ def verify_galois_invariance(identity_name: str, n: int) -> IdentityReport:
 
 @dataclass(frozen=True)
 class IdentityInfo:
-    name: str
-    runner: object
+    """One identity: ``check(n)``, or ``check(n, oracle, force)`` on an
+    oracle row, returns (params, expected, computed) with the two sides as
+    exact values, and ``text`` renders them for the report."""
+
+    check: Callable
     default_grid: tuple[int, ...]
     odd_only: bool
     supports_oracle: bool = False
+    text: Callable = render
+
+    def admits(self, n: int) -> bool:
+        """Odd n >= 3 for an odd-only identity, any n >= 2 otherwise."""
+        return n >= 3 and n % 2 == 1 if self.odd_only else n >= 2
 
 
-IDENTITIES: dict[str, IdentityInfo] = {}
+_ODD_3_13, _TO_12 = _odd_range(3, 13), tuple(range(2, 13))
 
-
-def _register(name, runner, grid, odd_only, supports_oracle=False):
-    IDENTITIES[name] = IdentityInfo(name, runner, tuple(grid), odd_only, supports_oracle)
-
-
-for _name, _det in DETS.items():
-    _register(_name, partial(verify_det, _name), _det.grid, True, _det.oracle)
-_register("c1-spectrum", partial(verify_spectrum, MatrixKind.C_PLUS_I), range(2, 13), False)
-_register("two-c-spectrum", partial(verify_spectrum, MatrixKind.TWO_C), range(2, 13), False)
-_register("eigen-a", partial(verify_eigenpairs, MatrixKind.A), _odd_range(3, 13), True)
-_register("eigen-b", partial(verify_eigenpairs, MatrixKind.B), _odd_range(3, 13), True)
-_register("eigen-c1", partial(verify_eigenpairs, MatrixKind.C_PLUS_I), _odd_range(3, 13), False)
-_register("eei-a", partial(verify_eei, MatrixKind.A), _odd_range(3, 13), True)
-_register("eei-b", partial(verify_eei, MatrixKind.B), _odd_range(3, 13), True)
-_register("eei-c1", partial(verify_eei, MatrixKind.C_PLUS_I), _odd_range(3, 13), True)
-_register("root-sums", verify_root_sums, range(2, 51), False)
-_register("row-sums", verify_row_sums, range(2, 13), False)
-_register("partial-fraction", verify_partial_fraction, range(2, 13), False)
-_register("row-sum-x", verify_row_sum_x, range(2, 13), False)
-for _name, _det in DETS.items():
-    if _det.galois:
-        _register(f"galois-{_name}", partial(verify_galois_invariance, _name),
-                  _odd_range(3, 9), True)
+IDENTITIES: dict[str, IdentityInfo] = {
+    **{name: IdentityInfo(partial(_det, name), det.grid, True, det.oracle, det.text)
+       for name, det in DETS.items()},
+    "c1-spectrum": IdentityInfo(partial(_charpoly, MatrixKind.C_PLUS_I), _TO_12, False),
+    "two-c-spectrum": IdentityInfo(partial(_charpoly, MatrixKind.TWO_C), _TO_12, False),
+    "eigen-a": IdentityInfo(partial(_eigenpairs, MatrixKind.A), _ODD_3_13, True),
+    "eigen-b": IdentityInfo(partial(_eigenpairs, MatrixKind.B), _ODD_3_13, True),
+    "eigen-c1": IdentityInfo(partial(_eigenpairs, MatrixKind.C_PLUS_I), _ODD_3_13, False),
+    "eei-a": IdentityInfo(partial(_eei, MatrixKind.A), _ODD_3_13, True),
+    "eei-b": IdentityInfo(partial(_eei, MatrixKind.B), _ODD_3_13, True),
+    "eei-c1": IdentityInfo(partial(_eei, MatrixKind.C_PLUS_I), _ODD_3_13, True),
+    "root-sums": IdentityInfo(_root_sums, tuple(range(2, 51)), False),
+    "row-sums": IdentityInfo(_row_sums, _TO_12, False),
+    "partial-fraction": IdentityInfo(_partial_fraction, _TO_12, False),
+    "row-sum-x": IdentityInfo(_row_sum_x, _TO_12, False),
+    **{f"galois-{name}": IdentityInfo(partial(_galois, name), _odd_range(3, 9), True)
+       for name, det in DETS.items() if det.galois},
+}
 
 
 def run_identity(name: str, n: int, oracle: bool = False, force: bool = False) -> IdentityReport:
-    info = IDENTITIES.get(name)
-    if info is None:
-        raise KeyError(name)
-    if info.supports_oracle:
-        return info.runner(n, oracle=oracle, force=force)
-    return info.runner(n)
+    """Checks identity ``name`` at n and reports it: rejects an n the
+    identity does not admit, times the check, passes exactly when the two
+    exact values are equal and renders both for output."""
+    info = IDENTITIES[name]
+    if not info.admits(n):
+        raise ValueError(f"requires odd n >= 3, got {n}" if info.odd_only else "requires n >= 2")
+    t0 = time.perf_counter()
+    params, expected, computed = \
+        info.check(n, oracle, force) if info.supports_oracle else info.check(n)
+    return IdentityReport(
+        identity=name, n=n, params=params,
+        expected=info.text(expected), computed=info.text(computed),
+        passed=expected == computed,
+        elapsed_seconds=time.perf_counter() - t0,
+    )

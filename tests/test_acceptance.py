@@ -20,15 +20,10 @@ from cyclodet.identities import (
     build_matrix,
     c1_det_value,
     c_det_value,
+    run_identity,
     s19_det_value,
     spectrum_poly,
     tilde_a_det_value,
-    verify_eei,
-    verify_galois_invariance,
-    verify_partial_fraction,
-    verify_root_sums,
-    verify_row_sum_x,
-    verify_row_sums,
 )
 from cyclodet.linalg import CMatrix, random_matrix
 from cyclodet.polynomials import CPoly
@@ -168,10 +163,10 @@ def test_criterion_07_doubled_reciprocal_spectrum():
 
 def test_criterion_08_rational_function_identities():
     with _timed(8):
-        pf = {n: verify_partial_fraction(n).passed for n in range(2, 13)}
-        rsx = {n: verify_row_sum_x(n).passed for n in range(2, 13)}
-        rs = {n: verify_root_sums(n).passed for n in range(2, 51)}
-        row = {n: verify_row_sums(n).passed for n in range(2, 13)}
+        pf = {n: run_identity("partial-fraction", n).passed for n in range(2, 13)}
+        rsx = {n: run_identity("row-sum-x", n).passed for n in range(2, 13)}
+        rs = {n: run_identity("root-sums", n).passed for n in range(2, 51)}
+        row = {n: run_identity("row-sums", n).passed for n in range(2, 13)}
     ok = all(pf.values()) and all(rsx.values()) and all(rs.values()) and all(row.values())
     _line(8, "partial fractions, x-weighted row sums, root sums (to n=50)", ok)
     assert all(pf.values()), pf
@@ -185,7 +180,7 @@ def test_criterion_09_eigenvector_minor_identity():
     with _timed(9):
         for kind in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I):
             for n in range(3, 14, 2):
-                results[(kind.value, n)] = verify_eei(kind, n).passed
+                results[(kind.value, n)] = run_identity(f"eei-{kind.value}", n).passed
     ok = all(results.values())
     _line(9, "eigenvector-eigenvalue identity, 3 kinds, odd n 3..13", ok)
     assert all(results.values()), results
@@ -210,7 +205,7 @@ def test_criterion_11_galois_invariance():
     with _timed(11):
         for name in ("a-det", "c-det", "b-det"):
             for n in (3, 5, 7, 9):
-                results[(name, n)] = verify_galois_invariance(name, n).passed
+                results[(name, n)] = run_identity(f"galois-{name}", n).passed
     ok = all(results.values())
     _line(11, "values invariant under all automorphisms, odd n 3..9", ok)
     assert all(results.values()), results

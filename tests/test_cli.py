@@ -101,6 +101,13 @@ def test_verify_bad_range(capsys):
     assert code == 2
 
 
+def test_verify_rejects_negative_jobs(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "a-det", "--n", "3..5",
+                         "--jobs", "-5")
+    assert code == 2 and "--jobs" in err
+    assert "PASS" not in out
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake(task):
         name, n, _, _ = task

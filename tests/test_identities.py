@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclodet import identities
+from cyclodet.cli import _grid_for
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import (
     DETS,
@@ -20,14 +21,6 @@ from cyclodet.identities import (
     spectrum,
     tilde_a_det_value,
     value_str,
-    verify_det,
-    verify_eei,
-    verify_eigenpairs,
-    verify_galois_invariance,
-    verify_partial_fraction,
-    verify_root_sums,
-    verify_row_sum_x,
-    verify_row_sums,
 )
 
 
@@ -110,34 +103,34 @@ def test_closed_form_values():
 
 @pytest.mark.parametrize("n,expect", [(3, "-1/3"), (5, "9/5"), (7, "-225/7")])
 def test_a_det_spot_values(n, expect):
-    report = verify_det("a-det", n)
+    report = run_identity("a-det", n)
     assert report.passed
     assert report.expected == f"(d0, d1) = ({expect}, 0)"
     assert report.identity == "a-det" and report.n == n
 
 
 def test_a_det_with_oracle():
-    report = verify_det("a-det", 5, oracle=True)
+    report = run_identity("a-det", 5, oracle=True)
     assert report.passed and report.params["oracle"] is True
     assert "derangement sum 9/5" in report.computed
 
 
 def test_oracle_cutoff_above_nine():
     # the factorial-cost cross-check stays off past n = 9 unless forced
-    report = verify_det("a-det", 11, oracle=True)
+    report = run_identity("a-det", 11, oracle=True)
     assert report.passed and report.params["oracle"] is False
     assert "derangement" not in report.computed
 
 
 def test_a_det_rejects_even():
     with pytest.raises(ValueError):
-        verify_det("a-det", 4)
+        run_identity("a-det", 4)
 
 
 def test_tilde_a_spot_values():
-    assert verify_det("tilde-a-det", 3).computed == "-1/12"
-    assert verify_det("tilde-a-det", 5).computed == "9/80"
-    assert verify_det("tilde-a-det", 5).passed
+    assert run_identity("tilde-a-det", 3).computed == "-1/12"
+    assert run_identity("tilde-a-det", 5).computed == "9/80"
+    assert run_identity("tilde-a-det", 5).passed
     # scaling relation to the x-shifted ratio determinant at x = 1
     ctx = shared_context(7)
     shifted = build_matrix(MatrixKind.A, ctx, 6).add_scalar(1)
@@ -145,14 +138,14 @@ def test_tilde_a_spot_values():
 
 
 def test_c_det_spot_values():
-    assert verify_det("c-det", 3).computed == "-1/3"
-    r = verify_det("c-det", 5, oracle=True)
+    assert run_identity("c-det", 3).computed == "-1/3"
+    r = run_identity("c-det", 5, oracle=True)
     assert r.passed and "4/5" in r.computed
-    assert verify_det("c-det", 7).computed == "-36/7"
+    assert run_identity("c-det", 7).computed == "-36/7"
 
 
 def test_b_det_spot_values():
-    r3 = verify_det("b-det", 3)
+    r3 = run_identity("b-det", 3)
     assert r3.passed and r3.computed == "(d0, d1) = (2/3, 2)"
     # x = 1 evaluation: (n+1) * d0
     ctx = shared_context(3)
@@ -161,16 +154,16 @@ def test_b_det_spot_values():
 
 
 def test_c1_det_spot_value():
-    r = verify_det("c1-det", 3)
+    r = run_identity("c1-det", 3)
     assert r.passed and r.computed == "2/3"
 
 
 def test_s19_spot_values():
-    assert verify_det("s19-det", 3).computed == "-3"
-    assert verify_det("s19-det", 5).computed == "125"
-    assert verify_det("s19-det", 7).computed == "-16807"
+    assert run_identity("s19-det", 3).computed == "-3"
+    assert run_identity("s19-det", 5).computed == "125"
+    assert run_identity("s19-det", 7).computed == "-16807"
     with pytest.raises(ValueError):
-        verify_det("s19-det", 4)
+        run_identity("s19-det", 4)
 
 
 def test_c1_spectrum_small():
@@ -200,37 +193,37 @@ def test_two_c_spectrum_labels_are_eigenpairs():
 @pytest.mark.parametrize("kind", [MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I])
 def test_eigenpairs_pass(kind):
     for n in (3, 5):
-        assert verify_eigenpairs(kind, n).passed
+        assert run_identity(f"eigen-{kind.value}", n).passed
 
 
 @pytest.mark.parametrize("kind", [MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I])
 def test_eigenpairs_full_grid(kind):
     for n in range(3, 14, 2):
-        assert verify_eigenpairs(kind, n).passed, f"n={n}"
+        assert run_identity(f"eigen-{kind.value}", n).passed, f"n={n}"
 
 
 def test_eigenpairs_c1_even_n():
-    assert verify_eigenpairs(MatrixKind.C_PLUS_I, 4).passed
+    assert run_identity("eigen-c1", 4).passed
 
 
 def test_eigenpairs_rejections():
+    with pytest.raises(KeyError):
+        run_identity("eigen-s19", 5)
     with pytest.raises(ValueError):
-        verify_eigenpairs(MatrixKind.S19, 5)
-    with pytest.raises(ValueError):
-        verify_eigenpairs(MatrixKind.A, 4)
+        run_identity("eigen-a", 4)
 
 
 def test_eei_small():
-    r = verify_eei(MatrixKind.A, 3)
+    r = run_identity("eei-a", 3)
     assert r.passed
     assert r.expected == "[-1/3, -1/3, -1/3]"
     assert r.computed == "[-1/3, -1/3, -1/3]"
-    assert verify_eei(MatrixKind.B, 5).passed
-    assert verify_eei(MatrixKind.C_PLUS_I, 5).passed
+    assert run_identity("eei-b", 5).passed
+    assert run_identity("eei-c1", 5).passed
     with pytest.raises(ValueError):
-        verify_eei(MatrixKind.A, 4)
-    with pytest.raises(ValueError):
-        verify_eei(MatrixKind.TWO_C, 5)
+        run_identity("eei-a", 4)
+    with pytest.raises(KeyError):
+        run_identity("eei-two-c", 5)
 
 
 def test_root_sums_spot_values():
@@ -246,9 +239,9 @@ def test_root_sums_spot_values():
     plus_s1 = sum((inv_one_plus_zeta(ctx, r).mul_zeta_pow(-r) for r in (1, 2)),
                   ctx.zero())
     assert plus_s1 == -2
-    assert verify_root_sums(3).passed
-    assert verify_root_sums(6).passed  # even n runs the minus half only
-    assert verify_root_sums(6).params["checks"] == 6
+    assert run_identity("root-sums", 3).passed
+    assert run_identity("root-sums", 6).passed  # even n runs the minus half only
+    assert run_identity("root-sums", 6).params["checks"] == 6
 
 
 def test_row_sums_spot_values():
@@ -262,40 +255,81 @@ def test_row_sums_spot_values():
         if j != k:
             acc = acc + a[j - 1, k - 1].mul_zeta_pow(s * (k - j))
     assert acc == 1
-    assert verify_row_sums(3).passed
-    assert verify_row_sums(4).passed
+    assert run_identity("row-sums", 3).passed
+    assert run_identity("row-sums", 4).passed
 
 
 def test_polynomial_identity_verifiers():
-    assert verify_partial_fraction(5).passed
-    assert verify_row_sum_x(4).passed
+    assert run_identity("partial-fraction", 5).passed
+    assert run_identity("row-sum-x", 4).passed
 
 
 @pytest.mark.parametrize("name,n", [("a-det", 5), ("c-det", 7), ("b-det", 3)])
 def test_galois_invariance(name, n):
-    report = verify_galois_invariance(name, n)
+    report = run_identity(f"galois-{name}", n)
     assert report.passed
     assert report.params["automorphisms"] == n - 1  # prime n here
 
 
 def test_galois_invariance_rejects_unknown():
-    with pytest.raises(ValueError):
-        verify_galois_invariance("s19-det", 5)
+    with pytest.raises(KeyError):
+        run_identity("galois-s19-det", 5)
+
+
+ODD_3_9, ODD_3_13, ODD_3_25 = (tuple(range(3, hi + 1, 2)) for hi in (9, 13, 25))
+TO_12 = tuple(range(2, 13))
+
+# name: (default_grid, odd_only, supports_oracle), in registration order
+REGISTRY = {
+    "a-det": (ODD_3_25, True, True),
+    "c-det": (ODD_3_25, True, True),
+    "b-det": (ODD_3_25, True, False),
+    "tilde-a-det": (ODD_3_25, True, False),
+    "c1-det": (ODD_3_25, True, False),
+    "s19-det": (ODD_3_13, True, False),
+    "c1-spectrum": (TO_12, False, False),
+    "two-c-spectrum": (TO_12, False, False),
+    "eigen-a": (ODD_3_13, True, False),
+    "eigen-b": (ODD_3_13, True, False),
+    "eigen-c1": (ODD_3_13, False, False),
+    "eei-a": (ODD_3_13, True, False),
+    "eei-b": (ODD_3_13, True, False),
+    "eei-c1": (ODD_3_13, True, False),
+    "root-sums": (tuple(range(2, 51)), False, False),
+    "row-sums": (TO_12, False, False),
+    "partial-fraction": (TO_12, False, False),
+    "row-sum-x": (TO_12, False, False),
+    "galois-a-det": (ODD_3_9, True, False),
+    "galois-c-det": (ODD_3_9, True, False),
+    "galois-b-det": (ODD_3_9, True, False),
+}
 
 
 def test_registry():
-    assert IDENTITIES["a-det"].default_grid == tuple(range(3, 26, 2))
-    assert IDENTITIES["root-sums"].default_grid == tuple(range(2, 51))
-    assert IDENTITIES["eigen-c1"].odd_only is False
-    assert IDENTITIES["a-det"].supports_oracle
+    assert list(IDENTITIES) == list(REGISTRY)
+    for name, row in REGISTRY.items():
+        info = IDENTITIES[name]
+        assert (info.default_grid, info.odd_only, info.supports_oracle) == row, name
     report = run_identity("two-c-spectrum", 6)
     assert report.passed and report.identity == "two-c-spectrum"
     with pytest.raises(KeyError):
         run_identity("nope", 3)
 
 
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_cli_grid_is_what_run_identity_admits(name):
+    grid = _grid_for(IDENTITIES[name], (0, 6))
+    for n in range(7):
+        try:
+            run_identity(name, n)
+        except ValueError:
+            assert n not in grid, n
+        else:
+            assert n in grid, n
+
+
 def test_report_pass_iff_renderings_agree():
-    report = verify_det("a-det", 3)
+    report = run_identity("a-det", 3)
     assert report.passed == (report.expected == report.computed)
     assert report.elapsed_seconds >= 0
     d = report.as_dict()
