@@ -55,25 +55,30 @@ def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
     return inv_one_minus_zeta(ctx, two_u) * (ctx.one() - ctx.zeta_pow(u))
 
 
-def _ratio(ctx: CycloContext, u: int, inv: CycloElem) -> CycloElem:
-    """(1 + zeta^u)/(1 - zeta^u), given inv = 1/(1 - zeta^u)."""
-    return (ctx.one() + ctx.zeta_pow(u)) * inv
+def _ratio(ctx: CycloContext, u: int) -> CycloElem:
+    """(1 + zeta^u)/(1 - zeta^u)."""
+    return (ctx.one() + ctx.zeta_pow(u)) * inv_one_minus_zeta(ctx, u)
 
 
-def _inverted_ratio(ctx: CycloContext, u: int, inv: CycloElem) -> CycloElem:
-    """(1 - zeta^u)/(1 + zeta^u); divides by 1 + zeta^u, so inv is unused."""
+def _inverted_ratio(ctx: CycloContext, u: int) -> CycloElem:
+    """(1 - zeta^u)/(1 + zeta^u)."""
     return (ctx.one() - ctx.zeta_pow(u)) * inv_one_plus_zeta(ctx, u)
 
 
-# {kind: (off-diagonal entry at residue u given inv = 1/(1 - zeta^u), diagonal)}
+def _reciprocal(ctx: CycloContext, u: int) -> CycloElem:
+    """1/(1 - zeta^u) through the module global, so a patched one is seen."""
+    return inv_one_minus_zeta(ctx, u)
+
+
+# {kind: (off-diagonal entry at residue u, diagonal)}
 _KINDS = {
     MatrixKind.A: (_ratio, Fraction(0)),
     MatrixKind.B: (_ratio, Fraction(1)),
-    MatrixKind.C_HOLLOW: (lambda ctx, u, inv: inv, Fraction(0)),
-    MatrixKind.C_PLUS_I: (lambda ctx, u, inv: inv, Fraction(1)),
-    MatrixKind.TILDE_A: (lambda ctx, u, inv: inv, Fraction(1, 2)),
+    MatrixKind.C_HOLLOW: (_reciprocal, Fraction(0)),
+    MatrixKind.C_PLUS_I: (_reciprocal, Fraction(1)),
+    MatrixKind.TILDE_A: (_reciprocal, Fraction(1, 2)),
     MatrixKind.S19: (_inverted_ratio, Fraction(0)),
-    MatrixKind.TWO_C: (lambda ctx, u, inv: inv * 2, Fraction(0)),
+    MatrixKind.TWO_C: (lambda ctx, u: _reciprocal(ctx, u) * 2, Fraction(0)),
 }
 
 
@@ -84,7 +89,7 @@ def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
     if size not in (n - 1, n):
         raise ValueError(f"size must be {n - 1} or {n}")
     entry, diagonal = _KINDS[kind]
-    vals = {u: entry(ctx, u, inv_one_minus_zeta(ctx, u)) for u in range(1, n)}
+    vals = {u: entry(ctx, u) for u in range(1, n)}
     diag = ctx.from_rational(diagonal)
     rows = [[diag if j == k else vals[(j - k) % n] for k in range(size)]
             for j in range(size)]
@@ -304,18 +309,36 @@ def _eigenpairs(kind: MatrixKind, n: int):
     return {"size": n}, (lams, spectrum_poly(ctx, lams)), (mus, matrix.charpoly())
 
 
+def _cyclic_minor(matrix: CMatrix, j: int) -> CMatrix:
+    """The j-th principal minor with rows and columns listed cyclically from
+    j + 1: P M_j P^T for a cyclic shift P, so it has the charpoly of
+    ``minor_delete(j)``; for a circulant matrix it is the same for every j."""
+    n = matrix.rows
+    keep = [i % n for i in range(j, j + n - 1)]  # rows j+1, ..., n, 1, ..., j-1
+    return CMatrix(matrix.ctx, [[matrix[r, c] for c in keep] for r in keep])
+
+
 def _eei(kind: MatrixKind, n: int):
     """Eigenvector-eigenvalue identity at the zero eigenvalue: for every
     j = 1..n, charpoly of the j-th principal minor evaluated at 0 equals
     (1/n) prod (0 - lambda) over the nonzero eigenvalues, 1/n being the
-    squared modulus of every component of the zero-eigenvalue eigenvector."""
+    squared modulus of every component of the zero-eigenvalue eigenvector.
+    The minor is ``_cyclic_minor(M, j)`` = P M_j P^T, and a charpoly is
+    reused only for a minor equal to an earlier one entry for entry, so a
+    circulant matrix costs one charpoly and any other matrix n."""
     others = spectrum(kind, n)
     others.remove(Fraction(0))  # exactly one zero eigenvalue for odd n
     target = Fraction(1, n)
     for lam in others:
         target *= -lam
     matrix = build_matrix(kind, shared_context(n), n)
-    computed = [matrix.minor_delete(j).charpoly().evaluate(0) for j in range(1, n + 1)]
+    charpolys: dict[CMatrix, CPoly] = {}
+    computed = []
+    for j in range(1, n + 1):
+        minor = _cyclic_minor(matrix, j)
+        if minor not in charpolys:
+            charpolys[minor] = minor.charpoly()
+        computed.append(charpolys[minor].evaluate(0))
     return {"size": n}, [target] * n, computed
 
 
@@ -344,7 +367,7 @@ def _row_sums(n: int):
     """For every k and s: sum_{j != k} ratio(zeta^(j-k)) zeta^(s(k-j))
     equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k)."""
     ctx = shared_context(n)
-    ratio = {u: _ratio(ctx, u, inv_one_minus_zeta(ctx, u)) for u in range(1, n)}
+    ratio = {u: _ratio(ctx, u) for u in range(1, n)}
     ks = range(1, n + 1)
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
     computed = [[sum((ratio[(j - k) % n].mul_zeta_pow(s * (k - j)) for j in ks if j != k),

@@ -2,8 +2,8 @@
 
 Determinants use Gaussian elimination with exact field division (first
 nonzero pivot down the column, sign tracked through row swaps); the
-characteristic polynomial uses the Faddeev-LeVerrier recurrence, whose
-divisions by 1..dim are exact in characteristic zero.
+characteristic polynomial uses Berkowitz's algorithm, which is
+division-free: it needs only field products and sums.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class CMatrix:
     def __repr__(self):
         return f"CMatrix({self.rows}x{self.cols}, n={self.ctx.n})"
 
-    def __matmul__(self, other: CMatrix) -> CMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return CMatrix(self.ctx, _mat_mul(self.row_lists(), other.row_lists(), self.ctx))
-
     # ------------------------------------------------------------------
 
     def det(self) -> CycloElem:
@@ -125,41 +120,33 @@ class CMatrix:
         return signed_product_sum(self, permutations(range(1, dim + 1)))
 
     def charpoly(self) -> CPoly:
-        """Monic characteristic polynomial det(x*I - M) by the
-        Faddeev-LeVerrier recurrence."""
+        """Monic characteristic polynomial det(x*I - M) by Berkowitz's
+        division-free algorithm (Inf. Process. Lett. 18, 1984).  For each
+        trailing submatrix [[a, R], [C, A]], of dimension d, the charpoly is
+        the lower-triangular Toeplitz matrix with first column 1, -a, -R*C,
+        -R*A*C, ..., -R*A^(d-2)*C times the charpoly of A: matrix-vector
+        products only, with no inverse and no pivoting."""
         if not self.is_square():
             raise ValueError("characteristic polynomial requires a square matrix")
         ctx = self.ctx
         dim = self.rows
-        coeffs = [ctx.zero()] * dim + [ctx.one()]
-        if dim == 0:
-            return CPoly(ctx, coeffs)
         m = self.row_lists()
-        mk = [row[:] for row in m]
-        c = _trace_of(mk, ctx) / -1
-        coeffs[dim - 1] = c
-        for k in range(2, dim + 1):
-            for i in range(dim):
-                mk[i][i] = mk[i][i] + c
-            mk = _mat_mul(m, mk, ctx)
-            c = _trace_of(mk, ctx) / -k
-            coeffs[dim - k] = c
-        return CPoly(ctx, coeffs)
+        poly = [ctx.one()]  # charpoly of the empty trailing submatrix, highest first
+        for k in range(dim - 1, -1, -1):
+            sub = [r[k + 1:] for r in m[k + 1:]]  # A
+            row, col = m[k][k + 1:], [r[k] for r in m[k + 1:]]
+            toeplitz = [ctx.one(), -m[k][k]]
+            for i in range(dim - k - 1):
+                if i:
+                    col = [_dot(r, col, ctx) for r in sub]
+                toeplitz.append(-_dot(row, col, ctx))
+            poly = [_dot(toeplitz[i::-1], poly, ctx) for i in range(len(poly) + 1)]
+        return CPoly(ctx, poly[::-1])
 
     def matvec(self, vec) -> list[CycloElem]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match columns")
-        ctx = self.ctx
-        out = []
-        for r in range(self.rows):
-            acc = ctx.zero()
-            base = r * self.cols
-            for c, v in enumerate(vec):
-                e = self.data[base + c]
-                if e and v:
-                    acc = acc + e * v
-            out.append(acc)
-        return out
+        return [_dot(row, vec, self.ctx) for row in self.row_lists()]
 
     def is_hermitian(self) -> bool:
         if not self.is_square():
@@ -214,31 +201,12 @@ class CMatrix:
                                   for r in range(self.rows)])
 
 
-def _mat_mul(a: list[list[CycloElem]], b: list[list[CycloElem]], ctx: CycloContext):
-    dim_i = len(a)
-    dim_k = len(b)
-    dim_j = len(b[0]) if dim_k else 0
-    zero = ctx.zero()
-    out = []
-    for i in range(dim_i):
-        ai = a[i]
-        row = []
-        for j in range(dim_j):
-            acc = zero
-            for k in range(dim_k):
-                e = ai[k]
-                f = b[k][j]
-                if e and f:
-                    acc = acc + e * f
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _trace_of(m: list[list[CycloElem]], ctx: CycloContext) -> CycloElem:
+def _dot(xs, ys, ctx: CycloContext) -> CycloElem:
+    """Sum of the products of paired entries, skipping zero factors."""
     acc = ctx.zero()
-    for i in range(len(m)):
-        acc = acc + m[i][i]
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
     return acc
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from cyclodet.identities import (
     tilde_a_det_value,
     value_str,
 )
+from cyclodet.linalg import CMatrix, random_matrix
 
 
 def test_build_ratio_matrix_entries():
@@ -345,6 +347,33 @@ def test_wrong_det_claim_keeps_computed_values(monkeypatch):
     assert good.passed and not bad.passed
     assert bad.expected == "[(14/5, 0), (14/5, 0), (14/5, 0), (14/5, 0)]"
     assert bad.computed == good.computed == "[(9/5, 0), (9/5, 0), (9/5, 0), (9/5, 0)]"
+
+
+def _non_circulant(n):
+    m = random_matrix(shared_context(n), random.Random(n), n)
+    assert m != CMatrix(m.ctx, [[m[0, (c - r) % n] for c in range(n)] for r in range(n)])
+    return m
+
+
+def test_cyclic_minor_has_the_charpoly_of_the_deleted_minor():
+    m = _non_circulant(5)
+    for j in range(1, 6):
+        assert identities._cyclic_minor(m, j).charpoly() == m.minor_delete(j).charpoly()
+
+
+def test_cyclic_minors_of_a_circulant_are_equal():
+    m = build_matrix(MatrixKind.C_PLUS_I, shared_context(7), 7)
+    assert len({identities._cyclic_minor(m, j) for j in range(1, 8)}) == 1
+
+
+def test_eei_computes_every_minor_of_a_non_circulant_matrix(monkeypatch):
+    # the charpoly cache must never merge distinct minors
+    m = _non_circulant(5)
+    monkeypatch.setattr(identities, "build_matrix", lambda kind, ctx, size: m)
+    _, _, computed = identities._eei(MatrixKind.A, 5)
+    assert computed == [m.minor_delete(j).charpoly().evaluate(0) for j in range(1, 6)]
+    assert len(set(computed)) == 5
+    assert not run_identity("eei-a", 5).passed
 
 
 @pytest.mark.parametrize("name", ["eigen-a", "eei-a"])

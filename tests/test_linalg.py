@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet.cyclotomic import shared_context
+from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import MatrixKind, build_matrix, matrix_galois
 from cyclodet.linalg import CMatrix, random_matrix
 from cyclodet.polynomials import CPoly
@@ -66,13 +66,18 @@ def test_perm_expansion_guardrail():
     assert m.perm_expansion_det(force=True) == 1
 
 
+def _product(a, b):
+    return CMatrix(a.ctx, [[sum((a[i, k] * b[k, j] for k in range(a.cols)), a.ctx.zero())
+                            for j in range(b.cols)] for i in range(a.rows)])
+
+
 def test_det_multiplicative():
     rng = random.Random(1)
     ctx = ctx5()
     for _ in range(8):
         a = random_matrix(ctx, rng, 3)
         b = random_matrix(ctx, rng, 3)
-        assert (a @ b).det() == a.det() * b.det()
+        assert _product(a, b).det() == a.det() * b.det()
 
 
 def test_charpoly_examples():
@@ -94,6 +99,53 @@ def test_charpoly_at_zero_is_signed_det():
         dim = rng.randint(1, 4)
         m = random_matrix(ctx, rng, dim)
         assert m.charpoly().evaluate(0) == m.det() * (-1) ** dim
+
+
+def _shapes(ctx, rng, dim):
+    """A dense, a sparse, an upper and a lower triangular random matrix."""
+    dense = random_matrix(ctx, rng, dim)
+    sparse = CMatrix(ctx, [[dense[r, c] if rng.random() < 0.3 else 0 for c in range(dim)]
+                           for r in range(dim)])
+    upper = CMatrix(ctx, [[dense[r, c] if c >= r else 0 for c in range(dim)]
+                          for r in range(dim)])
+    lower = CMatrix(ctx, [[dense[r, c] if c <= r else 0 for c in range(dim)]
+                          for r in range(dim)])
+    return dense, sparse, upper, lower
+
+
+def _shifted(m, c):
+    """c*I - M."""
+    return CMatrix(m.ctx, [[(c if r == k else 0) - m[r, k] for k in range(m.cols)]
+                           for r in range(m.rows)])
+
+
+@pytest.mark.parametrize("dim", range(7))
+def test_charpoly_matches_det_at_rational_points(dim):
+    # dim + 1 distinct points pin a polynomial of degree dim
+    rng = random.Random(10 + dim)
+    ctx = ctx5()
+    points = [Fraction(k, 3) for k in rng.sample(range(-20, 21), dim + 1)]
+    for m in _shapes(ctx, rng, dim):
+        p = m.charpoly()
+        assert p.degree() == dim and p.coeffs[-1] == 1
+        for c in points:
+            assert p.evaluate(c) == _shifted(m, c).det()
+
+
+def test_charpoly_is_division_free(monkeypatch):
+    # spectrum-eei is the benchmark's inverse-free control workload
+    rng = random.Random(11)
+    ctx = ctx5()
+    matrices = [*_shapes(ctx, rng, 5), build_matrix(MatrixKind.A, ctx, 5)]
+
+    def no_inverse(self):
+        raise AssertionError("charpoly called inverse")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CycloElem, "inverse", no_inverse)
+        polys = [m.charpoly() for m in matrices]
+    for m, p in zip(matrices, polys):
+        assert p.evaluate(2) == _shifted(m, 2).det()
 
 
 def test_matvec_identity():
