@@ -58,7 +58,8 @@ def _grid_for(info, n_range) -> list[int]:
     if n_range is None:
         return list(info.default_grid)
     a, b = n_range
-    grid = [n for n in range(a, b + 1) if info.admits(n)]
+    # no identity admits n < 2, so a very negative lower bound costs nothing
+    grid = [n for n in range(max(a, 2), b + 1) if info.admits(n)]
     if not grid:
         raise UsageError(f"n range {a}..{b} leaves no admissible n")
     return grid
@@ -121,6 +122,8 @@ def _text_line(r) -> str:
     verdict = "PASS" if r.passed else "FAIL"
     detail = f"expected {r.expected}" if r.passed else \
         f"expected {r.expected} | computed {r.computed}"
+    if r.first_difference:
+        detail += f" | first differs at {r.first_difference}"
     return f"{verdict} {r.identity} n={r.n} {detail} ({r.elapsed_seconds:.3f}s)"
 
 

@@ -171,9 +171,10 @@ class IdentityReport:
     computed: str = ""
     passed: bool = False
     elapsed_seconds: float = 0.0
+    first_difference: str | None = None  # set on a failing report only
 
     def as_dict(self) -> dict:
-        return {
+        d = {
             "identity": self.identity,
             "n": self.n,
             "params": self.params,
@@ -182,11 +183,32 @@ class IdentityReport:
             "passed": self.passed,
             "elapsed_seconds": self.elapsed_seconds,
         }
+        if self.first_difference is not None:
+            d["first_difference"] = self.first_difference
+        return d
 
 
 def value_str(e: CycloElem) -> str:
     q = e.as_rational()
     return format_rational(q) if q is not None else e.render()
+
+
+def first_difference(expected, computed) -> str:
+    """Index path, like [2][1], of the first entry where two unequal values
+    differ, descending through lists and tuples while both sides are
+    sequences; "" when they differ as a whole."""
+    path = ""
+    while isinstance(expected, (list, tuple)) and isinstance(computed, (list, tuple)):
+        for i, (a, b) in enumerate(zip(expected, computed)):
+            if a != b:
+                path += f"[{i}]"
+                expected, computed = a, b
+                break
+        else:  # equal up to the shorter length
+            if len(expected) != len(computed):
+                path += f"[{min(len(expected), len(computed))}]"
+            break
+    return path
 
 
 def render(value) -> str:
@@ -450,16 +472,19 @@ IDENTITIES: dict[str, IdentityInfo] = {
 def run_identity(name: str, n: int, oracle: bool = False, force: bool = False) -> IdentityReport:
     """Checks identity ``name`` at n and reports it: rejects an n the
     identity does not admit, times the check, passes exactly when the two
-    exact values are equal and renders both for output."""
+    exact values are equal and renders both for output; a failing report
+    also names the ``first_difference`` between them."""
     info = IDENTITIES[name]
     if not info.admits(n):
         raise ValueError(f"requires odd n >= 3, got {n}" if info.odd_only else "requires n >= 2")
     t0 = time.perf_counter()
     params, expected, computed = \
         info.check(n, oracle, force) if info.supports_oracle else info.check(n)
+    passed = expected == computed
     return IdentityReport(
         identity=name, n=n, params=params,
         expected=info.text(expected), computed=info.text(computed),
-        passed=expected == computed,
+        passed=passed,
         elapsed_seconds=time.perf_counter() - t0,
+        first_difference=None if passed else first_difference(expected, computed),
     )

@@ -3,11 +3,19 @@
 These carry the indeterminate x of the rational-function identities and the
 characteristic polynomials.  Coefficients are stored lowest degree first and
 trimmed, so the zero polynomial is the empty tuple and equality is structural.
+
+The ``partial-fraction`` and ``row-sum-x`` checks sum the n - 1 products
+P_r = prod_{r' not in {0, r}} (1 - x*zeta^r') with weights zeta^(-sr).  The
+products, and the cleared row-sum-x terms (1 + x*zeta^r)(x - 1) P_r, are
+built once per n by multiplying out the linear factors, never by dividing
+1 - x^n (that division would assume the factorisation under test), and are
+held for one n at a time; each (k, s) then only twists and adds them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CycloContext, CycloElem
 
@@ -100,9 +108,13 @@ class CPoly:
     __rmul__ = __mul__
 
     def scale(self, factor) -> CPoly:
-        if not isinstance(factor, CycloElem):
-            factor = self.ctx.from_rational(factor)
+        """Multiply by a constant; a rational one scales the coordinates
+        without a field product."""
         return CPoly(self.ctx, [c * factor for c in self.coeffs])
+
+    def mul_zeta_pow(self, e: int) -> CPoly:
+        """Multiply by zeta^e, coefficient by coefficient."""
+        return CPoly(self.ctx, [c.mul_zeta_pow(e) for c in self.coeffs])
 
     def shift(self, k: int) -> CPoly:
         """Multiply by x^k."""
@@ -180,20 +192,39 @@ def prod_one_minus_x_zeta(ctx: CycloContext, exclude=frozenset()) -> CPoly:
     return acc
 
 
+@lru_cache(maxsize=1)
+def _partial_products(ctx: CycloContext) -> tuple[CPoly, ...]:
+    """P_r = prod_{r' not in {0, r}} (1 - x*zeta^r') for r = 1..n-1, at
+    index r - 1.  Cached for the last n only, so memory does not grow with
+    the grid."""
+    return tuple(prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, ctx.n))
+
+
+@lru_cache(maxsize=1)
+def _row_sum_x_terms(ctx: CycloContext) -> tuple[CPoly, ...]:
+    """T_r = (1 + x*zeta^r)(x - 1) P_r for r = 1..n-1, at index r - 1: the
+    row-sum-x summand at j - k = r, cleared of x^n - 1, before its weight
+    zeta^(-sr)."""
+    x_minus_1 = CPoly(ctx, [-1, 1])
+    return tuple(CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)]) * partial * x_minus_1
+                 for r, partial in enumerate(_partial_products(ctx), 1))
+
+
 def partial_fraction_check(ctx: CycloContext, s: int) -> bool:
     """Exact polynomial form of the expansion
     sum_{0<r<n} zeta^(-rs)/(1 - x*zeta^r) = (sum_j x^j - n*x^s)/(x^n - 1).
 
     Both sides are multiplied by x^n - 1; the left side becomes
-    (x-1) * sum_{0<r<n} zeta^(-rs) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r').
+    (x-1) * sum_{0<r<n} zeta^(-rs) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r'),
+    from the products cached for this n.
     """
     n = ctx.n
     if not 0 <= s <= n - 1:
         raise ValueError("s must lie in 0..n-1")
+    products = _partial_products(ctx)
     lhs = CPoly.zero(ctx)
     for r in range(1, n):
-        term = prod_one_minus_x_zeta(ctx, exclude={0, r})
-        lhs = lhs + term.scale(ctx.zeta_pow(-r * s))
+        lhs = lhs + products[r - 1].mul_zeta_pow(-r * s)
     lhs = lhs * CPoly(ctx, [-1, 1])  # the (x - 1) factor
     rhs = geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)
     return lhs == rhs
@@ -204,22 +235,21 @@ def row_sum_x_check(ctx: CycloContext, k: int, s: int) -> bool:
     sum_{j!=k} (1 + x*zeta^(j-k))/(1 - x*zeta^(j-k)) * zeta^(s(k-j))
       = 1 + 2*(sum_j x^j - n*x^s)/(x^n - 1) - n*[s == 0].
 
-    Both sides are cleared of the x^n - 1 denominator before comparing.
+    Both sides are cleared of the x^n - 1 denominator before comparing; the
+    cleared summands come from the terms cached for this n.
     """
     n = ctx.n
     if not 1 <= k <= n:
         raise ValueError("k must lie in 1..n")
     if not 0 <= s <= n - 1:
         raise ValueError("s must lie in 0..n-1")
-    x_minus_1 = CPoly(ctx, [-1, 1])
+    terms = _row_sum_x_terms(ctx)
     lhs = CPoly.zero(ctx)
     for j in range(1, n + 1):
         if j == k:
             continue
         r = (j - k) % n
-        partial = prod_one_minus_x_zeta(ctx, exclude={0, r})
-        numer = CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)])  # 1 + x*zeta^r
-        lhs = lhs + (numer * partial * x_minus_1).scale(ctx.zeta_pow(-s * r))
+        lhs = lhs + terms[r - 1].mul_zeta_pow(-s * r)
     x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
     rhs = x_n_minus_1.scale(1 - (n if s == 0 else 0)) \
         + (geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)).scale(2)

@@ -119,6 +119,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+def test_failure_line_names_the_first_difference(capsys, monkeypatch):
+    def fake(task):
+        name, n, _, _ = task
+        return IdentityReport(identity=name, n=n, expected="[1, 2]", computed="[1, 3]",
+                              passed=False, first_difference="[1]")
+
+    monkeypatch.setattr("cyclodet.cli._run_task", fake)
+    code, out, _ = run(capsys, "verify", "--identity", "a-det", "--n", "3..3")
+    assert code == 1
+    assert "expected [1, 2] | computed [1, 3] | first differs at [1]" in out
+
+
 def test_verify_json_round_trip(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, err = run(capsys, "verify", "--identity", "a-det", "--n", "3..7",

@@ -4,18 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet import identities
+from cyclodet import identities, polynomials
 from cyclodet.cli import _grid_for
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import (
     DETS,
     IDENTITIES,
+    IdentityInfo,
     MatrixKind,
     a_det_value,
     b_det_value,
     build_matrix,
     c1_det_value,
     c_det_value,
+    first_difference,
     inv_one_plus_zeta,
     run_identity,
     s19_det_value,
@@ -24,6 +26,7 @@ from cyclodet.identities import (
     value_str,
 )
 from cyclodet.linalg import CMatrix, random_matrix
+from cyclodet.polynomials import CPoly
 
 
 def test_build_ratio_matrix_entries():
@@ -396,3 +399,48 @@ def test_value_str():
     ctx = shared_context(3)
     assert value_str(ctx.from_rational(Fraction(-1, 3))) == "-1/3"
     assert value_str(ctx.zeta()) == "z"
+
+
+def test_wrong_row_sum_x_term_keeps_expected(monkeypatch):
+    good = run_identity("row-sum-x", 5)
+    terms = list(polynomials._row_sum_x_terms(shared_context(5)))
+    terms[1] = terms[1] + CPoly.one(shared_context(5))  # T_2 off by 1
+    monkeypatch.setattr(polynomials, "_row_sum_x_terms", lambda ctx: tuple(terms))
+    bad = run_identity("row-sum-x", 5)
+    assert good.passed and not bad.passed
+    assert bad.expected == good.expected
+    assert bad.computed != good.computed
+    assert bad.first_difference == "[0][0]"  # every (k, s) has a j with j - k = 2
+
+
+def test_failing_report_names_the_first_difference(monkeypatch):
+    real = polynomials.row_sum_x_check
+    monkeypatch.setattr(polynomials, "row_sum_x_check",
+                        lambda ctx, k, s: (k, s) != (3, 1) and real(ctx, k, s))
+    report = run_identity("row-sum-x", 4)
+    assert not report.passed
+    assert report.first_difference == "[2][1]"  # [k-1][s]
+    assert report.as_dict()["first_difference"] == "[2][1]"
+
+
+def test_passing_report_has_no_first_difference():
+    report = run_identity("row-sum-x", 4)
+    assert report.passed and report.first_difference is None
+    assert "first_difference" not in report.as_dict()
+
+
+def test_first_difference_paths():
+    assert first_difference([1, 2, 3], [1, 2, 4]) == "[2]"
+    assert first_difference([[1, 2], [3, 4]], [[1, 2], [3, 5]]) == "[1][1]"
+    assert first_difference(([1, 2], 7), ([1, 2], 8)) == "[1]"
+    assert first_difference([1, 2], [1, 2, 3]) == "[2]"
+    assert first_difference(Fraction(1, 3), Fraction(1, 2)) == ""
+
+
+def test_grid_for_clamps_the_lower_bound(monkeypatch):
+    calls = []
+    admits = IdentityInfo.admits
+    monkeypatch.setattr(IdentityInfo, "admits", lambda self, n: calls.append(n) or admits(self, n))
+    assert _grid_for(IDENTITIES["row-sum-x"], (-10**12, 3)) == [2, 3]
+    assert _grid_for(IDENTITIES["a-det"], (-10**12, 3)) == [3]
+    assert calls == [2, 3, 2, 3]

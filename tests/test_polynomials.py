@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet.cyclotomic import shared_context
+from cyclodet import polynomials
+from cyclodet.cyclotomic import CycloContext, shared_context
 from cyclodet.polynomials import (
     CPoly,
     geometric_sum,
@@ -130,6 +131,96 @@ def test_row_sum_x_rejects_bad_args():
         row_sum_x_check(ctx, 4, 0)
     with pytest.raises(ValueError):
         row_sum_x_check(ctx, 1, 3)
+
+
+def _direct_partial_product(ctx, r):
+    acc = CPoly.one(ctx)
+    for r2 in range(1, ctx.n):
+        if r2 != r:
+            acc = acc * CPoly(ctx, [ctx.one(), -ctx.zeta_pow(r2)])
+    return acc
+
+
+def _direct_row_sum_x_term(ctx, r):
+    numer = CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)])
+    return numer * _direct_partial_product(ctx, r) * CPoly(ctx, [-1, 1])
+
+
+@pytest.fixture
+def empty_tables():
+    """The per-n tables start and end empty, so each test builds its own."""
+    tables = (polynomials._partial_products, polynomials._row_sum_x_terms)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cached_tables_equal_direct_products(n, empty_tables):
+    ctx = shared_context(n)
+    products = polynomials._partial_products(ctx)
+    terms = polynomials._row_sum_x_terms(ctx)
+    assert len(products) == len(terms) == n - 1
+    for r in range(1, n):
+        assert products[r - 1] == _direct_partial_product(ctx, r)
+        assert terms[r - 1] == _direct_row_sum_x_term(ctx, r)
+
+
+def test_cached_tables_from_a_fresh_context(empty_tables):
+    ctx = CycloContext(7)
+    assert ctx is not shared_context(7)
+    assert all(row_sum_x_check(ctx, k, s) for k in range(1, 8) for s in range(7))
+    assert all(partial_fraction_check(ctx, s) for s in range(7))
+    for r in range(1, 7):
+        assert polynomials._partial_products(ctx)[r - 1] == _direct_partial_product(ctx, r)
+        assert polynomials._row_sum_x_terms(ctx)[r - 1] == _direct_row_sum_x_term(ctx, r)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = CPoly.__mul__
+
+    def counting(self, other):
+        if isinstance(other, CPoly):
+            calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CPoly, "__mul__", counting)
+    monkeypatch.setattr(CPoly, "__rmul__", counting)
+    return calls
+
+
+def test_second_row_sum_x_check_makes_no_polynomial_product(monkeypatch, empty_tables):
+    ctx = shared_context(6)
+    assert row_sum_x_check(ctx, 1, 0)
+    calls = _count_products(monkeypatch)
+    assert row_sum_x_check(ctx, 4, 5)
+    assert calls == []
+
+
+def test_second_partial_fraction_check_multiplies_by_x_minus_1_only(monkeypatch,
+                                                                     empty_tables):
+    ctx = shared_context(6)
+    assert partial_fraction_check(ctx, 0)
+    calls = _count_products(monkeypatch)
+    assert partial_fraction_check(ctx, 4)
+    assert calls == [CPoly(ctx, [-1, 1])]
+
+
+def test_tables_hold_one_n(empty_tables):
+    for n in (4, 5, 4):
+        row_sum_x_check(shared_context(n), 1, 1)
+    info = polynomials._row_sum_x_terms.cache_info()
+    assert info.currsize == 1 and info.misses == 3
+
+
+def test_mul_zeta_pow_is_the_scalar_product():
+    ctx = shared_context(5)
+    p = CPoly(ctx, [ctx.zeta(), Fraction(1, 2), 0, ctx.zeta_pow(3)])
+    for e in range(-6, 7):
+        assert p.mul_zeta_pow(e) == p.scale(ctx.zeta_pow(e))
 
 
 def test_render():
