@@ -144,12 +144,12 @@ def cmd_verify(args) -> int:
         for n in _grid_for(info, n_range):
             tasks.append((name, n, args.oracle and info.supports_oracle, args.force))
     tasks.sort(key=lambda t: (t[0], t[1]))
-    jobs = args.jobs or min(os.cpu_count() or 1, 8)
+    # a fork pool starts all its workers at once, so never more than tasks
+    jobs = min(args.jobs or min(os.cpu_count() or 1, 8), len(tasks))
     reports = []
     stream = sys.stderr if args.format != "text" or args.out else sys.stdout
-    parallel = jobs > 1 and len(tasks) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
-        for report in (pool.map if parallel else map)(_run_task, tasks):
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for report in (pool.map if jobs > 1 else map)(_run_task, tasks):
             reports.append(report)
             print(_text_line(report), file=stream, flush=True)
     reports.sort(key=lambda r: (r.identity, r.n))
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="identity name or 'all'")
     p_verify.add_argument("--n", default=None,
                           help="inclusive range a..b (or single N); "
-                               "defaults to the identity's acceptance grid")
+                               "defaults to the identity's acceptance grid; "
+                               "a negative bound needs the form --n=-3..5")
     p_verify.add_argument("--oracle", action="store_true",
                           help="also run derangement-sum cross-checks where supported")
     p_verify.add_argument("--format", choices=("json", "csv", "text"), default="text")

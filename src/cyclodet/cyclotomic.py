@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .rationals import format_rational
+
 
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n) if n % d == 0]
@@ -375,10 +377,10 @@ class CycloElem:
                 continue
             mag = abs(c)
             if k == 0:
-                body = _frac_str(mag)
+                body = format_rational(mag)
             else:
                 var = symbol if k == 1 else f"{symbol}^{k}"
-                body = var if mag == 1 else f"{_frac_str(mag)}*{var}"
+                body = var if mag == 1 else f"{format_rational(mag)}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -389,10 +391,6 @@ class CycloElem:
 
     def __repr__(self):
         return f"CycloElem({self.render()!r}, n={self.ctx.n})"
-
-
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def inv_one_minus_zeta(ctx: CycloContext, r: int) -> CycloElem:

@@ -1,13 +1,14 @@
 """Matrix builders and the identity registry.
 
-Every matrix here is built from one residue formula: the entry at row j,
-column k (1-based) is a function of u = (j - k) mod n, with the diagonal
-overridden per kind.  Each identity is one row of ``IDENTITIES``; its check
-computes both sides in exact arithmetic and only returns them as two exact
-values, the claim (``expected``) and what it actually computed
-(``computed``).  ``run_identity`` is the one entry point: it rejects an n
-the row does not admit, times the check and builds the report, which passes
-exactly when the two values are equal and renders both for output.
+Every matrix here is circulant, so a kind at n is its residue table t:
+t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  ``circulant``
+expands a table, and ``row_sum`` sums a column twisted by v(s).  Each
+identity is one row of ``IDENTITIES``; its check computes both sides in
+exact arithmetic and only returns them as two exact values, the claim
+(``expected``) and what it actually computed (``computed``).
+``run_identity`` is the one entry point: it rejects an n the row does not
+admit, times the check and builds the report, which passes exactly when
+the two values are equal and renders both for output.
 
 A note on eigenvalue labels: with entries keyed on row minus column, the
 vector v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns) pairs with eigenvalue 2s-n
@@ -32,7 +33,7 @@ from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import CycloContext, CycloElem, inv_one_minus_zeta, shared_context
 from .linalg import CMatrix
 from . import polynomials
-from .polynomials import CPoly
+from .polynomials import CPoly, row_sum
 from .rationals import format_rational
 
 
@@ -82,25 +83,25 @@ _KINDS = {
 }
 
 
-def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
-    """The size x size matrix of the given kind over ctx; size must be
-    n-1 or n, the two truncations the identities use."""
+def residue_table(kind: MatrixKind, ctx: CycloContext) -> tuple[CycloElem, ...]:
+    """The ``kind`` matrix at n as its residue table t: t[u] is the entry at
+    u = (j - k) mod n for u = 0..n-1, so t[0] is the diagonal."""
+    entry, diagonal = _KINDS[kind]
+    return (ctx.from_rational(diagonal), *(entry(ctx, u) for u in range(1, ctx.n)))
+
+
+def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
+    """Row j, column k holds table[(j - k) mod n]: the circulant of a residue
+    table or its leading block; size must be n-1 or n, as the identities use."""
     n = ctx.n
     if size not in (n - 1, n):
         raise ValueError(f"size must be {n - 1} or {n}")
-    entry, diagonal = _KINDS[kind]
-    vals = {u: entry(ctx, u) for u in range(1, n)}
-    diag = ctx.from_rational(diagonal)
-    rows = [[diag if j == k else vals[(j - k) % n] for k in range(size)]
-            for j in range(size)]
-    return CMatrix(ctx, rows)
+    return CMatrix(ctx, [[table[(j - k) % n] for k in range(size)] for j in range(size)])
 
 
-def matrix_galois(matrix: CMatrix, t: int) -> CMatrix:
-    """Entrywise image under zeta -> zeta^t."""
-    return CMatrix(matrix.ctx,
-                   [[matrix[r, c].galois(t) for c in range(matrix.cols)]
-                    for r in range(matrix.rows)])
+def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
+    """The size x size ``kind`` matrix over ctx: its residue table expanded."""
+    return circulant(ctx, residue_table(kind, ctx), size)
 
 
 def coprime_residues(n: int) -> list[int]:
@@ -377,24 +378,19 @@ def _root_sums(n: int):
         halves.append((inv_one_plus_zeta, lambda s: Fraction((-1) ** s * n - 1, 2)))
     expected, computed = [], []
     for inverse, closed in halves:
-        inv = {r: inverse(ctx, r) for r in range(1, n)}
+        table = (ctx.zero(), *(inverse(ctx, r) for r in range(1, n)))
         for s in range(n):
             expected.append(closed(s))
-            computed.append(sum((inv[r].mul_zeta_pow(-r * s) for r in range(1, n)),
-                                ctx.zero()))
+            computed.append(row_sum(table, n, s))
     return {"checks": len(computed)}, expected, computed
 
 
 def _row_sums(n: int):
     """For every k and s: sum_{j != k} ratio(zeta^(j-k)) zeta^(s(k-j))
     equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k)."""
-    ctx = shared_context(n)
-    ratio = {u: _ratio(ctx, u) for u in range(1, n)}
-    ks = range(1, n + 1)
+    table = residue_table(MatrixKind.A, shared_context(n))
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
-    computed = [[sum((ratio[(j - k) % n].mul_zeta_pow(s * (k - j)) for j in ks if j != k),
-                     ctx.zero())
-                 for s in range(n)] for k in ks]
+    computed = [[row_sum(table, k, s) for s in range(n)] for k in range(1, n + 1)]
     return {"checks": n * n}, expected, computed
 
 
@@ -417,13 +413,14 @@ def _row_sum_x(n: int):
 
 
 def _galois(name: str, n: int):
-    """Recomputes the ``DETS[name]`` determinant with every builder entry
-    mapped through each automorphism zeta -> zeta^t (t coprime to n); all
+    """Recomputes the ``DETS[name]`` determinant from the residue table mapped
+    through each automorphism zeta -> zeta^t (t coprime to n); all
     primitive-root choices must yield the identical value."""
     det = DETS[name]
+    ctx = shared_context(n)
     ts = coprime_residues(n)
-    base = build_matrix(det.kind, shared_context(n), n - 1)
-    computed = [det.of(matrix_galois(base, t)) for t in ts]
+    table = residue_table(det.kind, ctx)
+    computed = [det.of(circulant(ctx, [e.galois(t) for e in table], n - 1)) for t in ts]
     return {"automorphisms": len(ts)}, [det.claim(n)] * len(ts), computed
 
 

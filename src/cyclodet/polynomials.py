@@ -4,20 +4,22 @@ These carry the indeterminate x of the rational-function identities and the
 characteristic polynomials.  Coefficients are stored lowest degree first and
 trimmed, so the zero polynomial is the empty tuple and equality is structural.
 
-The ``partial-fraction`` and ``row-sum-x`` checks sum the n - 1 products
-P_r = prod_{r' not in {0, r}} (1 - x*zeta^r') with weights zeta^(-sr).  The
-products, and the cleared row-sum-x terms (1 + x*zeta^r)(x - 1) P_r, are
-built once per n by multiplying out the linear factors, never by dividing
-1 - x^n (that division would assume the factorisation under test), and are
-held for one n at a time; each (k, s) then only twists and adds them.
+The ``partial-fraction`` and ``row-sum-x`` checks take ``row_sum`` over the
+residue tables of P_r = prod_{r' not in {0, r}} (1 - x*zeta^r') and of the
+cleared terms (1 + x*zeta^r)(x - 1) P_r.  Tables and right sides are built
+once per n by multiplying out linear factors, never by dividing 1 - x^n
+(that would assume the factorisation under test), and are held for one n
+at a time; each (k, s) then only twists and adds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 from .cyclotomic import CycloContext, CycloElem
+from .rationals import format_rational
 
 
 class CPoly:
@@ -158,8 +160,7 @@ class CPoly:
                 if xpart and mag == 1:
                     body = xpart
                 else:
-                    mag_s = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-                    body = mag_s + ("*" + xpart if xpart else "")
+                    body = format_rational(mag) + ("*" + xpart if xpart else "")
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:
@@ -192,22 +193,38 @@ def prod_one_minus_x_zeta(ctx: CycloContext, exclude=frozenset()) -> CPoly:
     return acc
 
 
+def row_sum(table, k: int, s: int):
+    """sum_{j=1..n, j != k} table[(j - k) mod n] * zeta^(-s(j - k)) by
+    ``mul_zeta_pow`` and ``+``, over field elements or CPolys; skips table[0]."""
+    n = len(table)
+    return reduce(add, (table[(j - k) % n].mul_zeta_pow(-s * (j - k))
+                        for j in range(1, n + 1) if j != k))
+
+
 @lru_cache(maxsize=1)
 def _partial_products(ctx: CycloContext) -> tuple[CPoly, ...]:
-    """P_r = prod_{r' not in {0, r}} (1 - x*zeta^r') for r = 1..n-1, at
-    index r - 1.  Cached for the last n only, so memory does not grow with
-    the grid."""
-    return tuple(prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, ctx.n))
+    """The residue table of P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'),
+    r = 1..n-1, at index r (index 0 holds 0).  Cached for the last n only,
+    so memory does not grow with the grid."""
+    return (CPoly.zero(ctx),
+            *(prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, ctx.n)))
 
 
 @lru_cache(maxsize=1)
-def _row_sum_x_terms(ctx: CycloContext) -> tuple[CPoly, ...]:
-    """T_r = (1 + x*zeta^r)(x - 1) P_r for r = 1..n-1, at index r - 1: the
-    row-sum-x summand at j - k = r, cleared of x^n - 1, before its weight
-    zeta^(-sr)."""
+def _row_sum_x_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
+    """(T, R) for the row-sum-x identity cleared of x^n - 1: the residue table
+    of T_r = (1 + x*zeta^r)(x - 1) P_r, the summand at j - k = r before its
+    weight zeta^(-sr), and the right sides R[s], which depend on (n, s) only."""
+    n = ctx.n
     x_minus_1 = CPoly(ctx, [-1, 1])
-    return tuple(CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)]) * partial * x_minus_1
-                 for r, partial in enumerate(_partial_products(ctx), 1))
+    # not from the partial-fraction memo: a task's work must not depend on its worker
+    terms = tuple(CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)]) * partial * x_minus_1
+                  for r, partial in enumerate(_partial_products.__wrapped__(ctx)))
+    x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
+    rights = tuple(x_n_minus_1.scale(1 - (n if s == 0 else 0))
+                   + (geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)).scale(2)
+                   for s in range(n))
+    return terms, rights
 
 
 def partial_fraction_check(ctx: CycloContext, s: int) -> bool:
@@ -221,11 +238,7 @@ def partial_fraction_check(ctx: CycloContext, s: int) -> bool:
     n = ctx.n
     if not 0 <= s <= n - 1:
         raise ValueError("s must lie in 0..n-1")
-    products = _partial_products(ctx)
-    lhs = CPoly.zero(ctx)
-    for r in range(1, n):
-        lhs = lhs + products[r - 1].mul_zeta_pow(-r * s)
-    lhs = lhs * CPoly(ctx, [-1, 1])  # the (x - 1) factor
+    lhs = row_sum(_partial_products(ctx), n, s) * CPoly(ctx, [-1, 1])  # the (x - 1) factor
     rhs = geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)
     return lhs == rhs
 
@@ -236,21 +249,12 @@ def row_sum_x_check(ctx: CycloContext, k: int, s: int) -> bool:
       = 1 + 2*(sum_j x^j - n*x^s)/(x^n - 1) - n*[s == 0].
 
     Both sides are cleared of the x^n - 1 denominator before comparing; the
-    cleared summands come from the terms cached for this n.
+    cleared summands and right sides come from the tables cached for this n.
     """
     n = ctx.n
     if not 1 <= k <= n:
         raise ValueError("k must lie in 1..n")
     if not 0 <= s <= n - 1:
         raise ValueError("s must lie in 0..n-1")
-    terms = _row_sum_x_terms(ctx)
-    lhs = CPoly.zero(ctx)
-    for j in range(1, n + 1):
-        if j == k:
-            continue
-        r = (j - k) % n
-        lhs = lhs + terms[r - 1].mul_zeta_pow(-s * r)
-    x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
-    rhs = x_n_minus_1.scale(1 - (n if s == 0 else 0)) \
-        + (geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)).scale(2)
-    return lhs == rhs
+    terms, rights = _row_sum_x_tables(ctx)
+    return row_sum(terms, k, s) == rights[s]

@@ -108,6 +108,37 @@ def test_verify_rejects_negative_jobs(capsys):
     assert "PASS" not in out
 
 
+def test_verify_pool_is_no_larger_than_the_task_count(capsys, monkeypatch):
+    # a fork pool starts max_workers processes at once, so record the size
+    # through a fake pool that runs the tasks inline instead of starting any
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr("cyclodet.cli.ProcessPoolExecutor", InlinePool)
+    code, out, _ = run(capsys, "verify", "--identity", "row-sums", "--n", "2..3",
+                       "--jobs", "500")
+    assert code == 0 and out.count("PASS") == 2
+    assert sizes == [2]
+
+
+def test_verify_negative_lower_bound_in_the_equals_form(capsys):
+    code, out, _ = run(capsys, "verify", "--identity", "row-sums", "--n=-3..3",
+                       "--format", "json", "--jobs", "1")
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["reports"]] == [2, 3]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake(task):
         name, n, _, _ = task

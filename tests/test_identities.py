@@ -64,6 +64,30 @@ def test_build_rejects_bad_size():
         build_matrix(MatrixKind.A, ctx, 3)
 
 
+# kind: (entry at residue u as a function of z = zeta^u, diagonal)
+ENTRY_FORMULAS = {
+    MatrixKind.A: (lambda z: (1 + z) / (1 - z), 0),
+    MatrixKind.B: (lambda z: (1 + z) / (1 - z), 1),
+    MatrixKind.C_HOLLOW: (lambda z: 1 / (1 - z), 0),
+    MatrixKind.C_PLUS_I: (lambda z: 1 / (1 - z), 1),
+    MatrixKind.TILDE_A: (lambda z: 1 / (1 - z), Fraction(1, 2)),
+    MatrixKind.S19: (lambda z: (1 - z) / (1 + z), 0),
+    MatrixKind.TWO_C: (lambda z: 2 / (1 - z), 0),
+}
+
+
+@pytest.mark.parametrize("kind", list(MatrixKind))
+def test_build_matrix_matches_the_entry_formula(kind):
+    entry, diagonal = ENTRY_FORMULAS[kind]
+    ns = range(3, 10, 2) if kind is MatrixKind.S19 else range(2, 10)
+    for n in ns:
+        ctx = shared_context(n)
+        for size in (n - 1, n):
+            want = CMatrix(ctx, [[diagonal if j == k else entry(ctx.zeta_pow(j - k))
+                                  for k in range(size)] for j in range(size)])
+            assert build_matrix(kind, ctx, size) == want, (n, size)
+
+
 def test_inverted_ratio_kind_undefined_for_even_n():
     ctx = shared_context(4)
     with pytest.raises(ZeroDivisionError):
@@ -281,6 +305,24 @@ def test_galois_invariance_rejects_unknown():
         run_identity("galois-s19-det", 5)
 
 
+@pytest.mark.parametrize("name", ["galois-a-det", "galois-b-det", "galois-c-det"])
+def test_galois_dets_are_taken_of_entrywise_images(monkeypatch, name):
+    seen = []
+    of = identities.DetIdentity.of
+    monkeypatch.setattr(identities.DetIdentity, "of",
+                        lambda self, matrix: seen.append(matrix) or of(self, matrix))
+    kind = DETS[name.removeprefix("galois-")].kind
+    for n in (3, 5, 7, 9):
+        seen.clear()
+        assert run_identity(name, n).passed
+        base = build_matrix(kind, shared_context(n), n - 1)
+        # every entry mapped on its own, as the deleted matrix_galois did
+        images = [CMatrix(base.ctx, [[base[r, c].galois(t) for c in range(base.cols)]
+                                     for r in range(base.rows)])
+                  for t in identities.coprime_residues(n)]
+        assert seen == images
+
+
 ODD_3_9, ODD_3_13, ODD_3_25 = (tuple(range(3, hi + 1, 2)) for hi in (9, 13, 25))
 TO_12 = tuple(range(2, 13))
 
@@ -403,14 +445,32 @@ def test_value_str():
 
 def test_wrong_row_sum_x_term_keeps_expected(monkeypatch):
     good = run_identity("row-sum-x", 5)
-    terms = list(polynomials._row_sum_x_terms(shared_context(5)))
-    terms[1] = terms[1] + CPoly.one(shared_context(5))  # T_2 off by 1
-    monkeypatch.setattr(polynomials, "_row_sum_x_terms", lambda ctx: tuple(terms))
+    terms, rights = polynomials._row_sum_x_tables(shared_context(5))
+    terms = list(terms)
+    terms[2] = terms[2] + CPoly.one(shared_context(5))  # T_2 off by 1
+    monkeypatch.setattr(polynomials, "_row_sum_x_tables", lambda ctx: (tuple(terms), rights))
     bad = run_identity("row-sum-x", 5)
     assert good.passed and not bad.passed
     assert bad.expected == good.expected
     assert bad.computed != good.computed
     assert bad.first_difference == "[0][0]"  # every (k, s) has a j with j - k = 2
+
+
+def test_wrong_residue_entry_keeps_row_sums_expected(monkeypatch):
+    good = run_identity("row-sums", 5)
+    real = identities.residue_table
+
+    def wrong(kind, ctx):
+        table = list(real(kind, ctx))
+        table[2] = table[2] + 1  # the entry at j - k = 2 off by 1
+        return tuple(table)
+
+    monkeypatch.setattr(identities, "residue_table", wrong)
+    bad = run_identity("row-sums", 5)
+    assert good.passed and not bad.passed
+    assert bad.expected == good.expected
+    assert bad.computed != good.computed
+    assert bad.first_difference == "[0][0]"  # every k has a j with j - k = 2
 
 
 def test_failing_report_names_the_first_difference(monkeypatch):

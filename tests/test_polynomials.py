@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from cyclodet import polynomials
-from cyclodet.cyclotomic import CycloContext, shared_context
+from cyclodet.cyclotomic import CycloContext, CycloElem, shared_context
+from cyclodet.linalg import random_element
 from cyclodet.polynomials import (
     CPoly,
     geometric_sum,
     partial_fraction_check,
     prod_one_minus_x_zeta,
+    row_sum,
     row_sum_x_check,
 )
 
@@ -149,7 +151,7 @@ def _direct_row_sum_x_term(ctx, r):
 @pytest.fixture
 def empty_tables():
     """The per-n tables start and end empty, so each test builds its own."""
-    tables = (polynomials._partial_products, polynomials._row_sum_x_terms)
+    tables = (polynomials._partial_products, polynomials._row_sum_x_tables)
     for table in tables:
         table.cache_clear()
     yield
@@ -161,11 +163,12 @@ def empty_tables():
 def test_cached_tables_equal_direct_products(n, empty_tables):
     ctx = shared_context(n)
     products = polynomials._partial_products(ctx)
-    terms = polynomials._row_sum_x_terms(ctx)
-    assert len(products) == len(terms) == n - 1
+    terms, _ = polynomials._row_sum_x_tables(ctx)
+    assert len(products) == len(terms) == n
+    assert products[0] == terms[0] == CPoly.zero(ctx)
     for r in range(1, n):
-        assert products[r - 1] == _direct_partial_product(ctx, r)
-        assert terms[r - 1] == _direct_row_sum_x_term(ctx, r)
+        assert products[r] == _direct_partial_product(ctx, r)
+        assert terms[r] == _direct_row_sum_x_term(ctx, r)
 
 
 def test_cached_tables_from_a_fresh_context(empty_tables):
@@ -174,8 +177,8 @@ def test_cached_tables_from_a_fresh_context(empty_tables):
     assert all(row_sum_x_check(ctx, k, s) for k in range(1, 8) for s in range(7))
     assert all(partial_fraction_check(ctx, s) for s in range(7))
     for r in range(1, 7):
-        assert polynomials._partial_products(ctx)[r - 1] == _direct_partial_product(ctx, r)
-        assert polynomials._row_sum_x_terms(ctx)[r - 1] == _direct_row_sum_x_term(ctx, r)
+        assert polynomials._partial_products(ctx)[r] == _direct_partial_product(ctx, r)
+        assert polynomials._row_sum_x_tables(ctx)[0][r] == _direct_row_sum_x_term(ctx, r)
 
 
 def _count_products(monkeypatch):
@@ -209,10 +212,65 @@ def test_second_partial_fraction_check_multiplies_by_x_minus_1_only(monkeypatch,
     assert calls == [CPoly(ctx, [-1, 1])]
 
 
+def test_row_sum_x_work_does_not_depend_on_an_earlier_partial_fraction(monkeypatch,
+                                                                      empty_tables):
+    # which checks a pool worker ran before is up to scheduling, and the
+    # benchmark's traced call counts must repeat from run to run
+    ctx = shared_context(6)
+    calls = _count_products(monkeypatch)
+    assert row_sum_x_check(ctx, 1, 0)
+    alone = len(calls)
+    polynomials._row_sum_x_tables.cache_clear()
+    assert partial_fraction_check(ctx, 0)
+    calls.clear()
+    assert row_sum_x_check(ctx, 1, 0)
+    assert len(calls) == alone > 0
+
+
+def test_row_sum_x_checks_after_the_first_make_no_field_product(monkeypatch,
+                                                                 empty_tables):
+    # the right sides depend on (n, s) only and are built with the tables
+    ctx = shared_context(6)
+    assert row_sum_x_check(ctx, 1, 0)
+    calls = []
+    mul = CycloElem.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counting)
+    monkeypatch.setattr(CycloElem, "__rmul__", counting)
+    assert all(row_sum_x_check(ctx, k, s) for k in range(1, 7) for s in range(6))
+    assert calls == []
+
+
+def _direct_row_sum(ctx, table, k, s, zero):
+    # the twist as a full field product, not through mul_zeta_pow
+    acc = zero
+    for j in range(1, ctx.n + 1):
+        if j != k:
+            acc = acc + table[(j - k) % ctx.n] * ctx.zeta_pow(-s * (j - k))
+    return acc
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_row_sum_matches_a_direct_loop(n):
+    ctx = shared_context(n)
+    rng = random.Random(n)
+    elements = [random_element(ctx, rng) for _ in range(n)]
+    polys = [CPoly(ctx, [random_element(ctx, rng) for _ in range(rng.randint(0, 3))])
+             for _ in range(n)]
+    for table, zero in ((elements, ctx.zero()), (polys, CPoly.zero(ctx))):
+        for k in range(1, n + 1):
+            for s in range(n):
+                assert row_sum(table, k, s) == _direct_row_sum(ctx, table, k, s, zero)
+
+
 def test_tables_hold_one_n(empty_tables):
     for n in (4, 5, 4):
         row_sum_x_check(shared_context(n), 1, 1)
-    info = polynomials._row_sum_x_terms.cache_info()
+    info = polynomials._row_sum_x_tables.cache_info()
     assert info.currsize == 1 and info.misses == 3
 
 
