@@ -1,9 +1,12 @@
 """Exact dense linear algebra over Q(zeta_n).
 
-Determinants use Gaussian elimination with exact field division (first
-nonzero pivot down the column, sign tracked through row swaps); the
-characteristic polynomial uses Berkowitz's algorithm, which is
-division-free: it needs only field products and sums.
+Determinants use one Gaussian elimination with exact field division (first
+nonzero pivot down the column, sign tracked through row swaps), which also
+yields the determinant of the leading (d-1)x(d-1) block.  The affine split
+det[x + m_jk] = d0 + d1*x is one elimination of a bordered matrix whose
+leading block is the ``mm_prime`` difference matrix.  The characteristic
+polynomial uses Berkowitz's algorithm, which is division-free: it needs
+only field products and sums.
 """
 
 from __future__ import annotations
@@ -41,11 +44,6 @@ class CMatrix:
         self.cols = cols
         self.data = tuple(data)
 
-    @classmethod
-    def identity(cls, ctx: CycloContext, dim: int) -> CMatrix:
-        one, zero = ctx.one(), ctx.zero()
-        return cls(ctx, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
-
     def __getitem__(self, rc) -> CycloElem:
         r, c = rc
         return self.data[r * self.cols + c]
@@ -74,38 +72,9 @@ class CMatrix:
         """Exact determinant; the empty matrix has determinant 1."""
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
-        ctx = self.ctx
-        dim = self.rows
-        if dim == 0:
-            return ctx.one()
-        a = self.row_lists()
-        acc = ctx.one()
-        negate = False
-        for col in range(dim):
-            pivot_row = None
-            for r in range(col, dim):
-                if a[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return ctx.zero()
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                negate = not negate
-            pivot = a[col][col]
-            acc = acc * pivot
-            if col == dim - 1:
-                break
-            pivot_inv = pivot.inverse()
-            top = a[col]
-            for r in range(col + 1, dim):
-                lead = a[r][col]
-                if lead:
-                    f = lead * pivot_inv
-                    row = a[r]
-                    for c in range(col + 1, dim):
-                        row[c] = row[c] - f * top[c]
-        return -acc if negate else acc
+        if self.rows == 0:
+            return self.ctx.one()
+        return _eliminate(self.row_lists(), self.ctx)[0]
 
     def perm_expansion_det(self, force: bool = False) -> CycloElem:
         """Leibniz-style oracle: sum over all permutations of
@@ -183,15 +152,29 @@ class CMatrix:
         return CMatrix(self.ctx, out)
 
     def det_affine(self) -> tuple[CycloElem, CycloElem]:
-        """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x;
-        d0 = det(M), d1 = det of the mm_prime difference matrix (0 for
-        dimension 1 by convention)."""
+        """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, by one
+        elimination (d1 is 0 for dimension 1 by convention).
+
+        Subtract row 0 of M + xJ (J all ones) from the other rows, then
+        column 0 from the other columns, and move index 0 last by the same
+        permutation of rows and columns, which keeps the sign.  That gives
+        the bordered matrix T = [[mm', c], [r, m00 + x]] with mm' the
+        ``mm_prime`` difference matrix, c_j = m_j0 - m00 and
+        r_k = m_0k - m00.  Only the corner holds x, so det T is linear in it:
+        d0 = det(T at x = 0) = det(M) and d1 = det(mm'), the leading block,
+        both read off the one elimination of T by ``_eliminate``.
+        """
         if not self.is_square():
             raise ValueError("requires a square matrix")
-        d0 = self.det()
-        if self.rows < 2:
-            return d0, self.ctx.zero()
-        return d0, self.mm_prime().det()
+        dim = self.rows
+        if dim < 2:
+            return self.det(), self.ctx.zero()
+        m00 = self[0, 0]
+        bordered = self.mm_prime().row_lists()
+        for j, row in enumerate(bordered, 1):
+            row.append(self[j, 0] - m00)
+        bordered.append([self[0, k] - m00 for k in range(1, dim)] + [m00])
+        return _eliminate(bordered, self.ctx)
 
     def add_scalar(self, x) -> CMatrix:
         """Matrix with x added to every entry (the det[x + m_jk] shift)."""
@@ -199,6 +182,49 @@ class CMatrix:
             x = self.ctx.from_rational(x)
         return CMatrix(self.ctx, [[self[r, c] + x for c in range(self.cols)]
                                   for r in range(self.rows)])
+
+
+def _eliminate(a: list[list[CycloElem]], ctx: CycloContext) -> tuple[CycloElem, CycloElem]:
+    """(det A, det of the leading (d-1)x(d-1) block of A) for the d x d row
+    lists ``a`` (d >= 1, overwritten) by one Gaussian elimination.
+
+    Each column pivots on the first nonzero entry at or below the diagonal,
+    so while the pivots come from rows 0..d-2 the steps on those rows are
+    the elimination of the leading block, and the signed product of the
+    first d-1 pivots is its determinant.  A column before the last takes the
+    last row as pivot, or finds none, only when every block row at or below
+    the diagonal is zero there; then the block's own elimination finds no
+    pivot, so the block is singular and its determinant is 0.
+    """
+    dim = len(a)
+    acc = ctx.one()
+    negate = False
+    leading = None  # the block's determinant, once known
+    for col in range(dim):
+        if col == dim - 1 and leading is None:
+            leading = -acc if negate else acc
+        pivot_row = next((r for r in range(col, dim) if a[r][col]), None)
+        if pivot_row is None:
+            return ctx.zero(), ctx.zero() if leading is None else leading
+        if pivot_row == dim - 1 and leading is None:
+            leading = ctx.zero()
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            negate = not negate
+        pivot = a[col][col]
+        acc = acc * pivot
+        if col == dim - 1:
+            break
+        pivot_inv = pivot.inverse()
+        top = a[col]
+        for r in range(col + 1, dim):
+            lead = a[r][col]
+            if lead:
+                f = lead * pivot_inv
+                row = a[r]
+                for c in range(col + 1, dim):
+                    row[c] = row[c] - f * top[c]
+    return (-acc if negate else acc), leading
 
 
 def _dot(xs, ys, ctx: CycloContext) -> CycloElem:

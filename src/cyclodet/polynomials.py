@@ -5,11 +5,12 @@ characteristic polynomials.  Coefficients are stored lowest degree first and
 trimmed, so the zero polynomial is the empty tuple and equality is structural.
 
 The ``partial-fraction`` and ``row-sum-x`` checks take ``row_sum`` over the
-residue tables of P_r = prod_{r' not in {0, r}} (1 - x*zeta^r') and of the
-cleared terms (1 + x*zeta^r)(x - 1) P_r.  Tables and right sides are built
-once per n by multiplying out linear factors, never by dividing 1 - x^n
-(that would assume the factorisation under test), and are held for one n
-at a time; each (k, s) then only twists and adds.
+residue tables of the cleared terms (x - 1) P_r and (1 + x*zeta^r)(x - 1) P_r,
+with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Tables and right sides
+are built once per n by multiplying out linear factors (the last two by
+shift-and-add), never by dividing 1 - x^n (that would assume the
+factorisation under test), and are held for one n at a time; each (k, s)
+then only twists, adds and compares.
 """
 
 from __future__ import annotations
@@ -202,28 +203,32 @@ def row_sum(table, k: int, s: int):
 
 
 @lru_cache(maxsize=1)
-def _partial_products(ctx: CycloContext) -> tuple[CPoly, ...]:
-    """The residue table of P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'),
-    r = 1..n-1, at index r (index 0 holds 0).  Cached for the last n only,
-    so memory does not grow with the grid."""
-    return (CPoly.zero(ctx),
-            *(prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, ctx.n)))
+def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
+    """(Q, R) for the partial-fraction identity cleared of x^n - 1: the residue
+    table of Q_r = (x - 1) P_r with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'),
+    r = 1..n-1, at index r (index 0 holds 0), and the right sides
+    R[s] = sum_j x^j - n*x^s.  Cached for the last n only, so memory does not
+    grow with the grid."""
+    n = ctx.n
+    products = (prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, n))
+    cleared = tuple(p.shift(1) - p for p in products)  # (x - 1) P_r
+    rights = tuple(geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n) for s in range(n))
+    return (CPoly.zero(ctx), *cleared), rights
 
 
 @lru_cache(maxsize=1)
 def _row_sum_x_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
     """(T, R) for the row-sum-x identity cleared of x^n - 1: the residue table
     of T_r = (1 + x*zeta^r)(x - 1) P_r, the summand at j - k = r before its
-    weight zeta^(-sr), and the right sides R[s], which depend on (n, s) only."""
+    weight zeta^(-sr), and the right sides
+    R[s] = (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s)."""
     n = ctx.n
-    x_minus_1 = CPoly(ctx, [-1, 1])
     # not from the partial-fraction memo: a task's work must not depend on its worker
-    terms = tuple(CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)]) * partial * x_minus_1
-                  for r, partial in enumerate(_partial_products.__wrapped__(ctx)))
+    cleared, fraction_rights = _partial_fraction_tables.__wrapped__(ctx)
+    terms = tuple(q + q.shift(1).mul_zeta_pow(r) for r, q in enumerate(cleared))
     x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
-    rights = tuple(x_n_minus_1.scale(1 - (n if s == 0 else 0))
-                   + (geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)).scale(2)
-                   for s in range(n))
+    rights = tuple(x_n_minus_1.scale(1 - (n if s == 0 else 0)) + right.scale(2)
+                   for s, right in enumerate(fraction_rights))
     return terms, rights
 
 
@@ -232,15 +237,15 @@ def partial_fraction_check(ctx: CycloContext, s: int) -> bool:
     sum_{0<r<n} zeta^(-rs)/(1 - x*zeta^r) = (sum_j x^j - n*x^s)/(x^n - 1).
 
     Both sides are multiplied by x^n - 1; the left side becomes
-    (x-1) * sum_{0<r<n} zeta^(-rs) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r'),
-    from the products cached for this n.
+    sum_{0<r<n} zeta^(-rs) * (x-1) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r').
+    The cleared summands and right sides come from the tables cached for
+    this n, so a check only twists, adds and compares.
     """
     n = ctx.n
     if not 0 <= s <= n - 1:
         raise ValueError("s must lie in 0..n-1")
-    lhs = row_sum(_partial_products(ctx), n, s) * CPoly(ctx, [-1, 1])  # the (x - 1) factor
-    rhs = geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n)
-    return lhs == rhs
+    cleared, rights = _partial_fraction_tables(ctx)
+    return row_sum(cleared, n, s) == rights[s]
 
 
 def row_sum_x_check(ctx: CycloContext, k: int, s: int) -> bool:

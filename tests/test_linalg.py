@@ -5,8 +5,12 @@ import pytest
 
 from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import MatrixKind, build_matrix
-from cyclodet.linalg import CMatrix, random_matrix
+from cyclodet.linalg import CMatrix, random_element, random_matrix
 from cyclodet.polynomials import CPoly
+
+
+def _identity(ctx, dim):
+    return CMatrix(ctx, [[1 if r == c else 0 for c in range(dim)] for r in range(dim)])
 
 
 def ctx3():
@@ -19,7 +23,7 @@ def ctx5():
 
 def test_det_identity():
     ctx = ctx3()
-    assert CMatrix.identity(ctx, 2).det() == 1
+    assert _identity(ctx, 2).det() == 1
 
 
 def test_det_empty_matrix():
@@ -60,7 +64,7 @@ def test_perm_expansion_matches_det():
 
 def test_perm_expansion_guardrail():
     ctx = ctx3()
-    m = CMatrix.identity(ctx, 9)
+    m = _identity(ctx, 9)
     with pytest.raises(ValueError):
         m.perm_expansion_det()
     assert m.perm_expansion_det(force=True) == 1
@@ -84,7 +88,7 @@ def test_charpoly_examples():
     ctx = ctx3()
     two_c = build_matrix(MatrixKind.TWO_C, ctx, 3)
     assert two_c.charpoly() == CPoly(ctx, [0, -4, 0, 1])  # x^3 - 4x
-    ident = CMatrix.identity(ctx, 2)
+    ident = _identity(ctx, 2)
     assert ident.charpoly() == CPoly(ctx, [1, -2, 1])  # (x - 1)^2
     c1 = build_matrix(MatrixKind.C_PLUS_I, ctx, 3)
     x = CPoly.x(ctx)
@@ -151,7 +155,7 @@ def test_charpoly_is_division_free(monkeypatch):
 def test_matvec_identity():
     ctx = ctx3()
     v = [ctx.zeta(), ctx.one(), ctx.zeta_pow(2)]
-    assert CMatrix.identity(ctx, 3).matvec(v) == v
+    assert _identity(ctx, 3).matvec(v) == v
 
 
 def test_matvec_eigen_relation():
@@ -175,7 +179,7 @@ def test_matvec_all_ones_in_kernel():
 def test_matvec_shape_mismatch():
     ctx = ctx3()
     with pytest.raises(ValueError):
-        CMatrix.identity(ctx, 2).matvec([ctx.one()])
+        _identity(ctx, 2).matvec([ctx.one()])
 
 
 def test_hermitian_builders():
@@ -271,6 +275,89 @@ def test_det_affine_unit_diagonal_ratio():
     d0, d1 = b2.det_affine()
     assert d0 == Fraction(2, 3)
     assert d1 == 2
+
+
+def _from_bordered(ctx, block, c, r, corner):
+    """The matrix whose det_affine bordered matrix at x = 0 is
+    [[block, c], [r, corner]]."""
+    dim = len(block) + 1
+    top = [corner] + [rk + corner for rk in r]
+    rows = [top]
+    for j in range(1, dim):
+        mj0 = c[j - 1] + corner
+        rows.append([mj0] + [block[j - 1][k - 1] + mj0 + top[k] - corner
+                             for k in range(1, dim)])
+    return CMatrix(ctx, rows)
+
+
+def _affine_cases(ctx, rng, dim):
+    """Dense and sparse random matrices, and the edge cases of the one
+    elimination: equal mm_prime rows (singular leading block), a singular
+    matrix, a zero first column, and a leading block whose first column is
+    zero, so the last row is the first pivot."""
+    dense = random_matrix(ctx, rng, dim)
+    rows = dense.row_lists()
+    cases = [dense, CMatrix(ctx, [[e if rng.random() < 0.3 else 0 for e in row]
+                                  for row in rows])]
+    if dim >= 3:
+        shift = random_element(ctx, rng)
+        cases.append(CMatrix(ctx, [*rows[:2], [e + shift for e in rows[1]], *rows[3:]]))
+    cases.append(CMatrix(ctx, [*rows[:-1], [sum((row[k] for row in rows[:-1]), ctx.zero())
+                                            for k in range(dim)]]))
+    cases.append(CMatrix(ctx, [[0, *row[1:]] for row in rows]))
+    if dim >= 2:
+        block = [[0, *row[1:dim - 1]] for row in rows[:dim - 1]]
+        r = [ctx.one(), *rows[-1][1:dim - 1]]
+        cases.append(_from_bordered(ctx, block, [row[-1] for row in rows[:-1]], r,
+                                    rows[-1][-1]))
+    return cases
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 12])
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_det_affine_matches_two_eliminations(n, dim):
+    rng = random.Random(100 * n + dim)
+    ctx = shared_context(n)
+    for m in _affine_cases(ctx, rng, dim):
+        d0, d1 = m.det_affine()
+        assert d0 == m.det()
+        assert d1 == (m.mm_prime().det() if dim > 1 else 0)
+        if dim > 1:
+            for x in (Fraction(-2), Fraction(1, 3), Fraction(7, 2)):
+                assert m.add_scalar(x).det() == d0 + d1 * x
+        if dim <= 6:
+            assert m.det() == m.perm_expansion_det()
+
+
+def test_bordered_cases_take_the_last_row_early():
+    # the leading block of the last case has a zero first column, so its
+    # determinant is 0 while M itself need not be singular
+    rng = random.Random(7)
+    ctx = ctx5()
+    m = _affine_cases(ctx, rng, 4)[-1]
+    assert m.mm_prime().det() == 0
+    assert m.det_affine() == (m.det(), 0)
+    assert m.det() != 0
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_det_affine_is_one_elimination(dim, monkeypatch):
+    # an elimination of a nonsingular d x d matrix inverts one pivot per
+    # column but the last; two eliminations (M and mm_prime) would make 2d - 3
+    rng = random.Random(dim)
+    ctx = ctx5()
+    m = random_matrix(ctx, rng, dim)
+    assert m.det() != 0
+    calls = []
+    inverse = CycloElem.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycloElem, "inverse", counting)
+    m.det_affine()
+    assert len(calls) == dim - 1
 
 
 def test_skew_symmetric_odd_dimension_det_zero():

@@ -143,15 +143,19 @@ def _direct_partial_product(ctx, r):
     return acc
 
 
+def _direct_partial_fraction_term(ctx, r):
+    return _direct_partial_product(ctx, r) * CPoly(ctx, [-1, 1])
+
+
 def _direct_row_sum_x_term(ctx, r):
     numer = CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)])
-    return numer * _direct_partial_product(ctx, r) * CPoly(ctx, [-1, 1])
+    return numer * _direct_partial_fraction_term(ctx, r)
 
 
 @pytest.fixture
 def empty_tables():
     """The per-n tables start and end empty, so each test builds its own."""
-    tables = (polynomials._partial_products, polynomials._row_sum_x_tables)
+    tables = (polynomials._partial_fraction_tables, polynomials._row_sum_x_tables)
     for table in tables:
         table.cache_clear()
     yield
@@ -162,12 +166,12 @@ def empty_tables():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_cached_tables_equal_direct_products(n, empty_tables):
     ctx = shared_context(n)
-    products = polynomials._partial_products(ctx)
+    cleared, _ = polynomials._partial_fraction_tables(ctx)
     terms, _ = polynomials._row_sum_x_tables(ctx)
-    assert len(products) == len(terms) == n
-    assert products[0] == terms[0] == CPoly.zero(ctx)
+    assert len(cleared) == len(terms) == n
+    assert cleared[0] == terms[0] == CPoly.zero(ctx)
     for r in range(1, n):
-        assert products[r] == _direct_partial_product(ctx, r)
+        assert cleared[r] == _direct_partial_fraction_term(ctx, r)
         assert terms[r] == _direct_row_sum_x_term(ctx, r)
 
 
@@ -177,7 +181,8 @@ def test_cached_tables_from_a_fresh_context(empty_tables):
     assert all(row_sum_x_check(ctx, k, s) for k in range(1, 8) for s in range(7))
     assert all(partial_fraction_check(ctx, s) for s in range(7))
     for r in range(1, 7):
-        assert polynomials._partial_products(ctx)[r] == _direct_partial_product(ctx, r)
+        assert polynomials._partial_fraction_tables(ctx)[0][r] == \
+            _direct_partial_fraction_term(ctx, r)
         assert polynomials._row_sum_x_tables(ctx)[0][r] == _direct_row_sum_x_term(ctx, r)
 
 
@@ -203,13 +208,27 @@ def test_second_row_sum_x_check_makes_no_polynomial_product(monkeypatch, empty_t
     assert calls == []
 
 
-def test_second_partial_fraction_check_multiplies_by_x_minus_1_only(monkeypatch,
-                                                                     empty_tables):
+def _count_field_products(monkeypatch):
+    calls = []
+    mul = CycloElem.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counting)
+    monkeypatch.setattr(CycloElem, "__rmul__", counting)
+    return calls
+
+
+def test_partial_fraction_checks_after_the_first_make_no_field_product(monkeypatch,
+                                                                       empty_tables):
+    # the (x - 1) factor and the right sides are built with the tables
     ctx = shared_context(6)
     assert partial_fraction_check(ctx, 0)
-    calls = _count_products(monkeypatch)
-    assert partial_fraction_check(ctx, 4)
-    assert calls == [CPoly(ctx, [-1, 1])]
+    calls = _count_field_products(monkeypatch)
+    assert all(partial_fraction_check(ctx, s) for s in range(6))
+    assert calls == []
 
 
 def test_row_sum_x_work_does_not_depend_on_an_earlier_partial_fraction(monkeypatch,
@@ -232,15 +251,7 @@ def test_row_sum_x_checks_after_the_first_make_no_field_product(monkeypatch,
     # the right sides depend on (n, s) only and are built with the tables
     ctx = shared_context(6)
     assert row_sum_x_check(ctx, 1, 0)
-    calls = []
-    mul = CycloElem.__mul__
-
-    def counting(self, other):
-        calls.append(other)
-        return mul(self, other)
-
-    monkeypatch.setattr(CycloElem, "__mul__", counting)
-    monkeypatch.setattr(CycloElem, "__rmul__", counting)
+    calls = _count_field_products(monkeypatch)
     assert all(row_sum_x_check(ctx, k, s) for k in range(1, 7) for s in range(6))
     assert calls == []
 
