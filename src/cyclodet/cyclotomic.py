@@ -41,6 +41,14 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _exact(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else (a float is inexact)
+    raises TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (dense, lowest degree first, monic).
@@ -108,14 +116,14 @@ class CycloContext:
         return self._one
 
     def from_rational(self, value) -> CycloElem:
-        q = Fraction(value)
+        q = _exact(value)
         num = [0] * self.degree
         num[0] = q.numerator
         return CycloElem(self, num, q.denominator)
 
     def from_coeffs(self, coeffs) -> CycloElem:
         """Element with the given coordinates (length <= degree, padded)."""
-        vals = [Fraction(c) for c in coeffs]
+        vals = [_exact(c) for c in coeffs]
         if len(vals) > self.degree:
             raise ValueError("too many coordinates")
         den = 1

@@ -11,7 +11,6 @@ only field products and sums.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 
 from .combinatorics import signed_product_sum
@@ -117,15 +116,6 @@ class CMatrix:
             raise ValueError("vector length does not match columns")
         return [_dot(row, vec, self.ctx) for row in self.row_lists()]
 
-    def is_hermitian(self) -> bool:
-        if not self.is_square():
-            return False
-        for r in range(self.rows):
-            for c in range(r, self.cols):
-                if self[r, c] != self[c, r].conjugate():
-                    return False
-        return True
-
     def minor_delete(self, j: int) -> CMatrix:
         """Delete row j and column j (1-based j)."""
         if not self.is_square():
@@ -153,7 +143,7 @@ class CMatrix:
 
     def det_affine(self) -> tuple[CycloElem, CycloElem]:
         """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, by one
-        elimination (d1 is 0 for dimension 1 by convention).
+        elimination.
 
         Subtract row 0 of M + xJ (J all ones) from the other rows, then
         column 0 from the other columns, and move index 0 last by the same
@@ -167,8 +157,8 @@ class CMatrix:
         if not self.is_square():
             raise ValueError("requires a square matrix")
         dim = self.rows
-        if dim < 2:
-            return self.det(), self.ctx.zero()
+        if dim < 2:  # det[] = 1 and det[x + m00] = m00 + x
+            return self.det(), self.ctx.from_rational(dim)
         m00 = self[0, 0]
         bordered = self.mm_prime().row_lists()
         for j, row in enumerate(bordered, 1):
@@ -235,15 +225,3 @@ def _dot(xs, ys, ctx: CycloContext) -> CycloElem:
             acc = acc + x * y
     return acc
 
-
-def random_element(ctx: CycloContext, rng, span: int = 3) -> CycloElem:
-    """Small random element for property tests (coordinates in [-span, span],
-    denominators in 1..3)."""
-    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3))
-              for _ in range(ctx.degree)]
-    return ctx.from_coeffs(coeffs)
-
-
-def random_matrix(ctx: CycloContext, rng, dim: int, span: int = 3) -> CMatrix:
-    return CMatrix(ctx, [[random_element(ctx, rng, span) for _ in range(dim)]
-                         for _ in range(dim)])

@@ -6,17 +6,17 @@ trimmed, so the zero polynomial is the empty tuple and equality is structural.
 
 The ``partial-fraction`` and ``row-sum-x`` checks take ``row_sum`` over the
 residue tables of the cleared terms (x - 1) P_r and (1 + x*zeta^r)(x - 1) P_r,
-with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Tables and right sides
-are built once per n by multiplying out linear factors (the last two by
+with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Each check covers
+every s, or every (k, s), of one n in one call: it builds its tables and
+right sides once, by multiplying out linear factors (the last two by
 shift-and-add), never by dividing 1 - x^n (that would assume the
-factorisation under test), and are held for one n at a time; each (k, s)
-then only twists, adds and compares.
+factorisation under test), and then only twists, adds and compares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add
 
 from .cyclotomic import CycloContext, CycloElem
@@ -202,13 +202,11 @@ def row_sum(table, k: int, s: int):
                         for j in range(1, n + 1) if j != k))
 
 
-@lru_cache(maxsize=1)
 def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
     """(Q, R) for the partial-fraction identity cleared of x^n - 1: the residue
     table of Q_r = (x - 1) P_r with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'),
     r = 1..n-1, at index r (index 0 holds 0), and the right sides
-    R[s] = sum_j x^j - n*x^s.  Cached for the last n only, so memory does not
-    grow with the grid."""
+    R[s] = sum_j x^j - n*x^s."""
     n = ctx.n
     products = (prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, n))
     cleared = tuple(p.shift(1) - p for p in products)  # (x - 1) P_r
@@ -216,15 +214,13 @@ def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tupl
     return (CPoly.zero(ctx), *cleared), rights
 
 
-@lru_cache(maxsize=1)
 def _row_sum_x_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
     """(T, R) for the row-sum-x identity cleared of x^n - 1: the residue table
     of T_r = (1 + x*zeta^r)(x - 1) P_r, the summand at j - k = r before its
     weight zeta^(-sr), and the right sides
     R[s] = (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s)."""
     n = ctx.n
-    # not from the partial-fraction memo: a task's work must not depend on its worker
-    cleared, fraction_rights = _partial_fraction_tables.__wrapped__(ctx)
+    cleared, fraction_rights = _partial_fraction_tables(ctx)
     terms = tuple(q + q.shift(1).mul_zeta_pow(r) for r, q in enumerate(cleared))
     x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
     rights = tuple(x_n_minus_1.scale(1 - (n if s == 0 else 0)) + right.scale(2)
@@ -232,34 +228,29 @@ def _row_sum_x_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly
     return terms, rights
 
 
-def partial_fraction_check(ctx: CycloContext, s: int) -> bool:
-    """Exact polynomial form of the expansion
-    sum_{0<r<n} zeta^(-rs)/(1 - x*zeta^r) = (sum_j x^j - n*x^s)/(x^n - 1).
+def partial_fraction_check(ctx: CycloContext) -> list[bool]:
+    """Whether the exact polynomial form of the expansion
+    sum_{0<r<n} zeta^(-rs)/(1 - x*zeta^r) = (sum_j x^j - n*x^s)/(x^n - 1)
+    holds, for s = 0..n-1.
 
     Both sides are multiplied by x^n - 1; the left side becomes
     sum_{0<r<n} zeta^(-rs) * (x-1) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r').
-    The cleared summands and right sides come from the tables cached for
-    this n, so a check only twists, adds and compares.
+    The cleared summands and right sides are built once, so each s only
+    twists, adds and compares.
     """
-    n = ctx.n
-    if not 0 <= s <= n - 1:
-        raise ValueError("s must lie in 0..n-1")
     cleared, rights = _partial_fraction_tables(ctx)
-    return row_sum(cleared, n, s) == rights[s]
+    return [row_sum(cleared, ctx.n, s) == right for s, right in enumerate(rights)]
 
 
-def row_sum_x_check(ctx: CycloContext, k: int, s: int) -> bool:
-    """Exact polynomial form of the x-weighted row-sum identity
+def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
+    """Whether the exact polynomial form of the x-weighted row-sum identity
     sum_{j!=k} (1 + x*zeta^(j-k))/(1 - x*zeta^(j-k)) * zeta^(s(k-j))
-      = 1 + 2*(sum_j x^j - n*x^s)/(x^n - 1) - n*[s == 0].
+      = 1 + 2*(sum_j x^j - n*x^s)/(x^n - 1) - n*[s == 0]
+    holds, as the n x n table indexed [k-1][s] for k = 1..n, s = 0..n-1.
 
     Both sides are cleared of the x^n - 1 denominator before comparing; the
-    cleared summands and right sides come from the tables cached for this n.
+    cleared summands and right sides are built once for all (k, s).
     """
-    n = ctx.n
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in 1..n")
-    if not 0 <= s <= n - 1:
-        raise ValueError("s must lie in 0..n-1")
     terms, rights = _row_sum_x_tables(ctx)
-    return row_sum(terms, k, s) == rights[s]
+    return [[row_sum(terms, k, s) == right for s, right in enumerate(rights)]
+            for k in range(1, ctx.n + 1)]

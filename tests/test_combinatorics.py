@@ -16,7 +16,9 @@ from cyclodet.combinatorics import (
 )
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import MatrixKind, build_matrix
-from cyclodet.linalg import CMatrix, random_matrix
+from cyclodet.linalg import CMatrix
+
+from helpers import random_matrix
 
 
 def _identity(ctx, dim):

@@ -109,6 +109,21 @@ def test_mul_examples():
     assert c5.zeta_pow(2) * c5.zeta_pow(3) == 1
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
+def test_from_rational_rejects_inexact_input(bad):
+    ctx = shared_context(3)
+    with pytest.raises(TypeError):
+        ctx.from_rational(bad)
+
+
+def test_from_coeffs_rejects_inexact_input():
+    ctx = shared_context(5)
+    with pytest.raises(TypeError):
+        ctx.from_coeffs([0.1])
+    with pytest.raises(TypeError):
+        ctx.from_coeffs([1, Fraction(1, 2), 0.25])
+
+
 def test_context_mismatch_rejected():
     a = shared_context(3).zeta()
     b = shared_context(5).zeta()

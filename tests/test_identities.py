@@ -25,8 +25,10 @@ from cyclodet.identities import (
     tilde_a_det_value,
     value_str,
 )
-from cyclodet.linalg import CMatrix, random_matrix
+from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
+
+from helpers import is_hermitian, random_matrix
 
 
 def test_build_ratio_matrix_entries():
@@ -108,10 +110,10 @@ def test_inv_one_plus_zeta():
 def test_all_builders_hermitian(kind):
     for n in (3, 5, 7):
         ctx = shared_context(n)
-        assert build_matrix(kind, ctx, n).is_hermitian()
+        assert is_hermitian(build_matrix(kind, ctx, n))
     if kind is not MatrixKind.S19:
         ctx = shared_context(6)
-        assert build_matrix(kind, ctx, 6).is_hermitian()
+        assert is_hermitian(build_matrix(kind, ctx, 6))
 
 
 def test_closed_form_values():
@@ -443,17 +445,34 @@ def test_value_str():
     assert value_str(ctx.zeta()) == "z"
 
 
+def _with_wrong_term(build):
+    """The builder ``build`` with its table entry at r = 2 off by 1."""
+    def wrong(ctx):
+        table, rights = build(ctx)
+        return (*table[:2], table[2] + CPoly.one(ctx), *table[3:]), rights
+    return wrong
+
+
 def test_wrong_row_sum_x_term_keeps_expected(monkeypatch):
     good = run_identity("row-sum-x", 5)
-    terms, rights = polynomials._row_sum_x_tables(shared_context(5))
-    terms = list(terms)
-    terms[2] = terms[2] + CPoly.one(shared_context(5))  # T_2 off by 1
-    monkeypatch.setattr(polynomials, "_row_sum_x_tables", lambda ctx: (tuple(terms), rights))
+    monkeypatch.setattr(polynomials, "_row_sum_x_tables",
+                        _with_wrong_term(polynomials._row_sum_x_tables))  # T_2 off by 1
     bad = run_identity("row-sum-x", 5)
     assert good.passed and not bad.passed
     assert bad.expected == good.expected
     assert bad.computed != good.computed
     assert bad.first_difference == "[0][0]"  # every (k, s) has a j with j - k = 2
+
+
+def test_wrong_partial_fraction_term_keeps_expected(monkeypatch):
+    good = run_identity("partial-fraction", 5)
+    monkeypatch.setattr(polynomials, "_partial_fraction_tables",
+                        _with_wrong_term(polynomials._partial_fraction_tables))  # Q_2 off by 1
+    bad = run_identity("partial-fraction", 5)
+    assert good.passed and not bad.passed
+    assert bad.expected == good.expected
+    assert bad.computed != good.computed
+    assert bad.first_difference == "[0]"  # every s sums over r = 2
 
 
 def test_wrong_residue_entry_keeps_row_sums_expected(monkeypatch):
@@ -475,8 +494,13 @@ def test_wrong_residue_entry_keeps_row_sums_expected(monkeypatch):
 
 def test_failing_report_names_the_first_difference(monkeypatch):
     real = polynomials.row_sum_x_check
-    monkeypatch.setattr(polynomials, "row_sum_x_check",
-                        lambda ctx, k, s: (k, s) != (3, 1) and real(ctx, k, s))
+
+    def flipped(ctx):
+        table = real(ctx)
+        table[2][1] = not table[2][1]  # k = 3, s = 1
+        return table
+
+    monkeypatch.setattr(polynomials, "row_sum_x_check", flipped)
     report = run_identity("row-sum-x", 4)
     assert not report.passed
     assert report.first_difference == "[2][1]"  # [k-1][s]

@@ -5,8 +5,10 @@ import pytest
 
 from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import MatrixKind, build_matrix
-from cyclodet.linalg import CMatrix, random_element, random_matrix
+from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
+
+from helpers import is_hermitian, random_element, random_matrix
 
 
 def _identity(ctx, dim):
@@ -184,15 +186,15 @@ def test_matvec_shape_mismatch():
 
 def test_hermitian_builders():
     c5 = ctx5()
-    assert build_matrix(MatrixKind.A, c5, 5).is_hermitian()
-    assert build_matrix(MatrixKind.C_HOLLOW, c5, 5).is_hermitian()
+    assert is_hermitian(build_matrix(MatrixKind.A, c5, 5))
+    assert is_hermitian(build_matrix(MatrixKind.C_HOLLOW, c5, 5))
 
 
 def test_hermitian_rejects_generic():
     ctx = ctx3()
     m = CMatrix(ctx, [[1, 2], [3, 4]])
-    assert not m.is_hermitian()
-    assert not CMatrix(ctx, [[1, 2, 3], [4, 5, 6]]).is_hermitian()
+    assert not is_hermitian(m)
+    assert not is_hermitian(CMatrix(ctx, [[1, 2, 3], [4, 5, 6]]))
 
 
 def test_minor_delete_matches_truncated_builder():
@@ -259,7 +261,17 @@ def test_det_affine_matches_direct_evaluation():
 def test_det_affine_dimension_one():
     ctx = ctx3()
     m = CMatrix(ctx, [[Fraction(5, 2)]])
-    assert m.det_affine() == (ctx.from_rational(Fraction(5, 2)), ctx.zero())
+    assert m.det_affine() == (ctx.from_rational(Fraction(5, 2)), ctx.one())  # 5/2 + x
+    assert CMatrix(ctx, [[0]]).det_affine() == (ctx.zero(), ctx.one())
+    assert CMatrix(ctx, []).det_affine() == (ctx.one(), ctx.zero())
+
+
+def test_matrix_entries_and_shift_reject_floats():
+    ctx = ctx3()
+    with pytest.raises(TypeError):
+        CMatrix(ctx, [[0.1]])
+    with pytest.raises(TypeError):
+        CMatrix(ctx, [[1]]).add_scalar(0.1)
 
 
 def test_det_affine_ratio_matrix_x_independent():
@@ -321,10 +333,9 @@ def test_det_affine_matches_two_eliminations(n, dim):
     for m in _affine_cases(ctx, rng, dim):
         d0, d1 = m.det_affine()
         assert d0 == m.det()
-        assert d1 == (m.mm_prime().det() if dim > 1 else 0)
-        if dim > 1:
-            for x in (Fraction(-2), Fraction(1, 3), Fraction(7, 2)):
-                assert m.add_scalar(x).det() == d0 + d1 * x
+        assert d1 == (m.mm_prime().det() if dim > 1 else 1)
+        for x in (Fraction(-2), Fraction(1, 3), Fraction(7, 2)):
+            assert m.add_scalar(x).det() == d0 + d1 * x
         if dim <= 6:
             assert m.det() == m.perm_expansion_det()
 

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cyclodet import polynomials
-from cyclodet.cyclotomic import CycloContext, CycloElem, shared_context
-from cyclodet.linalg import random_element
+from cyclodet.cyclotomic import CycloContext, shared_context
 from cyclodet.polynomials import (
     CPoly,
     geometric_sum,
@@ -14,6 +13,8 @@ from cyclodet.polynomials import (
     row_sum,
     row_sum_x_check,
 )
+
+from helpers import random_element
 
 
 def test_mul_difference_of_squares():
@@ -55,6 +56,14 @@ def test_scale_and_shift():
     assert p.shift(2) == CPoly(ctx, [0, 0, 1, 2])
 
 
+def test_coefficients_and_points_reject_floats():
+    ctx = shared_context(3)
+    with pytest.raises(TypeError):
+        CPoly(ctx, [0.1])
+    with pytest.raises(TypeError):
+        CPoly(ctx, [1, 1]).evaluate(0.1)
+
+
 def test_evaluate():
     ctx = shared_context(3)
     p = CPoly(ctx, [1, 0, 1])  # 1 + x^2
@@ -94,45 +103,17 @@ def test_partial_fraction_hand_expansion():
     lhs = lhs * CPoly(ctx, [-1, 1])
     assert lhs == CPoly(ctx, [-2, 1, 1])
     assert lhs == geometric_sum(ctx) - CPoly.one(ctx).scale(3)
-    assert partial_fraction_check(ctx, 0)
+    assert partial_fraction_check(ctx)[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_partial_fraction_all_s(n):
-    ctx = shared_context(n)
-    for s in range(n):
-        assert partial_fraction_check(ctx, s)
-
-
-def test_partial_fraction_rejects_bad_s():
-    ctx = shared_context(3)
-    with pytest.raises(ValueError):
-        partial_fraction_check(ctx, 3)
-    with pytest.raises(ValueError):
-        partial_fraction_check(ctx, -1)
+    assert partial_fraction_check(shared_context(n)) == [True] * n
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_row_sum_x_all_k_s(n):
-    ctx = shared_context(n)
-    for k in range(1, n + 1):
-        for s in range(n):
-            assert row_sum_x_check(ctx, k, s)
-
-
-def test_row_sum_x_k_independent():
-    ctx = shared_context(5)
-    assert row_sum_x_check(ctx, 1, 2) == row_sum_x_check(ctx, 2, 2) is True
-
-
-def test_row_sum_x_rejects_bad_args():
-    ctx = shared_context(3)
-    with pytest.raises(ValueError):
-        row_sum_x_check(ctx, 0, 0)
-    with pytest.raises(ValueError):
-        row_sum_x_check(ctx, 4, 0)
-    with pytest.raises(ValueError):
-        row_sum_x_check(ctx, 1, 3)
+    assert row_sum_x_check(shared_context(n)) == [[True] * n] * n
 
 
 def _direct_partial_product(ctx, r):
@@ -152,19 +133,8 @@ def _direct_row_sum_x_term(ctx, r):
     return numer * _direct_partial_fraction_term(ctx, r)
 
 
-@pytest.fixture
-def empty_tables():
-    """The per-n tables start and end empty, so each test builds its own."""
-    tables = (polynomials._partial_fraction_tables, polynomials._row_sum_x_tables)
-    for table in tables:
-        table.cache_clear()
-    yield
-    for table in tables:
-        table.cache_clear()
-
-
 @pytest.mark.parametrize("n", range(2, 10))
-def test_cached_tables_equal_direct_products(n, empty_tables):
+def test_tables_equal_direct_products(n):
     ctx = shared_context(n)
     cleared, _ = polynomials._partial_fraction_tables(ctx)
     terms, _ = polynomials._row_sum_x_tables(ctx)
@@ -175,85 +145,35 @@ def test_cached_tables_equal_direct_products(n, empty_tables):
         assert terms[r] == _direct_row_sum_x_term(ctx, r)
 
 
-def test_cached_tables_from_a_fresh_context(empty_tables):
+def test_cached_tables_from_a_fresh_context():
     ctx = CycloContext(7)
     assert ctx is not shared_context(7)
-    assert all(row_sum_x_check(ctx, k, s) for k in range(1, 8) for s in range(7))
-    assert all(partial_fraction_check(ctx, s) for s in range(7))
+    assert row_sum_x_check(ctx) == [[True] * 7] * 7
+    assert partial_fraction_check(ctx) == [True] * 7
+    cleared, _ = polynomials._partial_fraction_tables(ctx)
+    terms, _ = polynomials._row_sum_x_tables(ctx)
     for r in range(1, 7):
-        assert polynomials._partial_fraction_tables(ctx)[0][r] == \
-            _direct_partial_fraction_term(ctx, r)
-        assert polynomials._row_sum_x_tables(ctx)[0][r] == _direct_row_sum_x_term(ctx, r)
+        assert cleared[r] == _direct_partial_fraction_term(ctx, r)
+        assert terms[r] == _direct_row_sum_x_term(ctx, r)
 
 
-def _count_products(monkeypatch):
-    calls = []
-    mul = CPoly.__mul__
+def test_each_check_builds_its_own_products(monkeypatch):
+    # no state is kept between calls, so what a check builds does not depend
+    # on which check ran before it on the same n
+    built = []
+    real = polynomials.prod_one_minus_x_zeta
 
-    def counting(self, other):
-        if isinstance(other, CPoly):
-            calls.append(other)
-        return mul(self, other)
+    def counting(ctx, exclude=frozenset()):
+        built.append(frozenset(exclude))
+        return real(ctx, exclude)
 
-    monkeypatch.setattr(CPoly, "__mul__", counting)
-    monkeypatch.setattr(CPoly, "__rmul__", counting)
-    return calls
-
-
-def test_second_row_sum_x_check_makes_no_polynomial_product(monkeypatch, empty_tables):
+    monkeypatch.setattr(polynomials, "prod_one_minus_x_zeta", counting)
     ctx = shared_context(6)
-    assert row_sum_x_check(ctx, 1, 0)
-    calls = _count_products(monkeypatch)
-    assert row_sum_x_check(ctx, 4, 5)
-    assert calls == []
-
-
-def _count_field_products(monkeypatch):
-    calls = []
-    mul = CycloElem.__mul__
-
-    def counting(self, other):
-        calls.append(other)
-        return mul(self, other)
-
-    monkeypatch.setattr(CycloElem, "__mul__", counting)
-    monkeypatch.setattr(CycloElem, "__rmul__", counting)
-    return calls
-
-
-def test_partial_fraction_checks_after_the_first_make_no_field_product(monkeypatch,
-                                                                       empty_tables):
-    # the (x - 1) factor and the right sides are built with the tables
-    ctx = shared_context(6)
-    assert partial_fraction_check(ctx, 0)
-    calls = _count_field_products(monkeypatch)
-    assert all(partial_fraction_check(ctx, s) for s in range(6))
-    assert calls == []
-
-
-def test_row_sum_x_work_does_not_depend_on_an_earlier_partial_fraction(monkeypatch,
-                                                                      empty_tables):
-    # which checks a pool worker ran before is up to scheduling, and the
-    # benchmark's traced call counts must repeat from run to run
-    ctx = shared_context(6)
-    calls = _count_products(monkeypatch)
-    assert row_sum_x_check(ctx, 1, 0)
-    alone = len(calls)
-    polynomials._row_sum_x_tables.cache_clear()
-    assert partial_fraction_check(ctx, 0)
-    calls.clear()
-    assert row_sum_x_check(ctx, 1, 0)
-    assert len(calls) == alone > 0
-
-
-def test_row_sum_x_checks_after_the_first_make_no_field_product(monkeypatch,
-                                                                 empty_tables):
-    # the right sides depend on (n, s) only and are built with the tables
-    ctx = shared_context(6)
-    assert row_sum_x_check(ctx, 1, 0)
-    calls = _count_field_products(monkeypatch)
-    assert all(row_sum_x_check(ctx, k, s) for k in range(1, 7) for s in range(6))
-    assert calls == []
+    for check in (row_sum_x_check, row_sum_x_check, partial_fraction_check,
+                  partial_fraction_check, row_sum_x_check):
+        built.clear()
+        check(ctx)
+        assert sorted(built, key=sorted) == [frozenset({0, r}) for r in range(1, 6)]
 
 
 def _direct_row_sum(ctx, table, k, s, zero):
@@ -276,13 +196,6 @@ def test_row_sum_matches_a_direct_loop(n):
         for k in range(1, n + 1):
             for s in range(n):
                 assert row_sum(table, k, s) == _direct_row_sum(ctx, table, k, s, zero)
-
-
-def test_tables_hold_one_n(empty_tables):
-    for n in (4, 5, 4):
-        row_sum_x_check(shared_context(n), 1, 1)
-    info = polynomials._row_sum_x_tables.cache_info()
-    assert info.currsize == 1 and info.misses == 3
 
 
 def test_mul_zeta_pow_is_the_scalar_product():
