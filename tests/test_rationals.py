@@ -27,6 +27,15 @@ def test_zero_denominator_rejected():
         rational(1, 0)
 
 
+def test_floats_rejected():
+    with pytest.raises(TypeError):
+        format_rational(0.1)
+    with pytest.raises(TypeError):
+        rational(0.5)
+    with pytest.raises(TypeError):
+        rational(1, 2.0)
+
+
 def test_parse_and_format():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-5") == -5
