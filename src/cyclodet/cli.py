@@ -3,7 +3,6 @@
 Subcommands:
   verify  run identity verifiers over a range of n and emit a report
   det     print one exact determinant
-  bench   time the derangement-sum oracle against elimination
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or guardrail error.
 """
@@ -16,16 +15,14 @@ import io
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import __version__
-from .combinatorics import GuardrailExceeded, derangement_count, signed_derangement_sum
+from .combinatorics import GuardrailExceeded
 from .identities import (
     DET_KINDS,
     IDENTITIES,
-    MatrixKind,
     build_matrix,
     run_identity,
     value_str,
@@ -169,7 +166,7 @@ def cmd_det(args) -> int:
         raise UsageError("n must be at least 2")
     try:
         x = parse_rational(args.x) if args.x is not None else None
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from None
     ctx = shared_context(args.n)
     try:
@@ -181,33 +178,6 @@ def cmd_det(args) -> int:
         matrix = matrix.add_scalar(x)
     print(value_str(matrix.det()))
     return 0
-
-
-def cmd_bench(args) -> int:
-    n = args.n
-    if n < 3 or n % 2 == 0:
-        raise UsageError("bench requires odd n >= 3")
-    m = n - 1
-    if m > 10 and not args.force:
-        raise UsageError(
-            f"dimension {m} exceeds the derangement guardrail (10); "
-            "pass --force to override")
-    ctx = shared_context(n)
-    matrix = build_matrix(MatrixKind.A, ctx, m)
-    terms = derangement_count(m)
-    t0 = time.perf_counter()
-    oracle_value = signed_derangement_sum(matrix, force=args.force)
-    t_oracle = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    det_value = matrix.det()
-    t_det = time.perf_counter() - t0
-    agree = oracle_value == det_value
-    ratio = t_oracle / t_det if t_det > 0 else float("inf")
-    print(f"n={n} dimension={m} derangement terms={terms}")
-    print(f"derangement sum: {value_str(oracle_value)} in {t_oracle:.6f}s")
-    print(f"elimination det: {value_str(det_value)} in {t_det:.6f}s")
-    print(f"values {'agree' if agree else 'DISAGREE'}; speedup x{ratio:.1f}")
-    return 0 if agree else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--x", default=None,
                        help="rational shift added to every entry (p/q)")
     p_det.set_defaults(func=cmd_det)
-
-    p_bench = sub.add_parser("bench",
-                             help="time derangement-sum oracle vs elimination")
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--force", action="store_true")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

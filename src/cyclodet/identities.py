@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
+from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import CycloContext, CycloElem, inv_one_minus_zeta, shared_context
 from .linalg import CMatrix
@@ -286,10 +287,12 @@ DET_KINDS = {k.value: k for k in MatrixKind if any(d.kind is k for d in DETS.val
 def _det(name: str, n: int, oracle: bool = False, force: bool = False):
     """The ``DETS[name]`` closed form at odd n.  With ``oracle`` on a row
     that supports it, also recovers the value term by term from the signed
-    derangement sum (n <= 9 unless forced): a zero diagonal restricts the
-    Leibniz expansion to derangements."""
+    derangement sum at sizes up to ``combinatorics.SIGNED_SUM_GUARDRAIL``
+    unless forced: a zero diagonal restricts the Leibniz expansion to
+    derangements."""
     det = DETS[name]
-    run_oracle = det.oracle and oracle and (n <= 9 or force)
+    run_oracle = det.oracle and oracle and \
+        (n - 1 <= combinatorics.SIGNED_SUM_GUARDRAIL or force)
     expected = [det.claim(n)]
     matrix = build_matrix(det.kind, shared_context(n), n - 1)
     computed = [det.of(matrix)]
@@ -334,8 +337,9 @@ def _eigenpairs(kind: MatrixKind, n: int):
 
 def _cyclic_minor(matrix: CMatrix, j: int) -> CMatrix:
     """The j-th principal minor with rows and columns listed cyclically from
-    j + 1: P M_j P^T for a cyclic shift P, so it has the charpoly of
-    ``minor_delete(j)``; for a circulant matrix it is the same for every j."""
+    j + 1: P M_j P^T for a cyclic shift P, so it has the charpoly of M with
+    row and column j deleted; for a circulant matrix it is the same for
+    every j."""
     n = matrix.rows
     keep = [i % n for i in range(j, j + n - 1)]  # rows j+1, ..., n, 1, ..., j-1
     return CMatrix(matrix.ctx, [[matrix[r, c] for c in keep] for r in keep])

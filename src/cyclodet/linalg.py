@@ -4,20 +4,15 @@ Determinants use one Gaussian elimination with exact field division (first
 nonzero pivot down the column, sign tracked through row swaps), which also
 yields the determinant of the leading (d-1)x(d-1) block.  The affine split
 det[x + m_jk] = d0 + d1*x is one elimination of a bordered matrix whose
-leading block is the ``mm_prime`` difference matrix.  The characteristic
-polynomial uses Berkowitz's algorithm, which is division-free: it needs
-only field products and sums.
+leading block is the difference matrix m_jk - m_j0 - m_0k + m_00.  The
+characteristic polynomial uses Berkowitz's algorithm, which is
+division-free: it needs only field products and sums.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .combinatorics import signed_product_sum
 from .cyclotomic import CycloContext, CycloElem
 from .polynomials import CPoly
-
-PERM_DET_GUARDRAIL = 8
 
 
 class CMatrix:
@@ -75,18 +70,6 @@ class CMatrix:
             return self.ctx.one()
         return _eliminate(self.row_lists(), self.ctx)[0]
 
-    def perm_expansion_det(self, force: bool = False) -> CycloElem:
-        """Leibniz-style oracle: sum over all permutations of
-        sign * product of picked entries.  Factorial cost, so guarded."""
-        if not self.is_square():
-            raise ValueError("determinant requires a square matrix")
-        dim = self.rows
-        if dim > PERM_DET_GUARDRAIL and not force:
-            raise ValueError(
-                f"permutation expansion of dimension {dim} exceeds the "
-                f"guardrail ({PERM_DET_GUARDRAIL}); pass force=True to override")
-        return signed_product_sum(self, permutations(range(1, dim + 1)))
-
     def charpoly(self) -> CPoly:
         """Monic characteristic polynomial det(x*I - M) by Berkowitz's
         division-free algorithm (Inf. Process. Lett. 18, 1984).  For each
@@ -116,31 +99,6 @@ class CMatrix:
             raise ValueError("vector length does not match columns")
         return [_dot(row, vec, self.ctx) for row in self.row_lists()]
 
-    def minor_delete(self, j: int) -> CMatrix:
-        """Delete row j and column j (1-based j)."""
-        if not self.is_square():
-            raise ValueError("principal minor requires a square matrix")
-        if not 1 <= j <= self.rows:
-            raise ValueError(f"j must lie in 1..{self.rows}")
-        idx = j - 1
-        keep = [r for r in range(self.rows) if r != idx]
-        return CMatrix(self.ctx, [[self[r, c] for c in keep] for r in keep])
-
-    def mm_prime(self) -> CMatrix:
-        """Difference matrix m[j][k] - m[j][0] - m[0][k] + m[0][0] over
-        j,k >= 1; the companion of the affine determinant split."""
-        if not self.is_square():
-            raise ValueError("requires a square matrix")
-        dim = self.rows
-        if dim < 2:
-            raise ValueError("requires dimension >= 2")
-        m00 = self[0, 0]
-        out = []
-        for j in range(1, dim):
-            mj0 = self[j, 0]
-            out.append([self[j, k] - mj0 - self[0, k] + m00 for k in range(1, dim)])
-        return CMatrix(self.ctx, out)
-
     def det_affine(self) -> tuple[CycloElem, CycloElem]:
         """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, by one
         elimination.
@@ -149,10 +107,11 @@ class CMatrix:
         column 0 from the other columns, and move index 0 last by the same
         permutation of rows and columns, which keeps the sign.  That gives
         the bordered matrix T = [[mm', c], [r, m00 + x]] with mm' the
-        ``mm_prime`` difference matrix, c_j = m_j0 - m00 and
-        r_k = m_0k - m00.  Only the corner holds x, so det T is linear in it:
-        d0 = det(T at x = 0) = det(M) and d1 = det(mm'), the leading block,
-        both read off the one elimination of T by ``_eliminate``.
+        difference matrix m_jk - m_j0 - m_0k + m00 over j, k >= 1,
+        c_j = m_j0 - m00 and r_k = m_0k - m00.  Only the corner holds x, so
+        det T is linear in it: d0 = det(T at x = 0) = det(M) and
+        d1 = det(mm'), the leading block, both read off the one elimination
+        of T by ``_eliminate``.
         """
         if not self.is_square():
             raise ValueError("requires a square matrix")
@@ -160,9 +119,11 @@ class CMatrix:
         if dim < 2:  # det[] = 1 and det[x + m00] = m00 + x
             return self.det(), self.ctx.from_rational(dim)
         m00 = self[0, 0]
-        bordered = self.mm_prime().row_lists()
-        for j, row in enumerate(bordered, 1):
-            row.append(self[j, 0] - m00)
+        bordered = []
+        for j in range(1, dim):
+            mj0 = self[j, 0]
+            bordered.append([self[j, k] - mj0 - self[0, k] + m00 for k in range(1, dim)]
+                            + [mj0 - m00])
         bordered.append([self[0, k] - m00 for k in range(1, dim)] + [m00])
         return _eliminate(bordered, self.ctx)
 

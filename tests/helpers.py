@@ -1,7 +1,10 @@
-"""Random elements and matrices for the property tests, and a Hermitian test."""
+"""Random elements and matrices for the property tests, a Hermitian test,
+and the slow reference constructions the fast paths are checked against."""
 
 from fractions import Fraction
+from itertools import permutations
 
+from cyclodet.combinatorics import signed_product_sum
 from cyclodet.cyclotomic import CycloContext, CycloElem
 from cyclodet.linalg import CMatrix
 
@@ -24,3 +27,21 @@ def is_hermitian(m: CMatrix) -> bool:
         return False
     return all(m[r, c] == m[c, r].conjugate()
                for r in range(m.rows) for c in range(r, m.cols))
+
+
+def perm_expansion_det(m: CMatrix) -> CycloElem:
+    """Leibniz determinant: the signed product sum over every permutation."""
+    return signed_product_sum(m, permutations(range(1, m.rows + 1)))
+
+
+def minor_delete(m: CMatrix, j: int) -> CMatrix:
+    """m with row j and column j deleted (1-based j)."""
+    keep = [r for r in range(m.rows) if r != j - 1]
+    return CMatrix(m.ctx, [[m[r, c] for c in keep] for r in keep])
+
+
+def mm_prime(m: CMatrix) -> CMatrix:
+    """Difference matrix m[j][k] - m[j][0] - m[0][k] + m[0][0] over
+    j, k >= 1: the leading block of the bordered matrix of ``det_affine``."""
+    return CMatrix(m.ctx, [[m[j, k] - m[j, 0] - m[0, k] + m[0, 0] for k in range(1, m.cols)]
+                           for j in range(1, m.rows)])

@@ -2,7 +2,7 @@ import csv
 import json
 
 from cyclodet import __version__
-from cyclodet.cli import REPORT_FIELDS, main
+from cyclodet.cli import REPORT_FIELDS, build_parser, main
 from cyclodet.identities import DETS, IdentityReport, MatrixKind
 
 
@@ -71,6 +71,12 @@ def test_det_rejects_even_n_for_inverted_ratio(capsys):
 def test_det_rejects_bad_x(capsys):
     code, _, _ = run(capsys, "det", "--matrix", "a", "--n", "3", "--x", "0.5")
     assert code == 2
+
+
+def test_det_rejects_zero_denominator_shift(capsys):
+    code, _, err = run(capsys, "det", "--matrix", "a", "--n", "3", "--x", "1/0")
+    assert code == 2
+    assert "zero denominator" in err
 
 
 def test_verify_range(capsys):
@@ -246,21 +252,10 @@ def test_verify_default_grid(capsys):
     assert len([l for l in out.splitlines() if l.startswith("PASS")]) == 4  # 3,5,7,9
 
 
-def test_bench(capsys):
-    code, out, _ = run(capsys, "bench", "--n", "7")
-    assert code == 0
-    assert "derangement terms=265" in out
-    assert "values agree" in out
-
-
-def test_bench_guardrail(capsys):
-    code, _, err = run(capsys, "bench", "--n", "13")
-    assert code == 2 and "guardrail" in err
-
-
-def test_bench_rejects_even(capsys):
-    code, _, _ = run(capsys, "bench", "--n", "8")
-    assert code == 2
+def test_bench_subcommand_is_gone(capsys):
+    assert main(["bench", "--n", "7"]) == 2
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert "bench" not in sub.choices
 
 
 def test_usage_error_exit_code(capsys):

@@ -28,7 +28,7 @@ from cyclodet.identities import (
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
 
-from helpers import is_hermitian, random_matrix
+from helpers import is_hermitian, minor_delete, random_matrix
 
 
 def test_build_ratio_matrix_entries():
@@ -151,6 +151,14 @@ def test_oracle_cutoff_above_nine():
     report = run_identity("a-det", 11, oracle=True)
     assert report.passed and report.params["oracle"] is False
     assert "derangement" not in report.computed
+
+
+def test_oracle_cutoff_follows_the_guardrail(monkeypatch):
+    # the cutoff is the derangement sum's own guardrail, read at call time
+    monkeypatch.setattr("cyclodet.combinatorics.SIGNED_SUM_GUARDRAIL", 4)
+    assert run_identity("a-det", 5, oracle=True).params["oracle"] is True
+    assert run_identity("a-det", 7, oracle=True).params["oracle"] is False
+    assert run_identity("a-det", 7, oracle=True, force=True).params["oracle"] is True
 
 
 def test_a_det_rejects_even():
@@ -405,7 +413,7 @@ def _non_circulant(n):
 def test_cyclic_minor_has_the_charpoly_of_the_deleted_minor():
     m = _non_circulant(5)
     for j in range(1, 6):
-        assert identities._cyclic_minor(m, j).charpoly() == m.minor_delete(j).charpoly()
+        assert identities._cyclic_minor(m, j).charpoly() == minor_delete(m, j).charpoly()
 
 
 def test_cyclic_minors_of_a_circulant_are_equal():
@@ -418,7 +426,7 @@ def test_eei_computes_every_minor_of_a_non_circulant_matrix(monkeypatch):
     m = _non_circulant(5)
     monkeypatch.setattr(identities, "build_matrix", lambda kind, ctx, size: m)
     _, _, computed = identities._eei(MatrixKind.A, 5)
-    assert computed == [m.minor_delete(j).charpoly().evaluate(0) for j in range(1, 6)]
+    assert computed == [minor_delete(m, j).charpoly().evaluate(0) for j in range(1, 6)]
     assert len(set(computed)) == 5
     assert not run_identity("eei-a", 5).passed
 
