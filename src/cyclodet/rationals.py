@@ -6,7 +6,10 @@ positive denominator.  This module pins down the constructors and the
 "p/q" text format the rest of the package relies on.
 """
 
+import re
 from fractions import Fraction
+
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 def exact(value) -> Fraction:
@@ -25,15 +28,15 @@ def rational(numer, denom=1) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (decimal digits, optional sign) into a Fraction."""
+    """Parse "p/q" or "p" (ASCII decimal digits, each with an optional sign,
+    outer whitespace ignored) into a Fraction.  ``int`` alone would also take
+    other scripts' digits, underscores and spaces around the slash."""
     text = text.strip()
-    num, slash, den = text.partition("/")
-    try:
-        if slash:
-            return rational(int(num), int(den))
-        return Fraction(int(num))
-    except ValueError:
-        raise ValueError(f"not a rational literal: {text!r}") from None
+    match = _RATIONAL_LITERAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
+    return rational(int(num), int(den or 1))
 
 
 def format_rational(q) -> str:

@@ -17,6 +17,24 @@ def random_element(ctx: CycloContext, rng, span: int = 3) -> CycloElem:
     return ctx.from_coeffs(coeffs)
 
 
+def reference_mul(a: CycloElem, b: CycloElem) -> CycloElem:
+    """Schoolbook product in Q(zeta_n): the full convolution of the two
+    numerators, reduced mod Phi_n by long division from the top degree, with
+    no packing and no fold through x^n - 1."""
+    ctx = a.ctx
+    d = ctx.degree
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a.num):
+        for j, bj in enumerate(b.num):
+            conv[i + j] += ai * bj
+    phi = ctx.phi
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k]
+        for i in range(d + 1):
+            conv[k - d + i] -= c * phi[i]
+    return CycloElem(ctx, conv[:d], a.den * b.den)
+
+
 def random_matrix(ctx: CycloContext, rng, dim: int, span: int = 3) -> CMatrix:
     return CMatrix(ctx, [[random_element(ctx, rng, span) for _ in range(dim)]
                          for _ in range(dim)])

@@ -73,6 +73,11 @@ def test_det_rejects_bad_x(capsys):
     assert code == 2
 
 
+def test_det_rejects_non_ascii_digit_shift(capsys):
+    code, _, err = run(capsys, "det", "--matrix", "a", "--n", "3", "--x", "\u0663")
+    assert code == 2 and "not a rational literal" in err
+
+
 def test_det_rejects_zero_denominator_shift(capsys):
     code, _, err = run(capsys, "det", "--matrix", "a", "--n", "3", "--x", "1/0")
     assert code == 2

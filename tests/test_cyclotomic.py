@@ -5,11 +5,14 @@ from math import gcd
 import pytest
 
 from cyclodet.cyclotomic import (
+    _PACKED_MAX_SLOT_BITS,
     CycloContext,
+    CycloElem,
     cyclotomic_polynomial,
     inv_one_minus_zeta,
     shared_context,
 )
+from helpers import reference_mul
 
 
 def totient(n):
@@ -109,6 +112,45 @@ def test_mul_examples():
     assert c5.zeta_pow(2) * c5.zeta_pow(3) == 1
 
 
+def _numerator(ctx, rng, bits):
+    """Random mixed-sign coordinates whose largest has exactly ``bits`` bits."""
+    top = (1 << bits) - 1
+    num = [rng.randint(-top, top) for _ in range(ctx.degree)]
+    num[rng.randrange(ctx.degree)] = rng.choice((top, -top))
+    return num
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_mul_matches_reference(n):
+    # Both sides of the packed/schoolbook crossover: degrees 1..58, slot
+    # widths either side of the packed cap, and coefficients of 1, 64, 1,000
+    # and 20,000 bits with mixed signs, over shared and coprime denominators.
+    rng = random.Random(n)
+    ctx = shared_context(n)
+    d = ctx.degree
+    near_cap = _PACKED_MAX_SLOT_BITS - 1 - 100 - d.bit_length()  # slot width = cap
+    widest = [(1 << 64) - 1] * d  # every |c_j| up to d * max|a| * max|b|
+    pairs = [
+        (ctx.zero().num, _numerator(ctx, rng, 64)),
+        (ctx.one().num, _numerator(ctx, rng, 1000)),
+        ((-ctx.one()).num, _numerator(ctx, rng, 64)),
+        (_numerator(ctx, rng, 1), _numerator(ctx, rng, 1)),
+        (_numerator(ctx, rng, 64), _numerator(ctx, rng, 64)),
+        (widest, [-c for c in widest]),
+        (_numerator(ctx, rng, 100), _numerator(ctx, rng, near_cap)),
+        (_numerator(ctx, rng, 100), _numerator(ctx, rng, near_cap + 1)),
+        (_numerator(ctx, rng, 1000), _numerator(ctx, rng, 64)),
+        (_numerator(ctx, rng, 1000), _numerator(ctx, rng, 1000)),
+        (_numerator(ctx, rng, 20000), _numerator(ctx, rng, 64)),
+        (_numerator(ctx, rng, 20000), (-ctx.one()).num),
+    ]
+    for i, (x, y) in enumerate(pairs):
+        dens = (6, 6) if i % 2 else (2 ** 5, 3 ** 4 * 7)
+        a, b = CycloElem(ctx, x, dens[0]), CycloElem(ctx, y, dens[1])
+        assert a * b == reference_mul(a, b)
+        assert b * a == reference_mul(a, b)
+
+
 @pytest.mark.parametrize("bad", [0.1, 0.5, "1/2"])
 def test_from_rational_rejects_inexact_input(bad):
     ctx = shared_context(3)
@@ -178,9 +220,10 @@ def _random_unit(ctx, rng, bits, den_bits):
             return a
 
 
-@pytest.mark.parametrize("n", [2, 13, 15, 17, 21, 24])
+@pytest.mark.parametrize("n", [2, 13, 15, 17, 21, 23, 24, 29, 45, 47])
 def test_norm_inverse_two_sided(n):
-    # n = 2 has a trivial Galois group; 13 and 17 are prime (large norms)
+    # n = 2 has a trivial Galois group; 13, 17, 23, 29 and 47 are prime
+    # (large norms); at 45 and 47 the conjugate product tree is deep
     rng = random.Random(100 + n)
     ctx = shared_context(n)
     for _ in range(15):
@@ -188,6 +231,25 @@ def test_norm_inverse_two_sided(n):
         inv = a.inverse()
         assert a * inv == 1
         assert inv * a == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 12, 13, 17])
+def test_inverse_makes_phi_n_products(n, monkeypatch):
+    # phi(n) - 2 products in the conjugate tree, then the norm and the scaling
+    ctx = shared_context(n)
+    a = ctx.from_coeffs([Fraction(k - 2, 3) for k in range(ctx.degree)])
+    calls = []
+    mul = CycloElem.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counting_mul)
+    inv = a.inverse()
+    monkeypatch.undo()
+    assert len(calls) == totient(n)
+    assert a * inv == 1
 
 
 @pytest.mark.parametrize("n", [7, 12])

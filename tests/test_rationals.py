@@ -48,6 +48,14 @@ def test_parse_and_format():
         parse_rational("x")
 
 
+@pytest.mark.parametrize("text", ["\u0663/4", "\u0663", "1/\u0664", "\uff11", "1_000",
+                                  "1/ 2", "1 /2", "- 1", "+-1", "1/2/3", "", "/2", "3/"])
+def test_parse_rational_rejects_non_ascii_digits(text):
+    # int() takes the first seven: other scripts' digits, "_" and spaces
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
 @given(st.fractions(), st.fractions(), st.fractions())
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
