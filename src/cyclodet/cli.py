@@ -174,9 +174,11 @@ def cmd_det(args) -> int:
     except ZeroDivisionError:
         raise UsageError(
             f"matrix kind {args.matrix!r} is undefined for n={args.n}") from None
-    if x is not None:
-        matrix = matrix.add_scalar(x)
-    print(value_str(matrix.det()))
+    if x is None:
+        print(value_str(matrix.det()))
+    else:  # det[x + m_jk] = d0 + d1*x
+        d0, d1 = matrix.det_affine()
+        print(value_str(d0 + d1 * x))
     return 0
 
 

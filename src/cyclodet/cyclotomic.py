@@ -488,3 +488,25 @@ def inv_one_minus_zeta(ctx: CycloContext, r: int) -> CycloElem:
     for j in range(n):
         v[r * j % n] -= j + 1
     return CycloElem(ctx, _reduce(ctx, v), n)
+
+
+def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
+    """Closed form for 1/(1 + zeta^u), 2u not divisible by n.
+
+    With y = zeta^u, 1/(1 + y) = (1 - y)/(1 - y^2), and y^2 = zeta^(2u) is
+    an n-th root of unity other than 1 exactly when 2u is not divisible by
+    n, so by the identity of ``inv_one_minus_zeta`` at r = 2u,
+    1/(1 + y) = -(1/n) sum_{j<n} (j+1) (zeta^(2uj) - zeta^((2j+1)u)): one
+    pass over Z[x]/(x^n - 1) and one reduction, for odd and even n alike.
+    Raises ZeroDivisionError exactly when 2u = 0 mod n, which covers
+    zeta^u = -1 (u = n/2 for even n) and u = 0.
+    """
+    n = ctx.n
+    u %= n
+    if 2 * u % n == 0:
+        raise ZeroDivisionError("1 - zeta^(2u) is zero")
+    v = [0] * n
+    for j in range(n):
+        v[2 * u * j % n] -= j + 1
+        v[(2 * j + 1) * u % n] += j + 1
+    return CycloElem(ctx, _reduce(ctx, v), n)

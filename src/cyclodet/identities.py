@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -31,7 +31,8 @@ from math import gcd
 
 from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
-from .cyclotomic import CycloContext, CycloElem, inv_one_minus_zeta, shared_context
+from .cyclotomic import (CycloContext, CycloElem, inv_one_minus_zeta, inv_one_plus_zeta,
+                         shared_context)
 from .linalg import CMatrix
 from . import polynomials
 from .polynomials import CPoly, twisted_sums
@@ -48,47 +49,29 @@ class MatrixKind(Enum):
     TWO_C = "two-c"          # 2/(1-zeta^u) off-diagonal, 0 diagonal
 
 
-def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
-    """1/(1 + zeta^u) as (1 - zeta^u)/(1 - zeta^{2u}); fails exactly when
-    zeta^u = -1 (possible only for even n at u = n/2)."""
-    two_u = (2 * u) % ctx.n
-    if two_u == 0:
-        raise ZeroDivisionError("1 + zeta^u is zero")
-    return inv_one_minus_zeta(ctx, two_u) * (ctx.one() - ctx.zeta_pow(u))
-
-
-def _ratio(ctx: CycloContext, u: int) -> CycloElem:
-    """(1 + zeta^u)/(1 - zeta^u)."""
-    return (ctx.one() + ctx.zeta_pow(u)) * inv_one_minus_zeta(ctx, u)
-
-
-def _inverted_ratio(ctx: CycloContext, u: int) -> CycloElem:
-    """(1 - zeta^u)/(1 + zeta^u)."""
-    return (ctx.one() - ctx.zeta_pow(u)) * inv_one_plus_zeta(ctx, u)
-
-
-def _reciprocal(ctx: CycloContext, u: int) -> CycloElem:
-    """1/(1 - zeta^u) through the module global, so a patched one is seen."""
-    return inv_one_minus_zeta(ctx, u)
-
-
-# {kind: (off-diagonal entry at residue u, diagonal)}
+# {kind: (c, p, q, diagonal)}: the off-diagonal entry at residue u is
+# p/(1 - c*zeta^u) + q, so (1 + y)/(1 - y) = 2/(1 - y) - 1 and
+# (1 - y)/(1 + y) = 2/(1 + y) - 1 for y = zeta^u
 _KINDS = {
-    MatrixKind.A: (_ratio, Fraction(0)),
-    MatrixKind.B: (_ratio, Fraction(1)),
-    MatrixKind.C_HOLLOW: (_reciprocal, Fraction(0)),
-    MatrixKind.C_PLUS_I: (_reciprocal, Fraction(1)),
-    MatrixKind.TILDE_A: (_reciprocal, Fraction(1, 2)),
-    MatrixKind.S19: (_inverted_ratio, Fraction(0)),
-    MatrixKind.TWO_C: (lambda ctx, u: _reciprocal(ctx, u) * 2, Fraction(0)),
+    MatrixKind.A: (1, 2, -1, Fraction(0)),
+    MatrixKind.B: (1, 2, -1, Fraction(1)),
+    MatrixKind.C_HOLLOW: (1, 1, 0, Fraction(0)),
+    MatrixKind.C_PLUS_I: (1, 1, 0, Fraction(1)),
+    MatrixKind.TILDE_A: (1, 1, 0, Fraction(1, 2)),
+    MatrixKind.S19: (-1, 2, -1, Fraction(0)),
+    MatrixKind.TWO_C: (1, 2, 0, Fraction(0)),
 }
 
 
 def residue_table(kind: MatrixKind, ctx: CycloContext) -> tuple[CycloElem, ...]:
     """The ``kind`` matrix at n as its residue table t: t[u] is the entry at
-    u = (j - k) mod n for u = 0..n-1, so t[0] is the diagonal."""
-    entry, diagonal = _KINDS[kind]
-    return (ctx.from_rational(diagonal), *(entry(ctx, u) for u in range(1, ctx.n)))
+    u = (j - k) mod n for u = 0..n-1, so t[0] is the diagonal.  Each entry
+    is a closed-form inverse scaled by rationals, with no field product;
+    the module global ``inv_one_minus_zeta`` is looked up at each call, so
+    a patched one is seen."""
+    c, p, q, diagonal = _KINDS[kind]
+    inverse = inv_one_minus_zeta if c == 1 else inv_one_plus_zeta
+    return (ctx.from_rational(diagonal), *(inverse(ctx, u) * p + q for u in range(1, ctx.n)))
 
 
 def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
@@ -155,9 +138,11 @@ def spectrum(kind: MatrixKind, n: int) -> list[Fraction]:
 
 
 def spectrum_poly(ctx: CycloContext, roots) -> CPoly:
+    """prod (x - root) over the rational roots, each factor a shift and a
+    rational scaling: acc * (x - root) = x*acc - root*acc."""
     acc = CPoly.one(ctx)
     for root in roots:
-        acc = acc * CPoly(ctx, [-Fraction(root), 1])
+        acc = acc.shift(1) - acc.scale(root)
     return acc
 
 
@@ -176,17 +161,10 @@ class IdentityReport:
     first_difference: str | None = None  # set on a failing report only
 
     def as_dict(self) -> dict:
-        d = {
-            "identity": self.identity,
-            "n": self.n,
-            "params": self.params,
-            "expected": self.expected,
-            "computed": self.computed,
-            "passed": self.passed,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-        if self.first_difference is not None:
-            d["first_difference"] = self.first_difference
+        """The fields in declaration order, without a None first_difference."""
+        d = asdict(self)
+        if d["first_difference"] is None:
+            del d["first_difference"]
         return d
 
 

@@ -127,13 +127,6 @@ class CMatrix:
         bordered.append([self[0, k] - m00 for k in range(1, dim)] + [m00])
         return _eliminate(bordered, self.ctx)
 
-    def add_scalar(self, x) -> CMatrix:
-        """Matrix with x added to every entry (the det[x + m_jk] shift)."""
-        if not isinstance(x, CycloElem):
-            x = self.ctx.from_rational(x)
-        return CMatrix(self.ctx, [[self[r, c] + x for c in range(self.cols)]
-                                  for r in range(self.rows)])
-
 
 def _eliminate(a: list[list[CycloElem]], ctx: CycloContext) -> tuple[CycloElem, CycloElem]:
     """(det A, det of the leading (d-1)x(d-1) block of A) for the d x d row

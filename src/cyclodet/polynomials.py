@@ -9,9 +9,10 @@ n twisted sums in one pass over Z[x]/(x^n - 1), of the residue tables of the
 cleared terms (x - 1) P_r and (1 + x*zeta^r)(x - 1) P_r, with
 P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Each check covers every s,
 or every (k, s), of one n in one call: it builds its tables and right sides
-once, by multiplying out linear factors (the last two by shift-and-add),
-never by dividing 1 - x^n (that would assume the factorisation under test),
-then makes one ``twisted_sums`` call and compares.
+once, by multiplying out linear factors, each as a shift by x plus a twist
+by zeta^r, so with no field product, never by dividing 1 - x^n (that would
+assume the factorisation under test), then makes one ``twisted_sums`` call
+and compares.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycloContext, CycloElem
+from .cyclotomic import CycloContext, CycloElem, _reduce
 from .rationals import format_rational
 
 
@@ -54,7 +55,8 @@ class CPoly:
 
     @classmethod
     def x_pow(cls, ctx: CycloContext, k: int) -> CPoly:
-        return cls(ctx, [ctx.zero()] * k + [ctx.one()])
+        """x^k for k >= 0."""
+        return cls.one(ctx).shift(k)
 
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -120,7 +122,9 @@ class CPoly:
         return CPoly(self.ctx, [c.mul_zeta_pow(e) for c in self.coeffs])
 
     def shift(self, k: int) -> CPoly:
-        """Multiply by x^k."""
+        """Multiply by x^k, k >= 0; a negative k raises ValueError."""
+        if k < 0:
+            raise ValueError(f"x^{k} is not a polynomial")
         if not self.coeffs:
             return self
         return CPoly(self.ctx, [self.ctx.zero()] * k + list(self.coeffs))
@@ -190,7 +194,7 @@ def prod_one_minus_x_zeta(ctx: CycloContext, exclude=frozenset()) -> CPoly:
     acc = CPoly.one(ctx)
     for r in range(ctx.n):
         if r not in exclude:
-            acc = acc * CPoly(ctx, [ctx.one(), -ctx.zeta_pow(r)])
+            acc = acc - acc.shift(1).mul_zeta_pow(r)  # acc * (1 - x*zeta^r)
     return acc
 
 
@@ -233,11 +237,7 @@ def _twisted_element_sums(ctx: CycloContext, terms) -> list[CycloElem]:
         for r, lift in lifts:
             m = s * r % n  # the rotation by -sr: acc[i] += lift[(i + sr) mod n]
             acc = [a + b for a, b in zip(acc, lift[m:] + lift[:m])]
-        num = acc[:d]
-        for k in range(d, n):
-            if acc[k]:
-                num = [a + acc[k] * b for a, b in zip(num, ctx._pow[k])]
-        sums.append(CycloElem(ctx, num, den))
+        sums.append(CycloElem(ctx, _reduce(ctx, acc), den))
     return sums
 
 

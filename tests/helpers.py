@@ -63,3 +63,10 @@ def mm_prime(m: CMatrix) -> CMatrix:
     j, k >= 1: the leading block of the bordered matrix of ``det_affine``."""
     return CMatrix(m.ctx, [[m[j, k] - m[j, 0] - m[0, k] + m[0, 0] for k in range(1, m.cols)]
                            for j in range(1, m.rows)])
+
+
+def add_scalar(m: CMatrix, x) -> CMatrix:
+    """m with the rational x added to every entry: the det[x + m_jk] shift
+    that ``det_affine`` is checked against."""
+    shift = m.ctx.from_rational(x)
+    return CMatrix(m.ctx, [[m[r, c] + shift for c in range(m.cols)] for r in range(m.rows)])

@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+from cyclodet import cyclotomic
 from cyclodet.cyclotomic import (
     _PACKED_MAX_SLOT_BITS,
     CycloContext,
@@ -396,3 +399,10 @@ def test_render():
     assert (c3.from_rational(Fraction(-1, 3))).render() == "-1/3"
     assert (c3.from_rational(2) + c3.zeta()).render() == "2 + z"
     assert (-c3.zeta()).render() == "-z"
+
+
+def test_only_cyclotomic_reads_the_power_table():
+    # one reduction mod Phi_n: every other module goes through _reduce
+    package = Path(cyclotomic.__file__).parent
+    readers = {p.name for p in package.glob("*.py") if re.search(r"\b_pow\b", p.read_text())}
+    assert readers == {"cyclotomic.py"}

@@ -6,7 +6,7 @@ import pytest
 
 from cyclodet import identities, polynomials
 from cyclodet.cli import _grid_for
-from cyclodet.cyclotomic import shared_context
+from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import (
     DETS,
     IDENTITIES,
@@ -19,16 +19,18 @@ from cyclodet.identities import (
     c_det_value,
     first_difference,
     inv_one_plus_zeta,
+    residue_table,
     run_identity,
     s19_det_value,
     spectrum,
+    spectrum_poly,
     tilde_a_det_value,
     value_str,
 )
 from cyclodet.linalg import CMatrix
-from cyclodet.polynomials import CPoly
+from cyclodet.polynomials import CPoly, prod_one_minus_x_zeta
 
-from helpers import is_hermitian, minor_delete, random_matrix
+from helpers import add_scalar, is_hermitian, minor_delete, random_matrix
 
 
 def test_build_ratio_matrix_entries():
@@ -80,12 +82,14 @@ ENTRY_FORMULAS = {
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
 def test_build_matrix_matches_the_entry_formula(kind):
+    # the formula divides through the norm inverse, once per residue u
     entry, diagonal = ENTRY_FORMULAS[kind]
-    ns = range(3, 10, 2) if kind is MatrixKind.S19 else range(2, 10)
+    ns = range(3, 26, 2) if kind is MatrixKind.S19 else range(2, 26)
     for n in ns:
         ctx = shared_context(n)
+        at = [None, *(entry(ctx.zeta_pow(u)) for u in range(1, n))]
         for size in (n - 1, n):
-            want = CMatrix(ctx, [[diagonal if j == k else entry(ctx.zeta_pow(j - k))
+            want = CMatrix(ctx, [[diagonal if j == k else at[(j - k) % n]
                                   for k in range(size)] for j in range(size)])
             assert build_matrix(kind, ctx, size) == want, (n, size)
 
@@ -97,13 +101,45 @@ def test_inverted_ratio_kind_undefined_for_even_n():
 
 
 def test_inv_one_plus_zeta():
-    for n in (3, 5, 7, 8):
+    for n in range(2, 41):
         ctx = shared_context(n)
         one = ctx.one()
-        for u in range(1, n):
-            if (2 * u) % n == 0:
+        for u in range(n):
+            if (2 * u) % n == 0:  # u = 0, or u = n/2 where 1 + zeta^u = 0
+                for v in (u, u - n, u + n):
+                    with pytest.raises(ZeroDivisionError):
+                        inv_one_plus_zeta(ctx, v)
                 continue
-            assert inv_one_plus_zeta(ctx, u) * (one + ctx.zeta_pow(u)) == one
+            closed = inv_one_plus_zeta(ctx, u)
+            assert closed == (one + ctx.zeta_pow(u)).inverse(), (n, u)
+            assert inv_one_plus_zeta(ctx, u - n) == closed == inv_one_plus_zeta(ctx, u + n)
+
+
+def test_tables_and_linear_factors_make_no_field_product(monkeypatch):
+    # residue tables, linear-factor products and spectrum polynomials take
+    # closed-form inverses, shifts, twists and rational scalings only
+    products = 0
+    mul = CycloElem.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += isinstance(b, CycloElem)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counting_mul)
+    ctx = shared_context(5)
+    assert ctx.zeta() * ctx.zeta() * 2 == ctx.zeta_pow(2) * 2 and products == 1
+    products = 0
+    for n in range(2, 14):
+        ctx = shared_context(n)
+        for kind in MatrixKind:
+            if kind is not MatrixKind.S19 or n % 2:
+                residue_table(kind, ctx)
+        prod_one_minus_x_zeta(ctx)
+        prod_one_minus_x_zeta(ctx, exclude={0, n - 1})
+        for kind in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I, MatrixKind.TWO_C):
+            spectrum_poly(ctx, spectrum(kind, n))
+    assert products == 0
 
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
@@ -172,7 +208,7 @@ def test_tilde_a_spot_values():
     assert run_identity("tilde-a-det", 5).passed
     # scaling relation to the x-shifted ratio determinant at x = 1
     ctx = shared_context(7)
-    shifted = build_matrix(MatrixKind.A, ctx, 6).add_scalar(1)
+    shifted = add_scalar(build_matrix(MatrixKind.A, ctx, 6), 1)
     assert shifted.det() == tilde_a_det_value(7) * 2 ** 6
 
 
@@ -189,7 +225,7 @@ def test_b_det_spot_values():
     # x = 1 evaluation: (n+1) * d0
     ctx = shared_context(3)
     b2 = build_matrix(MatrixKind.B, ctx, 2)
-    assert b2.add_scalar(1).det() == 4 * b_det_value(3)
+    assert add_scalar(b2, 1).det() == 4 * b_det_value(3)
 
 
 def test_c1_det_spot_value():

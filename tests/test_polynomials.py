@@ -54,6 +54,18 @@ def test_scale_and_shift():
     p = CPoly(ctx, [1, 2])
     assert p.scale(Fraction(1, 2)) == CPoly(ctx, [Fraction(1, 2), 1])
     assert p.shift(2) == CPoly(ctx, [0, 0, 1, 2])
+    assert p.shift(0) == p and CPoly.zero(ctx).shift(3).is_zero()
+    assert CPoly.x_pow(ctx, 3) == CPoly.one(ctx).shift(3) == CPoly.x(ctx).shift(2)
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_negative_powers_of_x_are_rejected(k):
+    ctx = shared_context(4)
+    for p in (CPoly(ctx, [1, 2]), CPoly.zero(ctx)):
+        with pytest.raises(ValueError):
+            p.shift(k)
+    with pytest.raises(ValueError):
+        CPoly.x_pow(ctx, k)
 
 
 def test_coefficients_and_points_reject_floats():
