@@ -2,7 +2,9 @@
 
 Every matrix here is circulant, so a kind at n is its residue table t:
 t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  ``circulant``
-expands a table, and ``twisted_sums`` sums it twisted by every v(s).  Each
+expands a table, ``twisted_sums`` sums it twisted by every v(s), and
+``circulant_block_det`` reads the determinant of the leading block off those
+sums, the eigenvalues of the circulant.  Each
 identity is one row of ``IDENTITIES``; its check computes both sides in
 exact arithmetic and only returns them as two exact values, the claim
 (``expected``) and what it actually computed (``computed``).
@@ -71,7 +73,12 @@ def residue_table(kind: MatrixKind, ctx: CycloContext) -> tuple[CycloElem, ...]:
     a patched one is seen."""
     c, p, q, diagonal = _KINDS[kind]
     inverse = inv_one_minus_zeta if c == 1 else inv_one_plus_zeta
-    return (ctx.from_rational(diagonal), *(inverse(ctx, u) * p + q for u in range(1, ctx.n)))
+    entries = (inverse(ctx, u) for u in range(1, ctx.n))
+    if p != 1:
+        entries = (e * p for e in entries)
+    if q:
+        entries = (e + q for e in entries)
+    return (ctx.from_rational(diagonal), *entries)
 
 
 def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
@@ -81,6 +88,42 @@ def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
     if size not in (n - 1, n):
         raise ValueError(f"size must be {n - 1} or {n}")
     return CMatrix(ctx, [[table[(j - k) % n] for k in range(size)] for j in range(size)])
+
+
+def circulant_block_det(table) -> tuple[Fraction, Fraction]:
+    """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, m being the
+    leading (n-1) x (n-1) block of the circulant C of the residue table t,
+    read off the spectrum of C with no matrix and no elimination.
+
+    C is circulant by construction: row j, column k holds t[(j - k) mod n].
+    So the vector w(s) = (zeta^(sk))_k is an eigenvector with eigenvalue
+    lambda_s = sum_u t[u] zeta^(-su) = t[0] + twisted_sums(t)[s], for
+    s = 0..n-1; lambda_0, the row sum, belongs to the all-ones vector.
+    Every lambda_s must be rational, else this raises ArithmeticError: the
+    values are exact or absent, never rounded.
+
+    The adjugate of C is a polynomial in C (Cayley-Hamilton), so it is
+    circulant too and its diagonal entries are equal.  Their sum is the sum
+    of the principal (n-1)-minors of C, e_{n-1}(lambda), so
+    det(m) = adj(C)_{n-1,n-1} = e_{n-1}(lambda)/n.  Adding x to every entry
+    adds xJ, J the all-ones matrix, to C; J = n times the projection onto
+    the all-ones vector and shares the eigenvectors w(s), so it moves only
+    lambda_0, by nx.  With e = e_{n-2}(lambda_1..lambda_{n-1}) and
+    p = prod_{s>=1} lambda_s, det[x + m_jk] = ((lambda_0 + nx) e + p)/n,
+    so d1 = e and d0 = (lambda_0 e + p)/n.  e and p are the two lowest
+    coefficients of prod_{s>=1} (z + lambda_s), the only ones kept: O(n)
+    rational operations after the one ``twisted_sums`` pass.
+    """
+    lams = []
+    for s, twisted in enumerate(twisted_sums(table)):
+        lam = (table[0] + twisted).as_rational()
+        if lam is None:
+            raise ArithmeticError(f"eigenvalue lambda_{s} of the circulant is not rational")
+        lams.append(lam)
+    p, e = Fraction(1), Fraction(0)  # z^0 and z^1 coefficients of the product
+    for lam in lams[1:]:
+        p, e = p * lam, e * lam + p
+    return (lams[0] * e + p) / len(table), e
 
 
 def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
@@ -233,7 +276,8 @@ class DetIdentity:
         return self.value(n) if self.slope is None else (self.value(n), self.slope(n))
 
     def of(self, matrix: CMatrix):
-        """What ``claim`` states, computed: det(matrix) or its affine split."""
+        """What ``claim`` states, computed by elimination: det(matrix) or its
+        affine split."""
         return matrix.det() if self.slope is None else matrix.det_affine()
 
     def text(self, values) -> str:
@@ -263,20 +307,24 @@ DET_KINDS = {k.value: k for k in MatrixKind if any(d.kind is k for d in DETS.val
 
 
 def _det(name: str, n: int, oracle: bool = False, force: bool = False):
-    """The ``DETS[name]`` closed form at odd n.  With ``oracle`` on a row
-    that supports it, also recovers the value term by term from the signed
-    derangement sum at sizes up to ``combinatorics.SIGNED_SUM_GUARDRAIL``
-    unless forced: a zero diagonal restricts the Leibniz expansion to
+    """The ``DETS[name]`` closed form at odd n, computed from the spectrum of
+    the kind's circulant by ``circulant_block_det``, with no matrix and no
+    elimination.  With ``oracle`` on a row that supports it, also recovers
+    the value term by term from the signed derangement sum of the expanded
+    block at sizes up to ``combinatorics.SIGNED_SUM_GUARDRAIL`` unless
+    forced: a zero diagonal restricts the Leibniz expansion to
     derangements."""
     det = DETS[name]
     run_oracle = det.oracle and oracle and \
         (n - 1 <= combinatorics.SIGNED_SUM_GUARDRAIL or force)
+    ctx = shared_context(n)
+    table = residue_table(det.kind, ctx)
+    d0, d1 = circulant_block_det(table)
     expected = [det.claim(n)]
-    matrix = build_matrix(det.kind, shared_context(n), n - 1)
-    computed = [det.of(matrix)]
+    computed = [d0 if det.slope is None else (d0, d1)]
     if run_oracle:
         expected.append(det.value(n))
-        computed.append(signed_derangement_sum(matrix, force=force))
+        computed.append(signed_derangement_sum(circulant(ctx, table, n - 1), force=force))
     params = {"size": n - 1, "oracle": run_oracle} if det.oracle else {"size": n - 1}
     return params, expected, computed
 

@@ -3,7 +3,10 @@
 Each criterion runs over its full grid with exact (zero-tolerance)
 comparisons and prints one pass/fail line; run with ``pytest -s`` to see the
 lines as they complete.  Criterion 13 aggregates the measured wall-clock of
-criteria 1-11.
+criteria 1-11.  The determinant criteria eliminate, and each also asserts
+that the spectral value of ``circulant_block_det``, which ``verify`` reports,
+equals its elimination result; criterion 14 runs the spectral route alone
+on odd n up to 101.
 """
 
 import random
@@ -14,12 +17,15 @@ from fractions import Fraction
 from cyclodet.combinatorics import derangement_count, signed_derangement_sum
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import (
+    DETS,
     MatrixKind,
     a_det_value,
     b_det_value,
     build_matrix,
     c1_det_value,
     c_det_value,
+    circulant_block_det,
+    residue_table,
     run_identity,
     s19_det_value,
     spectrum_poly,
@@ -43,22 +49,29 @@ def _timed(criterion: int):
         ELAPSED[criterion] = time.perf_counter() - t0
 
 
+def _spectral(kind: MatrixKind, n: int):
+    """(d0, d1) of the size n-1 ``kind`` block from its spectrum."""
+    return circulant_block_det(residue_table(kind, shared_context(n)))
+
+
 def _line(criterion: int, name: str, ok: bool):
     mark = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion:02d} {name}: {mark} ({ELAPSED[criterion]:.1f}s)")
 
 
 def test_criterion_01_ratio_det_affine():
-    results = {}
+    results, spectral = {}, {}
     with _timed(1):
         for n in ODD_3_25:
             ctx = shared_context(n)
             d0, d1 = build_matrix(MatrixKind.A, ctx, n - 1).det_affine()
             results[n] = (d0.as_rational(), d1.as_rational())
-    ok = all(results[n] == (a_det_value(n), 0) for n in ODD_3_25)
+            spectral[n] = _spectral(MatrixKind.A, n)
+    ok = all(results[n] == (a_det_value(n), 0) for n in ODD_3_25) and spectral == results
     _line(1, "ratio-matrix affine determinant, odd n 3..25", ok)
     for n in ODD_3_25:
         assert results[n] == (a_det_value(n), 0), f"n={n}: {results[n]}"
+        assert spectral[n] == results[n], f"n={n}: spectral {spectral[n]}"
     assert results[3][0] == Fraction(-1, 3)
     assert results[5][0] == Fraction(9, 5)
     assert results[7][0] == Fraction(-225, 7)
@@ -81,55 +94,62 @@ def test_criterion_02_derangement_oracle():
 
 
 def test_criterion_03_hollow_reciprocal_det():
-    results = {}
+    results, spectral = {}, {}
     oracle_results = {}
     with _timed(3):
         for n in ODD_3_25:
             ctx = shared_context(n)
             matrix = build_matrix(MatrixKind.C_HOLLOW, ctx, n - 1)
             results[n] = matrix.det().as_rational()
+            spectral[n] = _spectral(MatrixKind.C_HOLLOW, n)[0]
             if n <= 9:
                 oracle_results[n] = signed_derangement_sum(matrix)
-    ok = all(results[n] == c_det_value(n) for n in ODD_3_25) and \
+    ok = all(results[n] == c_det_value(n) for n in ODD_3_25) and spectral == results and \
         all(oracle_results[n] == c_det_value(n) for n in oracle_results)
     _line(3, "hollow reciprocal determinant, odd n 3..25 (+oracle to 9)", ok)
     for n in ODD_3_25:
         assert results[n] == c_det_value(n), f"n={n}: {results[n]}"
+        assert spectral[n] == results[n], f"n={n}: spectral {spectral[n]}"
     for n, val in oracle_results.items():
         assert val == c_det_value(n), f"oracle n={n}"
     assert results[5] == Fraction(4, 5)
 
 
 def test_criterion_04_unit_diagonal_ratio_det():
-    results = {}
+    results, spectral = {}, {}
     with _timed(4):
         for n in ODD_3_25:
             ctx = shared_context(n)
             d0, d1 = build_matrix(MatrixKind.B, ctx, n - 1).det_affine()
             results[n] = (d0.as_rational(), d1.as_rational())
-    ok = all(results[n] == (b_det_value(n), n * b_det_value(n)) for n in ODD_3_25)
+            spectral[n] = _spectral(MatrixKind.B, n)
+    ok = all(results[n] == (b_det_value(n), n * b_det_value(n)) for n in ODD_3_25) and \
+        spectral == results
     _line(4, "unit-diagonal ratio affine determinant, odd n 3..25", ok)
     for n in ODD_3_25:
         assert results[n] == (b_det_value(n), n * b_det_value(n)), f"n={n}"
+        assert spectral[n] == results[n], f"n={n}: spectral {spectral[n]}"
     assert results[3] == (Fraction(2, 3), Fraction(2))
 
 
 def test_criterion_05_averaged_matrix_det():
-    results = {}
+    results, spectral = {}, {}
     with _timed(5):
         for n in ODD_3_25:
             ctx = shared_context(n)
             results[n] = build_matrix(MatrixKind.TILDE_A, ctx, n - 1).det().as_rational()
-    ok = all(results[n] == tilde_a_det_value(n) for n in ODD_3_25)
+            spectral[n] = _spectral(MatrixKind.TILDE_A, n)[0]
+    ok = all(results[n] == tilde_a_det_value(n) for n in ODD_3_25) and spectral == results
     _line(5, "averaged-matrix determinant, odd n 3..25", ok)
     for n in ODD_3_25:
         assert results[n] == tilde_a_det_value(n), f"n={n}: {results[n]}"
+        assert spectral[n] == results[n], f"n={n}: spectral {spectral[n]}"
     assert results[3] == Fraction(-1, 12)
 
 
 def test_criterion_06_unit_reciprocal_spectrum_and_det():
     spec_ok = {}
-    det_results = {}
+    det_results, spectral = {}, {}
     with _timed(6):
         for n in range(2, 13):
             ctx = shared_context(n)
@@ -139,12 +159,14 @@ def test_criterion_06_unit_reciprocal_spectrum_and_det():
         for n in ODD_3_25:
             ctx = shared_context(n)
             det_results[n] = build_matrix(MatrixKind.C_PLUS_I, ctx, n - 1).det().as_rational()
+            spectral[n] = _spectral(MatrixKind.C_PLUS_I, n)[0]
     ok = all(spec_ok.values()) and \
-        all(det_results[n] == c1_det_value(n) for n in ODD_3_25)
+        all(det_results[n] == c1_det_value(n) for n in ODD_3_25) and spectral == det_results
     _line(6, "unit-reciprocal spectrum (n 2..12) and determinant (odd 3..25)", ok)
     assert all(spec_ok.values())
     for n in ODD_3_25:
         assert det_results[n] == c1_det_value(n), f"n={n}"
+        assert spectral[n] == det_results[n], f"n={n}: spectral {spectral[n]}"
     assert det_results[3] == Fraction(2, 3)
 
 
@@ -190,15 +212,17 @@ def test_criterion_09_eigenvector_minor_identity():
 
 
 def test_criterion_10_inverted_ratio_det():
-    results = {}
+    results, spectral = {}, {}
     with _timed(10):
         for n in range(3, 14, 2):
             ctx = shared_context(n)
             results[n] = build_matrix(MatrixKind.S19, ctx, n - 1).det().as_rational()
-    ok = all(results[n] == s19_det_value(n) for n in results)
+            spectral[n] = _spectral(MatrixKind.S19, n)[0]
+    ok = all(results[n] == s19_det_value(n) for n in results) and spectral == results
     _line(10, "inverted-ratio determinant, odd n 3..13", ok)
     for n, val in results.items():
         assert val == s19_det_value(n), f"n={n}: {val}"
+        assert spectral[n] == val, f"n={n}: spectral {spectral[n]}"
     assert results[5] == 125
 
 
@@ -278,3 +302,15 @@ def test_criterion_13_performance():
           f"elimination {t_det:.3f}s, speedup x{ratio:.1f}")
     assert oracle_value == det_value
     assert total < 600, f"criteria 1-11 took {total:.1f}s"
+
+
+def test_criterion_14_spectral_dets_to_101():
+    results = {}
+    with _timed(14):
+        for name in DETS:
+            for n in range(27, 102, 2):
+                results[(name, n)] = run_identity(name, n).passed
+    ok = all(results.values())
+    _line(14, "every determinant row from its spectrum, odd n 27..101", ok)
+    assert all(results.values()), [key for key, passed in results.items() if not passed]
+    assert ELAPSED[14] < 30, f"criterion 14 took {ELAPSED[14]:.1f}s"

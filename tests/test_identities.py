@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet import identities, polynomials
+from cyclodet import identities, linalg, polynomials
 from cyclodet.cli import _grid_for
 from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import (
@@ -17,6 +17,8 @@ from cyclodet.identities import (
     build_matrix,
     c1_det_value,
     c_det_value,
+    circulant,
+    circulant_block_det,
     first_difference,
     inv_one_plus_zeta,
     residue_table,
@@ -438,6 +440,65 @@ def test_wrong_det_claim_keeps_computed_values(monkeypatch):
     assert good.passed and not bad.passed
     assert bad.expected == "[(14/5, 0), (14/5, 0), (14/5, 0), (14/5, 0)]"
     assert bad.computed == good.computed == "[(9/5, 0), (9/5, 0), (9/5, 0), (9/5, 0)]"
+
+
+def test_circulant_block_det_equals_elimination_on_every_det_row():
+    for name, det in DETS.items():
+        for n in range(3, 16, 2):
+            ctx = shared_context(n)
+            table = residue_table(det.kind, ctx)
+            assert circulant_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
+                (name, n)
+
+
+def test_circulant_block_det_of_galois_equivariant_tables():
+    # t[u] = g(zeta^u) for g in Q[x] makes every eigenvalue rational; even n
+    # and a nonzero diagonal included
+    rng = random.Random(15)
+    for n in range(2, 14):
+        ctx = shared_context(n)
+        for _ in range(2):
+            g = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, n))]
+            table = (ctx.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+                     *(sum((ctx.zeta_pow(i * u) * c for i, c in enumerate(g)), ctx.zero())
+                       for u in range(1, n)))
+            assert circulant_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
+                (n, g)
+
+
+def test_circulant_block_det_rejects_an_irrational_eigenvalue():
+    ctx = shared_context(5)
+    table = (ctx.zero(), ctx.zeta(), ctx.zero(), ctx.zero(), ctx.zero())
+    with pytest.raises(ArithmeticError):
+        circulant_block_det(table)
+
+
+def test_wrong_residue_entries_fail_the_det_report(monkeypatch):
+    real = identities.residue_table
+
+    def wrong(kind, ctx):
+        table = real(kind, ctx)
+        return (table[0], *(e + Fraction(1, 3) for e in table[1:]))
+
+    monkeypatch.setattr(identities, "residue_table", wrong)
+    for name in DETS:
+        report = run_identity(name, 5)
+        assert not report.passed and report.computed != report.expected, name
+
+
+def test_det_rows_run_without_elimination(monkeypatch):
+    def no_elimination(a, ctx):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    for name, det in DETS.items():
+        for n in det.grid:
+            assert run_identity(name, n).passed, (name, n)
+    calls = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda a, ctx: calls.append(a) or (ctx.one(),) * 2)
+    run_identity("galois-a-det", 5)
+    assert calls
 
 
 def _non_circulant(n):
