@@ -23,12 +23,12 @@ from .combinatorics import GuardrailExceeded
 from .identities import (
     DET_KINDS,
     IDENTITIES,
-    build_matrix,
+    circulant_block_det,
+    residue_table,
     run_identity,
-    value_str,
 )
 from .cyclotomic import shared_context
-from .rationals import parse_rational
+from .rationals import format_rational, parse_rational
 
 REPORT_FIELDS = ("identity", "n", "params", "expected", "computed",
                  "passed", "elapsed_seconds", "tool_version")
@@ -82,7 +82,7 @@ def _summary_line(reports) -> str:
     return "summary: " + " ".join(f"{key}={count}" for key, count in _summary(reports).items())
 
 
-def _emit_reports(reports, fmt: str, out_path):
+def _emit_reports(reports, fmt: str, out):
     if fmt == "text":
         lines = [_text_line(r) for r in reports]
         lines.append(_summary_line(reports))
@@ -108,11 +108,7 @@ def _emit_reports(reports, fmt: str, out_path):
         payload = buf.getvalue()
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    out.write(payload)
 
 
 def _text_line(r) -> str:
@@ -143,17 +139,22 @@ def cmd_verify(args) -> int:
     tasks.sort(key=lambda t: (t[0], t[1]))
     # a fork pool starts all its workers at once, so never more than tasks
     jobs = min(args.jobs or min(os.cpu_count() or 1, 8), len(tasks))
+    # an unwritable --out is a usage error before any check runs
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     reports = []
     stream = sys.stderr if args.format != "text" or args.out else sys.stdout
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with out as fh, ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for report in (pool.map if jobs > 1 else map)(_run_task, tasks):
             reports.append(report)
             print(_text_line(report), file=stream, flush=True)
-    reports.sort(key=lambda r: (r.identity, r.n))
-    if args.format != "text" or args.out:
-        _emit_reports(reports, args.format, args.out)
-    else:
-        print(_summary_line(reports))
+        reports.sort(key=lambda r: (r.identity, r.n))
+        if args.format != "text" or args.out:
+            _emit_reports(reports, args.format, fh)
+        else:
+            print(_summary_line(reports))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -165,20 +166,16 @@ def cmd_det(args) -> int:
     if args.n < 2:
         raise UsageError("n must be at least 2")
     try:
-        x = parse_rational(args.x) if args.x is not None else None
+        x = parse_rational(args.x)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from None
-    ctx = shared_context(args.n)
     try:
-        matrix = build_matrix(kind, ctx, args.n - 1)
+        table = residue_table(kind, shared_context(args.n))
     except ZeroDivisionError:
         raise UsageError(
             f"matrix kind {args.matrix!r} is undefined for n={args.n}") from None
-    if x is None:
-        print(value_str(matrix.det()))
-    else:  # det[x + m_jk] = d0 + d1*x
-        d0, d1 = matrix.det_affine()
-        print(value_str(d0 + d1 * x))
+    d0, d1 = circulant_block_det(table)  # det[x + m_jk] = d0 + d1*x
+    print(format_rational(d0 + d1 * x))
     return 0
 
 
@@ -211,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--matrix", required=True,
                        help="matrix kind: " + "|".join(DET_KINDS))
     p_det.add_argument("--n", type=int, required=True)
-    p_det.add_argument("--x", default=None,
-                       help="rational shift added to every entry (p/q)")
+    p_det.add_argument("--x", default="0",
+                       help="rational shift added to every entry (p/q); default 0")
     p_det.set_defaults(func=cmd_det)
     return parser
 

@@ -211,11 +211,6 @@ class IdentityReport:
         return d
 
 
-def value_str(e: CycloElem) -> str:
-    q = e.as_rational()
-    return format_rational(q) if q is not None else e.render()
-
-
 def first_difference(expected, computed) -> str:
     """Index path, like [2][1], of the first entry where two unequal values
     differ, descending through lists and tuples while both sides are
@@ -243,7 +238,8 @@ def render(value) -> str:
     if isinstance(value, CPoly):
         return value.render()
     if isinstance(value, CycloElem):
-        return value_str(value)
+        q = value.as_rational()
+        return value.render() if q is None else format_rational(q)
     if value is None or isinstance(value, bool):
         return str(value)
     return format_rational(value)
@@ -275,10 +271,12 @@ class DetIdentity:
         """value(n), or the pair (value(n), slope(n)) for an affine row."""
         return self.value(n) if self.slope is None else (self.value(n), self.slope(n))
 
-    def of(self, matrix: CMatrix):
-        """What ``claim`` states, computed by elimination: det(matrix) or its
-        affine split."""
-        return matrix.det() if self.slope is None else matrix.det_affine()
+    def of(self, table):
+        """What ``claim`` states, read off the spectrum of the circulant of
+        the residue table by ``circulant_block_det``: d0, or (d0, d1) on an
+        affine row."""
+        d0, d1 = circulant_block_det(table)
+        return d0 if self.slope is None else (d0, d1)
 
     def text(self, values) -> str:
         """Renders [det] or [det, derangement sum] as a det report line."""
@@ -319,9 +317,8 @@ def _det(name: str, n: int, oracle: bool = False, force: bool = False):
         (n - 1 <= combinatorics.SIGNED_SUM_GUARDRAIL or force)
     ctx = shared_context(n)
     table = residue_table(det.kind, ctx)
-    d0, d1 = circulant_block_det(table)
     expected = [det.claim(n)]
-    computed = [d0 if det.slope is None else (d0, d1)]
+    computed = [det.of(table)]
     if run_oracle:
         expected.append(det.value(n))
         computed.append(signed_derangement_sum(circulant(ctx, table, n - 1), force=force))
@@ -440,13 +437,15 @@ def _row_sum_x(n: int):
 
 def _galois(name: str, n: int):
     """Recomputes the ``DETS[name]`` determinant from the residue table mapped
-    through each automorphism zeta -> zeta^t (t coprime to n); all
-    primitive-root choices must yield the identical value."""
+    entry by entry through each automorphism zeta -> zeta^t (t coprime to
+    n); all primitive-root choices must yield the identical value.  The map
+    takes lambda_s to the eigenvalue of index s*t of the conjugate table, so
+    the row checks ``galois`` on every entry, and the spectrum of each
+    conjugate, against the one claim."""
     det = DETS[name]
-    ctx = shared_context(n)
     ts = coprime_residues(n)
-    table = residue_table(det.kind, ctx)
-    computed = [det.of(circulant(ctx, [e.galois(t) for e in table], n - 1)) for t in ts]
+    table = residue_table(det.kind, shared_context(n))
+    computed = [det.of([e.galois(t) for e in table]) for t in ts]
     return {"automorphisms": len(ts)}, [det.claim(n)] * len(ts), computed
 
 

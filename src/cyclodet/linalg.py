@@ -4,9 +4,12 @@ Determinants use one Gaussian elimination with exact field division (first
 nonzero pivot down the column, sign tracked through row swaps), which also
 yields the determinant of the leading (d-1)x(d-1) block.  The affine split
 det[x + m_jk] = d0 + d1*x is one elimination of a bordered matrix whose
-leading block is the difference matrix m_jk - m_j0 - m_0k + m_00.  The
-characteristic polynomial uses Berkowitz's algorithm, which is
-division-free: it needs only field products and sums.
+leading block is the difference matrix m_jk - m_j0 - m_0k + m_00.  No
+library path eliminates: it reads circulant truncations off their spectrum
+(``identities.circulant_block_det``), and elimination is the direct API and
+the tests' reference for that route.  The characteristic polynomial uses
+Berkowitz's algorithm, which is division-free: it needs only field products
+and sums.
 """
 
 from __future__ import annotations

@@ -1,9 +1,17 @@
 import csv
 import json
+from fractions import Fraction
+
+import pytest
 
 from cyclodet import __version__
 from cyclodet.cli import REPORT_FIELDS, build_parser, main
-from cyclodet.identities import DETS, IdentityReport, MatrixKind
+from cyclodet.cyclotomic import shared_context
+from cyclodet.identities import (DET_KINDS, DETS, IdentityReport, MatrixKind, a_det_value,
+                                 build_matrix, c_det_value)
+from cyclodet.rationals import format_rational
+
+from helpers import add_scalar
 
 
 def run(capsys, *argv):
@@ -40,6 +48,27 @@ def test_det_averaged_matrix(capsys):
 def test_det_unit_reciprocal(capsys):
     code, out, _ = run(capsys, "det", "--matrix", "c1", "--n", "3")
     assert code == 0 and out.strip() == "2/3"
+
+
+@pytest.mark.parametrize("kind", list(DET_KINDS))
+def test_det_equals_elimination_of_the_shifted_block(capsys, kind):
+    # the spectral route against the reference elimination, both parities
+    for n in range(2, 14):
+        if kind == "s19" and n % 2 == 0:
+            continue  # undefined: 1 + zeta^(n/2) = 0
+        ctx = shared_context(n)
+        block = build_matrix(DET_KINDS[kind], ctx, n - 1)
+        for x in (None, "1", "-7/3"):
+            shift = ["--x=" + x] if x else []
+            code, out, _ = run(capsys, "det", "--matrix", kind, "--n", str(n), *shift)
+            want = add_scalar(block, Fraction(x or 0)).det().as_rational()
+            assert code == 0 and out == format_rational(want) + "\n", (n, x)
+
+
+def test_det_at_large_n(capsys):
+    for kind, value in (("a", a_det_value), ("c", c_det_value)):
+        code, out, _ = run(capsys, "det", "--matrix", kind, "--n", "101")
+        assert code == 0 and out == format_rational(value(101)) + "\n", kind
 
 
 def test_det_rejects_bad_kind(capsys):
@@ -188,6 +217,18 @@ def test_verify_json_round_trip(tmp_path, capsys):
         assert rep["passed"] is True
         assert rep["params"]["oracle"] is True
     assert [r["n"] for r in doc["reports"]] == [3, 5, 7]
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("cyclodet.cli.run_identity", refuse)
+    code, out, err = run(capsys, "verify", "--identity", "row-sums", "--n", "3",
+                         "--format", "json", "--jobs", "1", "--out", str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_json_to_stdout(capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cyclodet import identities, linalg, polynomials
-from cyclodet.cli import _grid_for
+from cyclodet.cli import _grid_for, main
 from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import (
+    DET_KINDS,
     DETS,
     IDENTITIES,
     IdentityInfo,
@@ -21,13 +22,13 @@ from cyclodet.identities import (
     circulant_block_det,
     first_difference,
     inv_one_plus_zeta,
+    render,
     residue_table,
     run_identity,
     s19_det_value,
     spectrum,
     spectrum_poly,
     tilde_a_det_value,
-    value_str,
 )
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly, prod_one_minus_x_zeta
@@ -358,17 +359,14 @@ def test_galois_dets_are_taken_of_entrywise_images(monkeypatch, name):
     seen = []
     of = identities.DetIdentity.of
     monkeypatch.setattr(identities.DetIdentity, "of",
-                        lambda self, matrix: seen.append(matrix) or of(self, matrix))
+                        lambda self, table: seen.append(table) or of(self, table))
     kind = DETS[name.removeprefix("galois-")].kind
     for n in (3, 5, 7, 9):
         seen.clear()
         assert run_identity(name, n).passed
-        base = build_matrix(kind, shared_context(n), n - 1)
-        # every entry mapped on its own, as the deleted matrix_galois did
-        images = [CMatrix(base.ctx, [[base[r, c].galois(t) for c in range(base.cols)]
-                                     for r in range(base.rows)])
-                  for t in identities.coprime_residues(n)]
-        assert seen == images
+        table = residue_table(kind, shared_context(n))
+        # every residue mapped on its own, one conjugate table per coprime t
+        assert seen == [[e.galois(t) for e in table] for t in identities.coprime_residues(n)]
 
 
 ODD_3_9, ODD_3_13, ODD_3_25 = (tuple(range(3, hi + 1, 2)) for hi in (9, 13, 25))
@@ -488,17 +486,19 @@ def test_wrong_residue_entries_fail_the_det_report(monkeypatch):
 
 
 def test_det_rows_run_without_elimination(monkeypatch):
-    def no_elimination(a, ctx):
-        raise AssertionError("eliminated")
+    def refuse(*args):
+        raise AssertionError("eliminated or inverted")
 
-    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
-    for name, det in DETS.items():
-        for n in det.grid:
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    monkeypatch.setattr(CycloElem, "inverse", refuse)
+    rows = [*DETS, *(name for name in IDENTITIES if name.startswith("galois-"))]
+    for name in rows:
+        for n in IDENTITIES[name].default_grid:
             assert run_identity(name, n).passed, (name, n)
-    calls = []
-    monkeypatch.setattr(linalg, "_eliminate", lambda a, ctx: calls.append(a) or (ctx.one(),) * 2)
-    run_identity("galois-a-det", 5)
-    assert calls
+    for kind in DET_KINDS:
+        for n in range(2, 10):
+            code = 2 if kind == "s19" and n % 2 == 0 else 0  # s19 is undefined at even n
+            assert main(["det", "--matrix", kind, "--n", str(n)]) == code, (kind, n)
 
 
 def _non_circulant(n):
@@ -544,10 +544,10 @@ def test_eigen_report_reads_eigenvalues_off_the_matrix():
     assert r.computed == "([-1, 1, 0], x^3 - x)"
 
 
-def test_value_str():
+def test_render_of_a_field_element():
     ctx = shared_context(3)
-    assert value_str(ctx.from_rational(Fraction(-1, 3))) == "-1/3"
-    assert value_str(ctx.zeta()) == "z"
+    assert render(ctx.from_rational(Fraction(-1, 3))) == "-1/3"
+    assert render(ctx.zeta()) == "z"
 
 
 def _with_wrong_term(build):
