@@ -56,10 +56,7 @@ def _grid_for(info, n_range) -> list[int]:
         return list(info.default_grid)
     a, b = n_range
     # no identity admits n < 2, so a very negative lower bound costs nothing
-    grid = [n for n in range(max(a, 2), b + 1) if info.admits(n)]
-    if not grid:
-        raise UsageError(f"n range {a}..{b} leaves no admissible n")
-    return grid
+    return [n for n in range(max(a, 2), b + 1) if info.admits(n)]
 
 
 def _run_task(task):
@@ -136,6 +133,8 @@ def cmd_verify(args) -> int:
         info = IDENTITIES[name]
         for n in _grid_for(info, n_range):
             tasks.append((name, n, args.oracle and info.supports_oracle, args.force))
+    if not tasks:
+        raise UsageError(f"n range {n_range[0]}..{n_range[1]} leaves no admissible n")
     tasks.sort(key=lambda t: (t[0], t[1]))
     # a fork pool starts all its workers at once, so never more than tasks
     jobs = min(args.jobs or min(os.cpu_count() or 1, 8), len(tasks))
@@ -150,7 +149,6 @@ def cmd_verify(args) -> int:
         for report in (pool.map if jobs > 1 else map)(_run_task, tasks):
             reports.append(report)
             print(_text_line(report), file=stream, flush=True)
-        reports.sort(key=lambda r: (r.identity, r.n))
         if args.format != "text" or args.out:
             _emit_reports(reports, args.format, fh)
         else:

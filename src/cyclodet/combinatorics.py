@@ -6,6 +6,7 @@ Permutations are 1-based image tuples: p[j-1] is the image of j.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial, prod
 
 
 class GuardrailExceeded(ValueError):
@@ -40,24 +41,11 @@ def perm_sign(perm: tuple[int, ...]) -> int:
     return 1 if (m - cycles) % 2 == 0 else -1
 
 
-def factorial(k: int) -> int:
-    if k < 0:
-        raise ValueError("factorial of a negative integer")
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def double_factorial(k: int) -> int:
     """k!! = k(k-2)(k-4)... down to 1 or 2, with (-1)!! = 1."""
     if k < -1:
         raise ValueError("double factorial requires k >= -1")
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return prod(range(k, 0, -2))
 
 
 def derangement_count(m: int) -> int:

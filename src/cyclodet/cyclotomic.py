@@ -7,8 +7,7 @@ an integer coordinate vector over the basis 1, zeta, ..., zeta^(d-1) together
 with one shared positive denominator, kept in lowest terms; the observable
 coordinates are Fractions (see ``CycloElem.coeffs``).  Inverses go through
 the field norm N(a) = prod_t sigma_t(a), a product of Galois conjugates that
-stays in integer arithmetic, multiplied in a balanced tree (see
-``CycloElem.inverse``).
+stays in integer arithmetic (see ``CycloElem.inverse``).
 
 A product multiplies the numerators as integer polynomials.  From degree
 ``_PACKED_MIN_DEGREE`` up, while the coefficients are small enough, it packs
@@ -23,8 +22,9 @@ followed by the same reduction.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import mul
 
 from .rationals import exact, format_rational
 
@@ -69,9 +69,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 # Crossover of the two integer-polynomial products in ``CycloElem.__mul__``:
 # the packed product runs from degree _PACKED_MIN_DEGREE up while its slot
 # width k stays within _PACKED_MAX_SLOT_BITS; elsewhere the schoolbook
-# convolution is faster.  Measured on operands recorded from the benchmark
-# workloads, product plus reduction, mean microseconds per product
-# (schoolbook -> packed; Python 3.11.7, 2 vCPUs of an Intel Xeon):
+# convolution is faster.  Set on operands recorded from the det-grid
+# eliminations of the time, product plus reduction, mean microseconds per
+# product (schoolbook -> packed; Python 3.11.7, 2 vCPUs of an Intel Xeon):
 #   d = 6,  k <= 32: 7.5 -> 7.8 (7,919 products; d <= 6 is every cli-all n)
 #   d = 8,  k <= 32: 16.4 -> 14.4;  128 < k <= 256: 34.7 -> 31.0;
 #           256 < k <= 512: 39.3 -> 55.0
@@ -80,6 +80,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 #           256 < k <= 512: 51.0 -> 67.5;  k > 1024: 111 -> 567
 # Past 256 bits the zero-padded slots make the one product cost more than
 # the d^2 small ones, worst when one operand is much larger than the other.
+# No workload eliminates now; the packed products are ``charpoly``'s at
+# d = 10 and 12 (spectrum-eei, acceptance criterion 9).  Without the packed
+# path spectrum-eei wall_s went from 0.569-0.591 s to 0.606-0.623 s (4 of 4
+# pairs), criterion 9 from 0.6 s to 1.0 s, criteria 1-11 from 16.0 s to 18.4 s.
 _PACKED_MIN_DEGREE = 8
 _PACKED_MAX_SLOT_BITS = 256
 
@@ -374,23 +378,18 @@ class CycloElem:
         With x the integer numerator (self = x / den), the product conj of
         the conjugates sigma_t(x) over t != 1 makes N(x) = x * conj a
         rational, so self^-1 = conj * den / N(x).  The phi(n) - 1 conjugates
-        are multiplied in a balanced pairwise tree, so each product has
-        operands of equal size, and the tree takes phi(n) - 2 products:
-        with the norm and the scaling, phi(n) calls of ``__mul__`` in all
-        (n >= 3).  Only integer ``galois`` and ``__mul__`` are used; a
-        non-rational N(x) means the arithmetic went wrong and raises
-        ArithmeticError.
+        are multiplied in order, in phi(n) - 2 products: with the norm and
+        the scaling, phi(n) calls of ``__mul__`` in all (n >= 3).  Only
+        integer ``galois`` and ``__mul__`` are used; a non-rational N(x)
+        means the arithmetic went wrong and raises ArithmeticError.
         """
         if not self:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
         n = ctx.n
         x = CycloElem(ctx, self.num, 1, _raw=True)
-        level = [x.galois(t) for t in range(2, n) if gcd(t, n) == 1]
-        while len(level) > 1:
-            pairs = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-            level = pairs + level[len(pairs) * 2:]
-        conj = level[0] if level else ctx.one()
+        conjugates = [x.galois(t) for t in range(2, n) if gcd(t, n) == 1]
+        conj = reduce(mul, conjugates) if conjugates else ctx.one()
         norm = (x * conj).as_rational()
         if norm is None:
             raise ArithmeticError("norm of a field element is not rational")

@@ -4,15 +4,14 @@ These carry the indeterminate x of the rational-function identities and the
 characteristic polynomials.  Coefficients are stored lowest degree first and
 trimmed, so the zero polynomial is the empty tuple and equality is structural.
 
-The ``partial-fraction`` and ``row-sum-x`` checks take ``twisted_sums``, all
-n twisted sums in one pass over Z[x]/(x^n - 1), of the residue tables of the
-cleared terms (x - 1) P_r and (1 + x*zeta^r)(x - 1) P_r, with
-P_r = prod_{r' not in {0, r}} (1 - x*zeta^r').  Each check covers every s,
-or every (k, s), of one n in one call: it builds its tables and right sides
-once, by multiplying out linear factors, each as a shift by x plus a twist
-by zeta^r, so with no field product, never by dividing 1 - x^n (that would
-assume the factorisation under test), then makes one ``twisted_sums`` call
-and compares.
+The ``partial-fraction`` and ``row-sum-x`` checks share one residue table,
+the cleared terms Q_r = (x - 1) P_r with
+P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'), built by multiplying out
+linear factors, each as a shift by x plus a twist by zeta^r, so with no field
+product and never by dividing 1 - x^n (that would assume the factorisation
+under test).  Each check makes one ``twisted_sums`` call over Q, all n twisted
+sums in one pass over Z[x]/(x^n - 1), and covers every s, or every (k, s), of
+one n: ``row-sum-x`` reads its left side off those sums as S[s] + x*S[s - 1].
 """
 
 from __future__ import annotations
@@ -253,20 +252,6 @@ def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tupl
     return (CPoly.zero(ctx), *cleared), rights
 
 
-def _row_sum_x_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
-    """(T, R) for the row-sum-x identity cleared of x^n - 1: the residue table
-    of T_r = (1 + x*zeta^r)(x - 1) P_r, the summand at j - k = r before its
-    weight zeta^(-sr), and the right sides
-    R[s] = (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s)."""
-    n = ctx.n
-    cleared, fraction_rights = _partial_fraction_tables(ctx)
-    terms = tuple(q + q.shift(1).mul_zeta_pow(r) for r, q in enumerate(cleared))
-    x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
-    rights = tuple(x_n_minus_1.scale(1 - (n if s == 0 else 0)) + right.scale(2)
-                   for s, right in enumerate(fraction_rights))
-    return terms, rights
-
-
 def partial_fraction_check(ctx: CycloContext) -> list[bool]:
     """Whether the exact polynomial form of the expansion
     sum_{0<r<n} zeta^(-rs)/(1 - x*zeta^r) = (sum_j x^j - n*x^s)/(x^n - 1)
@@ -287,9 +272,17 @@ def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
       = 1 + 2*(sum_j x^j - n*x^s)/(x^n - 1) - n*[s == 0]
     holds, as the n x n table indexed [k-1][s] for k = 1..n, s = 0..n-1.
 
-    Both sides are cleared of the x^n - 1 denominator before comparing; the
-    cleared summands and right sides are built once for all (k, s).
+    Cleared of x^n - 1, the summand at j - k = r is (1 + x*zeta^r) Q_r with
+    Q_r the partial-fraction table, and the right side is
+    (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s).  With S the twisted
+    sums of Q, the left side is S[s] + x*S[s - 1]: zeta^(-sr) * zeta^r =
+    zeta^(-(s-1)r), and zeta^n = 1 makes S[-1] = S[n - 1].
     """
-    terms, rights = _row_sum_x_tables(ctx)
-    row = [total == right for total, right in zip(twisted_sums(terms), rights)]
-    return [list(row) for _ in range(ctx.n)]  # every row is the k-free sum
+    n = ctx.n
+    cleared, rights = _partial_fraction_tables(ctx)
+    sums = twisted_sums(cleared)
+    x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
+    row = [sums[s] + sums[s - 1].shift(1)
+           == x_n_minus_1.scale(1 - (n if s == 0 else 0)) + right.scale(2)
+           for s, right in enumerate(rights)]
+    return [list(row) for _ in range(n)]  # every row is the k-free sum

@@ -136,6 +136,15 @@ def test_verify_empty_range(capsys):
     assert code == 2 and "no admissible n" in err
 
 
+def test_verify_all_on_an_even_n(capsys):
+    # a range that no odd-n identity admits still runs those that admit it
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--n", "4", "--jobs", "1")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 7
+    assert all(l.startswith("PASS") and " n=4 " in l for l in lines)
+
+
 def test_verify_bad_range(capsys):
     code, _, _ = run(capsys, "verify", "--identity", "a-det", "--n", "9..3")
     assert code == 2

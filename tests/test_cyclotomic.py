@@ -238,7 +238,7 @@ def test_norm_inverse_two_sided(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 9, 12, 13, 17])
 def test_inverse_makes_phi_n_products(n, monkeypatch):
-    # phi(n) - 2 products in the conjugate tree, then the norm and the scaling
+    # phi(n) - 2 products of the conjugates, then the norm and the scaling
     ctx = shared_context(n)
     a = ctx.from_coeffs([Fraction(k - 2, 3) for k in range(ctx.degree)])
     calls = []

@@ -560,8 +560,8 @@ def _with_wrong_term(build):
 
 def test_wrong_row_sum_x_term_keeps_expected(monkeypatch):
     good = run_identity("row-sum-x", 5)
-    monkeypatch.setattr(polynomials, "_row_sum_x_tables",
-                        _with_wrong_term(polynomials._row_sum_x_tables))  # T_2 off by 1
+    monkeypatch.setattr(polynomials, "_partial_fraction_tables",
+                        _with_wrong_term(polynomials._partial_fraction_tables))  # Q_2 off by 1
     bad = run_identity("row-sum-x", 5)
     assert good.passed and not bad.passed
     assert bad.expected == good.expected

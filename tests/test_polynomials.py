@@ -145,16 +145,25 @@ def _direct_row_sum_x_term(ctx, r):
     return numer * _direct_partial_fraction_term(ctx, r)
 
 
+def _assert_row_sum_x_reindexing(ctx, cleared):
+    # the twisted sums of the directly multiplied row-sum-x summands are
+    # S[s] + x*S[s - 1], with S the twisted sums of the cleared table
+    sums = twisted_sums(cleared)
+    direct = twisted_sums([CPoly.zero(ctx)]
+                          + [_direct_row_sum_x_term(ctx, r) for r in range(1, ctx.n)])
+    for s in range(ctx.n):
+        assert direct[s] == sums[s] + sums[s - 1].shift(1)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_tables_equal_direct_products(n):
     ctx = shared_context(n)
     cleared, _ = polynomials._partial_fraction_tables(ctx)
-    terms, _ = polynomials._row_sum_x_tables(ctx)
-    assert len(cleared) == len(terms) == n
-    assert cleared[0] == terms[0] == CPoly.zero(ctx)
+    assert len(cleared) == n
+    assert cleared[0] == CPoly.zero(ctx)
     for r in range(1, n):
         assert cleared[r] == _direct_partial_fraction_term(ctx, r)
-        assert terms[r] == _direct_row_sum_x_term(ctx, r)
+    _assert_row_sum_x_reindexing(ctx, cleared)
 
 
 def test_cached_tables_from_a_fresh_context():
@@ -163,10 +172,23 @@ def test_cached_tables_from_a_fresh_context():
     assert row_sum_x_check(ctx) == [[True] * 7] * 7
     assert partial_fraction_check(ctx) == [True] * 7
     cleared, _ = polynomials._partial_fraction_tables(ctx)
-    terms, _ = polynomials._row_sum_x_tables(ctx)
     for r in range(1, 7):
         assert cleared[r] == _direct_partial_fraction_term(ctx, r)
-        assert terms[r] == _direct_row_sum_x_term(ctx, r)
+    _assert_row_sum_x_reindexing(ctx, cleared)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_twist_by_one_plus_x_zeta_is_a_shift_of_s(n):
+    # for any table t, the twisted sums of (1 + x*zeta^r) t_r, each formed by
+    # CPoly.__mul__, are S[s] + x*S[s - 1] with S the twisted sums of t
+    ctx = shared_context(n)
+    rng = random.Random(100 + n)
+    table = [CPoly(ctx, [random_element(ctx, rng) for _ in range(rng.randint(0, 3))])
+             for _ in range(n)]
+    twisted = [CPoly(ctx, [ctx.one(), ctx.zeta_pow(r)]) * t for r, t in enumerate(table)]
+    sums, direct = twisted_sums(table), twisted_sums(twisted)
+    for s in range(n):
+        assert direct[s] == sums[s] + sums[s - 1].shift(1)
 
 
 def test_each_check_builds_its_own_products(monkeypatch):
