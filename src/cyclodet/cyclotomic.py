@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .rationals import exact, format_rational
@@ -80,12 +80,51 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 #           256 < k <= 512: 51.0 -> 67.5;  k > 1024: 111 -> 567
 # Past 256 bits the zero-padded slots make the one product cost more than
 # the d^2 small ones, worst when one operand is much larger than the other.
-# No workload eliminates now; the packed products are ``charpoly``'s at
-# d = 10 and 12 (spectrum-eei, acceptance criterion 9).  Without the packed
-# path spectrum-eei wall_s went from 0.569-0.591 s to 0.606-0.623 s (4 of 4
-# pairs), criterion 9 from 0.6 s to 1.0 s, criteria 1-11 from 16.0 s to 18.4 s.
+# No workload's product takes the packed path any more: nothing eliminates,
+# and ``charpoly`` and ``matvec`` run in their own packed ring of ints.  On
+# the default grids of ``verify --identity all`` the only packed products
+# are the 290 per ``eei-*`` row of ``CPoly.evaluate(0)`` at n = 11 and 13;
+# the rest is the tests' eliminations up to n = 25.  The path is kept until
+# deleting it is measured against the acceptance criteria.
 _PACKED_MIN_DEGREE = 8
 _PACKED_MAX_SLOT_BITS = 256
+
+
+def _pack(coeffs, k: int) -> int:
+    """sum_j coeffs[j] * 2^(kj) by Horner's rule: the evaluation at x = 2^k
+    of the integer polynomial with those (signed) coefficients."""
+    p = 0
+    for c in reversed(coeffs):
+        p = (p << k) + c
+    return p
+
+
+def _unpack(value: int, k: int, count: int) -> list[int]:
+    """The signed digits c_0..c_(count-1) with value = sum_j c_j 2^(kj)
+    mod 2^(k*count) - 1, for every |c_j| < 2^(k-1).
+
+    With m = 2^(k*count) - 1 and the bias B = sum_j 2^(k-1) 2^(kj), the
+    integer T = sum_j (c_j + 2^(k-1)) 2^(kj) has every digit in
+    [1, 2^k - 1], so 1 <= T <= m, and T = value + B mod m.  So T is the
+    representative of value + B in [1, m], and its k-bit digits less
+    2^(k-1) are the c_j.  The bound is on the c_j, not on value, which may
+    be any representative mod m, so the reduction cannot be skipped; a
+    Kronecker product C(2^k) already has C(2^k) + B = T, which it leaves
+    unchanged.
+    """
+    m = (1 << (k * count)) - 1
+    half = 1 << (k - 1)
+    t = (value + m // ((1 << k) - 1) * half - 1) % m + 1
+    mask = (1 << k) - 1
+    return [((t >> s) & mask) - half for s in range(0, k * count, k)]
+
+
+def _lift(elems) -> tuple[int, list[list[int]]]:
+    """(D, lifts): D the lcm of the denominators of the field elements
+    ``elems``, and each lift the integer coordinates of D * e, so that
+    e = lift / D with every lift over the one denominator."""
+    den = lcm(*(e.den for e in elems))
+    return den, [[v * (den // e.den) for v in e.num] for e in elems]
 
 
 def _packed_product(a, b, k: int) -> list[int]:
@@ -95,24 +134,12 @@ def _packed_product(a, b, k: int) -> list[int]:
     bitlen(d).
 
     Evaluation at 2^k is a ring map Z[x] -> Z, so A(2^k) * B(2^k) = C(2^k)
-    for C = a * b, and Horner's rule computes A(2^k) exactly for signed
-    a_i.  Each c_j is a sum of at most d products a_i b_(j-i), so
+    for C = a * b, and ``_pack`` computes A(2^k) exactly for signed a_i.
+    Each c_j is a sum of at most d products a_i b_(j-i), so
     |c_j| <= d max|a_i| max|b_j| < 2^(bitlen(d) + bitlen(max|a_i|) +
-    bitlen(max|b_j|)) <= 2^(k-1).  Hence every digit c_j + 2^(k-1) of
-    C(2^k) + sum_j 2^(k-1) 2^(kj) lies in [1, 2^k): no slot overflows or
-    borrows, and the k-bit digits of that sum give c_j back.
+    bitlen(max|b_j|)) <= 2^(k-1), and ``_unpack`` reads the c_j back.
     """
-    pa = 0
-    for c in reversed(a):
-        pa = (pa << k) + c
-    pb = 0
-    for c in reversed(b):
-        pb = (pb << k) + c
-    m = 2 * len(a) - 1
-    half = 1 << (k - 1)
-    p = pa * pb + ((1 << (k * m)) - 1) // ((1 << k) - 1) * half
-    mask = (1 << k) - 1
-    return [((p >> s) & mask) - half for s in range(0, k * m, k)]
+    return _unpack(_pack(a, k) * _pack(b, k), k, 2 * len(a) - 1)
 
 
 def _reduce(ctx: CycloContext, v: list[int]) -> list[int]:

@@ -17,9 +17,8 @@ one n: ``row-sum-x`` reads its left side off those sums as S[s] + x*S[s - 1].
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .cyclotomic import CycloContext, CycloElem, _reduce
+from .cyclotomic import CycloContext, CycloElem, _lift, _reduce
 from .rationals import format_rational
 
 
@@ -227,9 +226,8 @@ def twisted_sums(table) -> list:
 def _twisted_element_sums(ctx: CycloContext, terms) -> list[CycloElem]:
     """``twisted_sums`` of the field elements terms = t[1..n-1]."""
     n, d = ctx.n, ctx.degree
-    den = lcm(*(t.den for t in terms))
-    lifts = [(r, [v * (den // t.den) for v in t.num] + [0] * (n - d))
-             for r, t in enumerate(terms, 1) if t]
+    den, lifted = _lift(terms)
+    lifts = [(r, lift + [0] * (n - d)) for r, lift in enumerate(lifted, 1) if any(lift)]
     sums = []
     for s in range(n):
         acc = [0] * n

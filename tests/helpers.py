@@ -7,6 +7,7 @@ from itertools import permutations
 from cyclodet.combinatorics import signed_product_sum
 from cyclodet.cyclotomic import CycloContext, CycloElem
 from cyclodet.linalg import CMatrix
+from cyclodet.polynomials import CPoly
 
 
 def random_element(ctx: CycloContext, rng, span: int = 3) -> CycloElem:
@@ -70,3 +71,31 @@ def add_scalar(m: CMatrix, x) -> CMatrix:
     that ``det_affine`` is checked against."""
     shift = m.ctx.from_rational(x)
     return CMatrix(m.ctx, [[m[r, c] + shift for c in range(m.cols)] for r in range(m.rows)])
+
+
+def _dot(xs, ys, ctx: CycloContext) -> CycloElem:
+    """Sum of the products of paired entries, skipping zero factors."""
+    acc = ctx.zero()
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
+def reference_charpoly(m: CMatrix) -> CPoly:
+    """det(x*I - M) by Berkowitz's algorithm over the field: the same
+    Toeplitz recursion as ``CMatrix.charpoly`` with field products and sums,
+    no lift and no packing."""
+    ctx, dim = m.ctx, m.rows
+    rows = m.row_lists()
+    poly = [ctx.one()]
+    for k in range(dim - 1, -1, -1):
+        sub = [r[k + 1:] for r in rows[k + 1:]]
+        row, col = rows[k][k + 1:], [r[k] for r in rows[k + 1:]]
+        toeplitz = [ctx.one(), -rows[k][k]]
+        for i in range(dim - k - 1):
+            if i:
+                col = [_dot(r, col, ctx) for r in sub]
+            toeplitz.append(-_dot(row, col, ctx))
+        poly = [_dot(toeplitz[i::-1], poly, ctx) for i in range(len(poly) + 1)]
+    return CPoly(ctx, poly[::-1])

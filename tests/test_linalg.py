@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet.cyclotomic import CycloElem, shared_context
-from cyclodet.identities import MatrixKind, build_matrix
+from cyclodet.cyclotomic import CycloElem, _pack, _unpack, shared_context
+from cyclodet.identities import MatrixKind, _cyclic_minor, build_matrix
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
 
@@ -16,6 +16,7 @@ from helpers import (
     perm_expansion_det,
     random_element,
     random_matrix,
+    reference_charpoly,
 )
 
 
@@ -138,20 +139,99 @@ def test_charpoly_matches_det_at_rational_points(dim):
             assert p.evaluate(c) == _shifted(m, c).det()
 
 
-def test_charpoly_is_division_free(monkeypatch):
-    # spectrum-eei is the benchmark's inverse-free control workload
-    rng = random.Random(11)
-    ctx = ctx5()
-    matrices = [*_shapes(ctx, rng, 5), build_matrix(MatrixKind.A, ctx, 5)]
+def _kind_matrices(n):
+    """Every kind's full matrix at n and its first cyclic minor (s19 only
+    where 1 + zeta^u never vanishes)."""
+    ctx = shared_context(n)
+    for kind in MatrixKind:
+        if kind is MatrixKind.S19 and n % 2 == 0:
+            continue
+        full = build_matrix(kind, ctx, n)
+        yield full
+        yield _cyclic_minor(full, 1)
 
-    def no_inverse(self):
-        raise AssertionError("charpoly called inverse")
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_charpoly_matches_field_berkowitz_on_every_kind(n):
+    for m in _kind_matrices(n):
+        assert m.charpoly() == reference_charpoly(m)
+
+
+@pytest.mark.parametrize("n", [5, 9, 10, 12])
+def test_charpoly_matches_field_berkowitz_on_random_shapes(n):
+    rng = random.Random(n)
+    ctx = shared_context(n)
+    for dim in (1, 2, 3, 5, 8):
+        for m in _shapes(ctx, rng, dim):
+            assert m.charpoly() == reference_charpoly(m)
+    wide = [random_matrix(ctx, rng, 4, span=10 ** 30) for _ in range(2)]
+    for m in wide:
+        assert m.charpoly() == reference_charpoly(m)
+
+
+def test_charpoly_of_empty_and_zero_matrices():
+    ctx = ctx5()
+    assert CMatrix(ctx, []).charpoly() == CPoly.one(ctx)
+    for dim in (1, 4):
+        zero = CMatrix(ctx, [[0] * dim for _ in range(dim)])
+        assert zero.charpoly() == CPoly.x_pow(ctx, dim)
+    assert CMatrix(ctx, []).matvec([]) == []
+    zero = CMatrix(ctx, [[0] * 3 for _ in range(2)])
+    assert zero.matvec([ctx.zeta(), 1, Fraction(1, 2)]) == [ctx.zero()] * 2
+
+
+def test_charpoly_is_division_free(monkeypatch):
+    # charpoly and matvec run on packed ints, with no field product and no
+    # inverse; spectrum-eei is the benchmark's inverse-free control workload
+    rng = random.Random(11)
+    ctx = shared_context(12)
+    matrices = [*_shapes(ctx, rng, 5), build_matrix(MatrixKind.A, ctx, 11)]
+    vecs = [[random_element(ctx, rng) for _ in range(m.cols)] for m in matrices]
+
+    def forbidden(*args):
+        raise AssertionError("a field product or inverse was called")
 
     with monkeypatch.context() as patch:
-        patch.setattr(CycloElem, "inverse", no_inverse)
+        for name in ("__mul__", "__rmul__", "inverse"):
+            patch.setattr(CycloElem, name, forbidden)
         polys = [m.charpoly() for m in matrices]
-    for m, p in zip(matrices, polys):
-        assert p.evaluate(2) == _shifted(m, 2).det()
+        products = [m.matvec(v) for m, v in zip(matrices, vecs)]
+    for m, v, p, w in zip(matrices, vecs, polys, products):
+        assert p == reference_charpoly(m)
+        assert w == [sum((e * ve for e, ve in zip(row, v)), ctx.zero()) for row in m.row_lists()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 61])
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_pack_unpack_round_trip(k, count):
+    # the ring Z/(2^(k*count) - 1) reads back every digit vector with
+    # |c_j| < 2^(k-1) from any representative, negative ones included
+    edge, inner = (1 << (k - 1)) - 1, max((1 << k >> 2) - 1, 0)  # 2^(k-1) - 1, 2^(k-2) - 1
+    m = (1 << (k * count)) - 1
+    rng = random.Random(k * 100 + count)
+    digits = [[0] * count, [edge] * count, [-edge] * count, [inner] * count, [-inner] * count,
+              [rng.randint(-edge, edge) for _ in range(count)],
+              [edge if j % 2 else -edge for j in range(count)]]
+    for c in digits:
+        packed = _pack(c, k)
+        for value in (packed, packed % m, packed - m, packed + 3 * m, packed - 5 * m):
+            assert _unpack(value, k, count) == c
+
+
+def test_unpack_folds_high_digits():
+    # x^count = 1 in the ring: a digit past the last slot adds onto slot 0
+    k = 6
+    assert _unpack(_pack([1, -2, 3, 4, -5], k), k, 3) == [1 + 4, -2 - 5, 3]
+
+
+def test_matvec_coerces_and_checks_entries():
+    ctx = ctx5()
+    m = CMatrix(ctx, [[1, ctx.zeta()], [Fraction(1, 2), 0]])
+    assert m.matvec([2, Fraction(1, 3)]) == [2 + ctx.zeta() * Fraction(1, 3), ctx.one()]
+    with pytest.raises(ValueError):
+        m.matvec([1, shared_context(7).zeta()])
+    with pytest.raises(TypeError):
+        m.matvec([1, 0.5])
 
 
 def test_matvec_identity():
