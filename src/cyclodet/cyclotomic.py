@@ -17,6 +17,14 @@ makes one big-int product; otherwise it takes the schoolbook convolution.  Eithe
 and only the powers x^d..x^(n-1) are reduced mod Phi_n: one row for prime
 n.  Twists by zeta^e and Galois maps are permutations in Z[x]/(x^n - 1)
 followed by the same reduction.
+
+The same packing, x -> 2^k, maps Z[x]/(x^n - 1) into the ring of ints
+Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is a rotation
+by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift`` to put the
+elements over one denominator).  That ring serves ``CMatrix.charpoly`` and
+``CMatrix.matvec``, and, with x-polynomial coefficients in each slot,
+``polynomials.twisted_sums`` and the x-product tables of
+``polynomials.prod_one_minus_x_zeta``.
 """
 
 from __future__ import annotations
@@ -80,12 +88,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 #           256 < k <= 512: 51.0 -> 67.5;  k > 1024: 111 -> 567
 # Past 256 bits the zero-padded slots make the one product cost more than
 # the d^2 small ones, worst when one operand is much larger than the other.
-# No workload's product takes the packed path any more: nothing eliminates,
-# and ``charpoly`` and ``matvec`` run in their own packed ring of ints.  On
-# the default grids of ``verify --identity all`` the only packed products
-# are the 290 per ``eei-*`` row of ``CPoly.evaluate(0)`` at n = 11 and 13;
-# the rest is the tests' eliminations up to n = 25.  The path is kept until
-# deleting it is measured against the acceptance criteria.
+# No product on the default grids of ``verify --identity all`` takes the
+# packed path any more: nothing eliminates, and ``charpoly``, ``matvec``,
+# ``twisted_sums`` and the x-product tables run in their own packed ring of
+# ints.  Its only traffic is the tests' eliminations up to n = 25.  The path
+# is kept until deleting it is measured against the acceptance criteria.
 _PACKED_MIN_DEGREE = 8
 _PACKED_MAX_SLOT_BITS = 256
 
@@ -117,6 +124,12 @@ def _unpack(value: int, k: int, count: int) -> list[int]:
     t = (value + m // ((1 << k) - 1) * half - 1) % m + 1
     mask = (1 << k) - 1
     return [((t >> s) & mask) - half for s in range(0, k * count, k)]
+
+
+def _rotate(p: int, shift: int, m: int) -> int:
+    """p * 2^shift mod m for m = 2^W - 1, 0 <= p < m and 0 <= shift < W:
+    the W-bit word p rotated left by shift bits, as 2^W = 1 mod m."""
+    return ((p << shift) & m) | (p >> (m.bit_length() - shift))
 
 
 def _lift(elems) -> tuple[int, list[list[int]]]:

@@ -388,7 +388,8 @@ def _eei(kind: MatrixKind, n: int):
         minor = _cyclic_minor(matrix, j)
         if minor not in charpolys:
             charpolys[minor] = minor.charpoly()
-        computed.append(charpolys[minor].evaluate(0))
+        coeffs = charpolys[minor].coeffs  # p_{M_j}(0) is the constant coefficient
+        computed.append(coeffs[0] if coeffs else matrix.ctx.zero())
     return {"size": n}, [target] * n, computed
 
 

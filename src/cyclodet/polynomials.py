@@ -7,18 +7,22 @@ trimmed, so the zero polynomial is the empty tuple and equality is structural.
 The ``partial-fraction`` and ``row-sum-x`` checks share one residue table,
 the cleared terms Q_r = (x - 1) P_r with
 P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'), built by multiplying out
-linear factors, each as a shift by x plus a twist by zeta^r, so with no field
-product and never by dividing 1 - x^n (that would assume the factorisation
-under test).  Each check makes one ``twisted_sums`` call over Q, all n twisted
-sums in one pass over Z[x]/(x^n - 1), and covers every s, or every (k, s), of
+linear factors and never by dividing 1 - x^n (that would assume the
+factorisation under test).  Each check makes one ``twisted_sums`` call over
+Q, all n twisted sums in one pass, and covers every s, or every (k, s), of
 one n: ``row-sum-x`` reads its left side off those sums as S[s] + x*S[s - 1].
+
+Both kernels run on plain ints, in the ring Z/(2^(k*w*n) - 1) that
+``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
+is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
+(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycloContext, CycloElem, _lift, _reduce
+from .cyclotomic import CycloContext, CycloElem, _lift, _pack, _reduce, _rotate, _unpack
 from .rationals import format_rational
 
 
@@ -115,10 +119,6 @@ class CPoly:
         without a field product."""
         return CPoly(self.ctx, [c * factor for c in self.coeffs])
 
-    def mul_zeta_pow(self, e: int) -> CPoly:
-        """Multiply by zeta^e, coefficient by coefficient."""
-        return CPoly(self.ctx, [c.mul_zeta_pow(e) for c in self.coeffs])
-
     def shift(self, k: int) -> CPoly:
         """Multiply by x^k, k >= 0; a negative k raises ValueError."""
         if k < 0:
@@ -183,17 +183,23 @@ def prod_one_minus_x_zeta(ctx: CycloContext, exclude=frozenset()) -> CPoly:
     """Product of (1 - x*zeta^r) over r in 0..n-1 outside ``exclude``.
 
     With nothing excluded this is 1 - x^n, since the zeta^r run over all
-    n-th roots of unity.
+    n-th roots of unity.  It is built in the packed ring of ``twisted_sums``
+    with x-width w = m + 1 and k = m + 2 for m kept factors (that docstring
+    proves the slots hold the product): each factor is one rotate-and-subtract
+    acc - acc * 2^(k + r*k*w), and the product is unpacked once.
     """
+    n = ctx.n
     exclude = set(exclude)
     for r in exclude:
-        if not 0 <= r < ctx.n:
+        if not 0 <= r < n:
             raise ValueError("excluded residues must lie in 0..n-1")
-    acc = CPoly.one(ctx)
-    for r in range(ctx.n):
-        if r not in exclude:
-            acc = acc - acc.shift(1).mul_zeta_pow(r)  # acc * (1 - x*zeta^r)
-    return acc
+    kept = [r for r in range(n) if r not in exclude]
+    k, w = len(kept) + 2, len(kept) + 1
+    modulus = (1 << (k * w * n)) - 1
+    acc = 1
+    for r in kept:
+        acc = (acc - _rotate(acc, k + r * k * w, modulus)) % modulus  # acc * (1 - x*zeta^r)
+    return CPoly(ctx, _x_coefficients(ctx, acc, k, w, 1))
 
 
 def twisted_sums(table) -> list:
@@ -202,40 +208,68 @@ def twisted_sums(table) -> list:
     coefficient in x); t[0] is skipped, and an entry from a context of
     another order than n = len(t) raises ValueError.
 
-    Phi_n divides x^n - 1, so reducing Z[x]/(x^n - 1) modulo Phi_n is a ring
-    map.  Each t[r] is lifted once over the common denominator; there a twist
-    by zeta^(-sr) is a rotation, so each s adds n - 1 rotations and reduces.
-
     Every row sum sum_{j=1..n, j != k} t[(j - k) mod n] * zeta^(-s(j - k))
     equals entry s: as j runs over j != k, r = (j - k) mod n runs over
     1..n-1 once each, and zeta^(-s(j - k)) = zeta^(-sr) as zeta^n = 1.
+
+    The sums run in the ring Z/(2^(k*w*n) - 1), w the x-width (the longest
+    t[r], at least 1; w = 1 for field elements).  Each t[r] is lifted once
+    over the common denominator D into Z[x, zeta]/(zeta^n - 1) of x-degree
+    < w, with slot u*w + j holding the coordinate of zeta^u * x^j, and
+    packed by x -> 2^k, zeta -> 2^(k*w): a ring map, since
+    zeta^n -> 2^(k*w*n) = 1.  A twist by zeta^(-sr) is then a rotation by
+    k*w*((-sr) mod n) bits, so each s sums n - 1 rotated ints, unpacks once
+    and reduces each x-coefficient mod Phi_n once; Phi_n divides
+    zeta^n - 1, so that reduction is a ring map too, and it must stay, as
+    the identities hold only at a primitive zeta.
+
+    Only the final digits must fit in the slots: the packing is a ring map,
+    so intermediate values may wrap, and ``_unpack`` reads back every digit
+    vector with all |digits| < 2^(k-1).
+    - Twisted sums: a rotation permutes the slots of one x-power, so each
+      digit of a sum is a sum of at most n - 1 lifted coordinates, each at
+      most B in absolute value: |digit| <= (n - 1) B < 2^(bitlen(B) +
+      bitlen(n - 1)) = 2^(k-1) for k = bitlen(B) + bitlen(n - 1) + 1.
+    - Products (``prod_one_minus_x_zeta``), of m kept factors with k = m + 2
+      and w = m + 1: a product of at most m factors has x-degree at most
+      m < w, so the shift by x (times 2^k) never moves a digit into the
+      next zeta block.  The coefficient of x^j is (-1)^j times the sum of
+      the C(m, j) monomials zeta^(r_1 + ... + r_j), so each digit is at
+      most C(m, j) <= 2^m < 2^(k-1) in absolute value.
     """
     n = len(table)
     terms = table[1:]
     if any(t.ctx.n != n for t in terms):
         raise ValueError("table entry from a context of another order")
     ctx = terms[0].ctx
-    if not isinstance(terms[0], CPoly):
-        return _twisted_element_sums(ctx, terms)
-    width = max(len(p.coeffs) for p in terms)
-    padded = [p.coeffs + (ctx.zero(),) * (width - len(p.coeffs)) for p in terms]
-    columns = [_twisted_element_sums(ctx, column) for column in zip(*padded)]
-    return [CPoly(ctx, [column[s] for column in columns]) for s in range(n)]
-
-
-def _twisted_element_sums(ctx: CycloContext, terms) -> list[CycloElem]:
-    """``twisted_sums`` of the field elements terms = t[1..n-1]."""
-    n, d = ctx.n, ctx.degree
-    den, lifted = _lift(terms)
-    lifts = [(r, lift + [0] * (n - d)) for r, lift in enumerate(lifted, 1) if any(lift)]
+    polys = isinstance(terms[0], CPoly)
+    rows = [t.coeffs if polys else (t,) for t in terms]
+    w = max(1, *map(len, rows))
+    den, lifts = _lift([c for row in rows for c in row])
+    bound = max((abs(v) for lift in lifts for v in lift), default=0)
+    k = bound.bit_length() + (n - 1).bit_length() + 1
+    modulus = (1 << (k * w * n)) - 1
+    coords = iter(lifts)
+    packed = []
+    for r, row in enumerate(rows, 1):
+        slots = [0] * (ctx.degree * w)
+        for j in range(len(row)):
+            slots[j::w] = next(coords)
+        if any(slots):
+            packed.append((r, _pack(slots, k) % modulus))
     sums = []
     for s in range(n):
-        acc = [0] * n
-        for r, lift in lifts:
-            m = s * r % n  # the rotation by -sr: acc[i] += lift[(i + sr) mod n]
-            acc = [a + b for a, b in zip(acc, lift[m:] + lift[:m])]
-        sums.append(CycloElem(ctx, _reduce(ctx, acc), den))
+        total = sum(_rotate(p, k * w * (-s * r % n), modulus) for r, p in packed)
+        coeffs = _x_coefficients(ctx, total, k, w, den)
+        sums.append(CPoly(ctx, coeffs) if polys else coeffs[0])
     return sums
+
+
+def _x_coefficients(ctx: CycloContext, value: int, k: int, w: int, den: int) -> list[CycloElem]:
+    """The coefficients c_0..c_(w-1) of x^0..x^(w-1), as field elements over
+    the denominator ``den``, of a value packed as in ``twisted_sums``."""
+    digits = _unpack(value, k, ctx.n * w)
+    return [CycloElem(ctx, _reduce(ctx, digits[j::w]), den) for j in range(w)]
 
 
 def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from cyclodet import polynomials
-from cyclodet.cyclotomic import CycloContext, shared_context
+from cyclodet.cyclotomic import CycloContext, CycloElem, shared_context
 from cyclodet.polynomials import (
     CPoly,
     geometric_sum,
@@ -84,7 +85,7 @@ def test_evaluate():
     assert p.evaluate(z) == ctx.one() + ctx.zeta_pow(2)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 41))
 def test_full_product_is_one_minus_x_to_n(n):
     ctx = shared_context(n)
     target = CPoly(ctx, [1] + [0] * (n - 1) + [-1])
@@ -259,11 +260,62 @@ def test_twisted_sums_reject_another_context():
         twisted_sums([CPoly.zero(ctx), CPoly.one(other), CPoly.one(ctx)])
 
 
-def test_mul_zeta_pow_is_the_scalar_product():
-    ctx = shared_context(5)
-    p = CPoly(ctx, [ctx.zeta(), Fraction(1, 2), 0, ctx.zeta_pow(3)])
-    for e in range(-6, 7):
-        assert p.mul_zeta_pow(e) == p.scale(ctx.zeta_pow(e))
+@pytest.mark.parametrize("n", range(2, 16))
+@pytest.mark.parametrize("bits", [1, 5, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_twisted_sums_at_the_slot_width(n, bits, sign):
+    # every lifted coordinate is sign * (2^bits - 1), so at s = 0 a digit of
+    # the sum is (n - 1)(2^bits - 1), as wide as the slot width allows
+    ctx = shared_context(n)
+    top = ctx.from_coeffs([sign * (2 ** bits - 1)] * ctx.degree)
+    elements = [top] * n
+    polys = [CPoly(ctx, [top] * (1 + r % 3)) for r in range(n)]  # lengths 1, 2, 3
+    for table, zero in ((elements, ctx.zero()), (polys, CPoly.zero(ctx))):
+        sums = twisted_sums(table)
+        for s in range(n):
+            assert sums[s] == _direct_row_sum(ctx, table, 1, s, zero)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_twisted_sums_of_zero_tables(n):
+    ctx = shared_context(n)
+    assert twisted_sums([ctx.zero()] * n) == [ctx.zero()] * n
+    assert twisted_sums([CPoly.zero(ctx)] * n) == [CPoly.zero(ctx)] * n
+    one = [CPoly.one(ctx)] + [CPoly.zero(ctx)] * (n - 1)  # t[0] is skipped
+    assert twisted_sums(one) == [CPoly.zero(ctx)] * n
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_products_equal_their_multiplied_factors(n):
+    ctx = shared_context(n)
+    for size in range(n + 1):
+        for exclude in combinations(range(n), size):
+            direct = CPoly.one(ctx)
+            for r in range(n):
+                if r not in exclude:
+                    direct = direct * CPoly(ctx, [ctx.one(), -ctx.zeta_pow(r)])
+            assert prod_one_minus_x_zeta(ctx, exclude=set(exclude)) == direct
+
+
+def test_kernels_make_no_field_operation(monkeypatch):
+    ctx = shared_context(12)
+    rng = random.Random(12)
+    elements = [random_element(ctx, rng) for _ in range(12)]
+    polys = [CPoly(ctx, [random_element(ctx, rng) for _ in range(r % 4)]) for r in range(12)]
+    expected = ([_direct_row_sum(ctx, elements, 1, s, ctx.zero()) for s in range(12)],
+                [_direct_row_sum(ctx, polys, 1, s, CPoly.zero(ctx)) for s in range(12)],
+                _direct_partial_product(ctx, 5))
+
+    def refuse(*args):
+        raise AssertionError("field operation in a packed kernel")
+
+    for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "mul_zeta_pow"):
+        monkeypatch.setattr(CycloElem, attr, refuse)
+    computed = (twisted_sums(elements), twisted_sums(polys),
+                prod_one_minus_x_zeta(ctx, exclude={0, 5}))
+    monkeypatch.undo()
+    assert computed == expected
 
 
 def test_render():
