@@ -9,22 +9,19 @@ coordinates are Fractions (see ``CycloElem.coeffs``).  Inverses go through
 the field norm N(a) = prod_t sigma_t(a), a product of Galois conjugates that
 stays in integer arithmetic (see ``CycloElem.inverse``).
 
-A product multiplies the numerators as integer polynomials.  From degree
-``_PACKED_MIN_DEGREE`` up, while the coefficients are small enough, it packs
-each numerator into one int with k-bit slots (Kronecker substitution) and
-makes one big-int product; otherwise it takes the schoolbook convolution.  Either way the
-2d - 1 coefficients are folded into Z[x]/(x^n - 1), where x^(n+i) = x^i,
-and only the powers x^d..x^(n-1) are reduced mod Phi_n: one row for prime
-n.  Twists by zeta^e and Galois maps are permutations in Z[x]/(x^n - 1)
-followed by the same reduction.
+A product multiplies the numerators as integer polynomials by the
+schoolbook convolution.  The 2d - 1 coefficients are folded into
+Z[x]/(x^n - 1), where x^(n+i) = x^i, and only the powers x^d..x^(n-1) are
+reduced mod Phi_n: one row for prime n.  Twists by zeta^e and Galois maps
+are permutations in Z[x]/(x^n - 1) followed by the same reduction.
 
-The same packing, x -> 2^k, maps Z[x]/(x^n - 1) into the ring of ints
-Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is a rotation
-by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift`` to put the
-elements over one denominator).  That ring serves ``CMatrix.charpoly`` and
-``CMatrix.matvec``, and, with x-polynomial coefficients in each slot,
-``polynomials.twisted_sums`` and the x-product tables of
-``polynomials.prod_one_minus_x_zeta``.
+Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
+ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
+a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
+to put the elements over one denominator).  That ring serves
+``CMatrix.charpoly`` and ``CMatrix.matvec``, and, with x-polynomial
+coefficients in each slot, ``polynomials.twisted_sums`` and the x-product
+tables of ``polynomials.prod_one_minus_x_zeta``.
 """
 
 from __future__ import annotations
@@ -74,29 +71,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# Crossover of the two integer-polynomial products in ``CycloElem.__mul__``:
-# the packed product runs from degree _PACKED_MIN_DEGREE up while its slot
-# width k stays within _PACKED_MAX_SLOT_BITS; elsewhere the schoolbook
-# convolution is faster.  Set on operands recorded from the det-grid
-# eliminations of the time, product plus reduction, mean microseconds per
-# product (schoolbook -> packed; Python 3.11.7, 2 vCPUs of an Intel Xeon):
-#   d = 6,  k <= 32: 7.5 -> 7.8 (7,919 products; d <= 6 is every cli-all n)
-#   d = 8,  k <= 32: 16.4 -> 14.4;  128 < k <= 256: 34.7 -> 31.0;
-#           256 < k <= 512: 39.3 -> 55.0
-#   d = 10, k <= 32: 12.5 -> 10.4;  256 < k <= 512: 27.5 -> 46.5
-#   d = 16, 32 < k <= 64: 56.9 -> 26.1;  128 < k <= 256: 49.9 -> 38.3;
-#           256 < k <= 512: 51.0 -> 67.5;  k > 1024: 111 -> 567
-# Past 256 bits the zero-padded slots make the one product cost more than
-# the d^2 small ones, worst when one operand is much larger than the other.
-# No product on the default grids of ``verify --identity all`` takes the
-# packed path any more: nothing eliminates, and ``charpoly``, ``matvec``,
-# ``twisted_sums`` and the x-product tables run in their own packed ring of
-# ints.  Its only traffic is the tests' eliminations up to n = 25.  The path
-# is kept until deleting it is measured against the acceptance criteria.
-_PACKED_MIN_DEGREE = 8
-_PACKED_MAX_SLOT_BITS = 256
-
-
 def _pack(coeffs, k: int) -> int:
     """sum_j coeffs[j] * 2^(kj) by Horner's rule: the evaluation at x = 2^k
     of the integer polynomial with those (signed) coefficients."""
@@ -115,9 +89,7 @@ def _unpack(value: int, k: int, count: int) -> list[int]:
     [1, 2^k - 1], so 1 <= T <= m, and T = value + B mod m.  So T is the
     representative of value + B in [1, m], and its k-bit digits less
     2^(k-1) are the c_j.  The bound is on the c_j, not on value, which may
-    be any representative mod m, so the reduction cannot be skipped; a
-    Kronecker product C(2^k) already has C(2^k) + B = T, which it leaves
-    unchanged.
+    be any representative mod m, so the reduction cannot be skipped.
     """
     m = (1 << (k * count)) - 1
     half = 1 << (k - 1)
@@ -138,21 +110,6 @@ def _lift(elems) -> tuple[int, list[list[int]]]:
     e = lift / D with every lift over the one denominator."""
     den = lcm(*(e.den for e in elems))
     return den, [[v * (den // e.den) for v in e.num] for e in elems]
-
-
-def _packed_product(a, b, k: int) -> list[int]:
-    """The 2d - 1 coefficients of the product of the integer polynomials a
-    and b (d coefficients each) from one big-int product (Kronecker
-    substitution), with k - 1 >= bitlen(max|a_i|) + bitlen(max|b_j|) +
-    bitlen(d).
-
-    Evaluation at 2^k is a ring map Z[x] -> Z, so A(2^k) * B(2^k) = C(2^k)
-    for C = a * b, and ``_pack`` computes A(2^k) exactly for signed a_i.
-    Each c_j is a sum of at most d products a_i b_(j-i), so
-    |c_j| <= d max|a_i| max|b_j| < 2^(bitlen(d) + bitlen(max|a_i|) +
-    bitlen(max|b_j|)) <= 2^(k-1), and ``_unpack`` reads the c_j back.
-    """
-    return _unpack(_pack(a, k) * _pack(b, k), k, 2 * len(a) - 1)
 
 
 def _reduce(ctx: CycloContext, v: list[int]) -> list[int]:
@@ -341,11 +298,9 @@ class CycloElem:
     def __mul__(self, other):
         """Product in Q(zeta_n).
 
-        The numerators are multiplied as integer polynomials: by the
-        schoolbook convolution, or, from degree ``_PACKED_MIN_DEGREE`` up
-        while the slots stay within ``_PACKED_MAX_SLOT_BITS``, by one packed
-        big-int product (``_packed_product``).  The 2d - 1 coefficients are
-        then folded into Z[x]/(x^n - 1) and reduced mod Phi_n (``_reduce``).
+        The numerators are multiplied as integer polynomials by the
+        schoolbook convolution; the 2d - 1 coefficients are then folded into
+        Z[x]/(x^n - 1) and reduced mod Phi_n (``_reduce``).
         """
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
@@ -355,13 +310,8 @@ class CycloElem:
         if other is None:
             return NotImplemented
         ctx = self.ctx
-        d = ctx.degree
         a, b = self.num, other.num
-        if d >= _PACKED_MIN_DEGREE:
-            k = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + d.bit_length() + 1
-            if k <= _PACKED_MAX_SLOT_BITS:
-                return CycloElem(ctx, _reduce(ctx, _packed_product(a, b, k)), self.den * other.den)
-        conv = [0] * (2 * d - 1)
+        conv = [0] * (2 * ctx.degree - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):

@@ -373,8 +373,8 @@ def _eei(kind: MatrixKind, n: int):
     j = 1..n, charpoly of the j-th principal minor evaluated at 0 equals
     (1/n) prod (0 - lambda) over the nonzero eigenvalues, 1/n being the
     squared modulus of every component of the zero-eigenvalue eigenvector.
-    The minor is ``_cyclic_minor(M, j)`` = P M_j P^T, and a charpoly is
-    reused only for a minor equal to an earlier one entry for entry, so a
+    The minor is ``_cyclic_minor(M, j)`` = P M_j P^T, and the first minor's
+    charpoly is reused for every minor equal to it entry for entry, so a
     circulant matrix costs one charpoly and any other matrix n."""
     others = spectrum(kind, n)
     others.remove(Fraction(0))  # exactly one zero eigenvalue for odd n
@@ -382,13 +382,13 @@ def _eei(kind: MatrixKind, n: int):
     for lam in others:
         target *= -lam
     matrix = build_matrix(kind, shared_context(n), n)
-    charpolys: dict[CMatrix, CPoly] = {}
+    first = _cyclic_minor(matrix, 1)
+    first_charpoly = first.charpoly()
     computed = []
     for j in range(1, n + 1):
         minor = _cyclic_minor(matrix, j)
-        if minor not in charpolys:
-            charpolys[minor] = minor.charpoly()
-        coeffs = charpolys[minor].coeffs  # p_{M_j}(0) is the constant coefficient
+        charpoly = first_charpoly if minor == first else minor.charpoly()
+        coeffs = charpoly.coeffs  # p_{M_j}(0) is the constant coefficient
         computed.append(coeffs[0] if coeffs else matrix.ctx.zero())
     return {"size": n}, [target] * n, computed
 
