@@ -14,10 +14,8 @@ from .linalg import CMatrix
 from .combinatorics import (
     GuardrailExceeded,
     derangement_count,
-    derangements,
     double_factorial,
     factorial,
-    perm_sign,
     signed_derangement_sum,
 )
 from .identities import IdentityReport, MatrixKind, build_matrix
@@ -33,12 +31,10 @@ __all__ = [
     "build_matrix",
     "cyclotomic_polynomial",
     "derangement_count",
-    "derangements",
     "double_factorial",
     "factorial",
     "format_rational",
     "parse_rational",
-    "perm_sign",
     "prod_one_minus_x_zeta",
     "partial_fraction_check",
     "rational",

@@ -308,7 +308,7 @@ def _det(name: str, n: int, oracle: bool = False, force: bool = False):
     """The ``DETS[name]`` closed form at odd n, computed from the spectrum of
     the kind's circulant by ``circulant_block_det``, with no matrix and no
     elimination.  With ``oracle`` on a row that supports it, also recovers
-    the value term by term from the signed derangement sum of the expanded
+    the value from the paper's signed derangement sum over the expanded
     block at sizes up to ``combinatorics.SIGNED_SUM_GUARDRAIL`` unless
     forced: a zero diagonal restricts the Leibniz expansion to
     derangements."""

@@ -1,10 +1,10 @@
 """Random elements and matrices for the property tests, a Hermitian test,
-and the slow reference constructions the fast paths are checked against."""
+and the slow reference constructions the fast paths are checked against,
+among them the Leibniz expansion over permutations and derangements."""
 
 from fractions import Fraction
 from itertools import permutations
 
-from cyclodet.combinatorics import signed_product_sum
 from cyclodet.cyclotomic import CycloContext, CycloElem
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
@@ -46,6 +46,59 @@ def is_hermitian(m: CMatrix) -> bool:
         return False
     return all(m[r, c] == m[c, r].conjugate()
                for r in range(m.rows) for c in range(r, m.cols))
+
+
+def derangements(m: int):
+    """Yield the fixed-point-free permutations of 1..m, each exactly once,
+    in lexicographic order of image tuples."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    for perm in permutations(range(1, m + 1)):
+        if all(img != pos for pos, img in enumerate(perm, start=1)):
+            yield perm
+
+
+def perm_sign(perm: tuple[int, ...]) -> int:
+    """Parity via cycle decomposition: (-1)^(m - number of cycles)."""
+    m = len(perm)
+    seen = [False] * m
+    cycles = 0
+    for start in range(m):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j] - 1
+    return 1 if (m - cycles) % 2 == 0 else -1
+
+
+def signed_product_sum(matrix: CMatrix, perms) -> CycloElem:
+    """Sum over the 1-based permutations ``perms`` of
+    sign(p) * prod_j M[j, p(j)]: the Leibniz determinant expansion,
+    restricted to ``perms``, with field products."""
+    ctx = matrix.ctx
+    total = ctx.zero()
+    data, cols = matrix.data, matrix.cols
+    for perm in perms:
+        prod = ctx.one()
+        for j, img in enumerate(perm):
+            e = data[j * cols + (img - 1)]
+            if not e:
+                break
+            prod = prod * e
+        else:
+            if perm_sign(perm) == 1:
+                total = total + prod
+            else:
+                total = total - prod
+    return total
+
+
+def leibniz_derangement_sum(m: CMatrix) -> CycloElem:
+    """The paper's signed derangement sum term by term: the reference for
+    ``combinatorics.signed_derangement_sum``."""
+    return signed_product_sum(m, derangements(m.rows))
 
 
 def perm_expansion_det(m: CMatrix) -> CycloElem:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -8,17 +9,21 @@ from hypothesis import given, strategies as st
 from cyclodet.combinatorics import (
     GuardrailExceeded,
     derangement_count,
-    derangements,
     double_factorial,
     factorial,
-    perm_sign,
     signed_derangement_sum,
 )
 from cyclodet.cyclotomic import shared_context
-from cyclodet.identities import MatrixKind, build_matrix
+from cyclodet.identities import _KINDS, DETS, MatrixKind, build_matrix, circulant, residue_table
 from cyclodet.linalg import CMatrix
 
-from helpers import random_matrix
+from helpers import (
+    derangements,
+    leibniz_derangement_sum,
+    perm_sign,
+    random_element,
+    random_matrix,
+)
 
 
 def _identity(ctx, dim):
@@ -123,7 +128,7 @@ def test_signed_sum_dimension_one():
 
 def test_signed_sum_guardrail(monkeypatch):
     ctx = shared_context(3)
-    big = _identity(ctx, 11)
+    big = _identity(ctx, 13)
     with pytest.raises(GuardrailExceeded):
         signed_derangement_sum(big)
     assert isinstance(GuardrailExceeded("x"), ValueError)
@@ -133,3 +138,66 @@ def test_signed_sum_guardrail(monkeypatch):
     with pytest.raises(GuardrailExceeded):
         signed_derangement_sum(hollow)
     assert signed_derangement_sum(hollow, force=True) == hollow.det()
+
+
+def _hollow(m):
+    return CMatrix(m.ctx, [[0 if r == c else m[r, c] for c in range(m.cols)]
+                           for r in range(m.rows)])
+
+
+@lru_cache(maxsize=None)
+def _reference(hollow):
+    # the Leibniz sum never reads the diagonal, so kinds that differ only
+    # there share one reference
+    return leibniz_derangement_sum(hollow)
+
+
+@pytest.mark.parametrize("dim", range(9))
+def test_recursion_matches_leibniz_on_every_kind(dim):
+    # the leading dim x dim block of each kind at the least odd n >= 3 with
+    # n - 1 >= dim; the kinds with a nonzero diagonal must ignore it
+    n = max(3, dim + 1 + dim % 2)
+    ctx = shared_context(n)
+    for kind in _KINDS:
+        block = build_matrix(kind, ctx, n - 1)
+        m = CMatrix(ctx, [[block[r, c] for c in range(dim)] for r in range(dim)])
+        assert signed_derangement_sum(m) == _reference(_hollow(m)), (kind, dim)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 12])
+def test_recursion_ignores_a_nonzero_diagonal(n):
+    rng = random.Random(n)
+    ctx = shared_context(n)
+    for dim in range(1, 7):
+        m = random_matrix(ctx, rng, dim)
+        diagonal = [random_element(ctx, rng) or ctx.one() for _ in range(dim)]
+        m = CMatrix(ctx, [[diagonal[r] if r == c else m[r, c] for c in range(dim)]
+                          for r in range(dim)])
+        assert signed_derangement_sum(m) == leibniz_derangement_sum(m), (n, dim)
+        assert signed_derangement_sum(m) == signed_derangement_sum(_hollow(m))
+
+
+@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("name", ["a-det", "c-det"])
+def test_recursion_matches_the_closed_form(name, n):
+    det = DETS[name]
+    ctx = shared_context(n)
+    m = circulant(ctx, residue_table(det.kind, ctx), n - 1)
+    assert signed_derangement_sum(m) == det.value(n)
+
+
+@pytest.mark.parametrize("n", [3, 7, 9])
+def test_recursion_slot_width_at_the_bound(n):
+    # at dimension 2 the sum is -L01 L10; with monomial entries its one
+    # nonzero coordinate is the slot bound prod_i sum_(j != i) ||L_ij||_1
+    ctx = shared_context(n)
+    degree = ctx.degree
+    for num01, num10, den01, den10 in [(2 ** 20 - 1, -(2 ** 19 + 1), 3, 5),
+                                       (-(2 ** 31), -(2 ** 31), 1, 1),
+                                       (1, 1, 1, 1), (7, 9, 2, 4)]:
+        e01 = ctx.from_coeffs([Fraction(num01, den01) if i == degree - 1 else 0
+                               for i in range(degree)])
+        e10 = ctx.from_coeffs([Fraction(num10, den10) if i == degree // 2 else 0
+                               for i in range(degree)])
+        m = CMatrix(ctx, [[5, e01], [e10, -3]])
+        assert signed_derangement_sum(m) == -(e01 * e10), (n, num01, num10)

@@ -185,9 +185,13 @@ def test_a_det_with_oracle():
     assert "derangement sum 9/5" in report.computed
 
 
-def test_oracle_cutoff_above_nine():
-    # the factorial-cost cross-check stays off past n = 9 unless forced
-    report = run_identity("a-det", 11, oracle=True)
+def test_oracle_cutoff_above_thirteen():
+    # the exponential-cost cross-check runs to n = 13 and stays off past it
+    # unless forced
+    report = run_identity("a-det", 13, oracle=True)
+    assert report.passed and report.params["oracle"] is True
+    assert "derangement sum" in report.computed
+    report = run_identity("a-det", 15, oracle=True)
     assert report.passed and report.params["oracle"] is False
     assert "derangement" not in report.computed
 
