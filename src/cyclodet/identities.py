@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 
 from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
@@ -38,7 +38,7 @@ from .cyclotomic import (CycloContext, CycloElem, inv_one_minus_zeta, inv_one_pl
 from .linalg import CMatrix
 from . import polynomials
 from .polynomials import CPoly, twisted_sums
-from .rationals import format_rational
+from .rationals import exact, format_rational
 
 
 class MatrixKind(Enum):
@@ -181,12 +181,19 @@ def spectrum(kind: MatrixKind, n: int) -> list[Fraction]:
 
 
 def spectrum_poly(ctx: CycloContext, roots) -> CPoly:
-    """prod (x - root) over the rational roots, each factor a shift and a
-    rational scaling: acc * (x - root) = x*acc - root*acc."""
-    acc = CPoly.one(ctx)
-    for root in roots:
-        acc = acc.shift(1) - acc.scale(root)
-    return acc
+    """prod (x - root) over the m rational roots, expanded over the ints
+    and built once, with no field operation.  With d the lcm of the
+    denominators and a_i = d*root_i, prod (y - a_i) = sum_j c_j y^j has int
+    coefficients, and y = d*x gives prod (x - root_i) = d^-m prod (y - a_i),
+    so the coefficient of x^j is c_j / d^(m-j)."""
+    roots = [exact(r) for r in roots]
+    d = lcm(*(r.denominator for r in roots))
+    coeffs = [1]  # lowest degree first
+    for r in roots:
+        a = r.numerator * (d // r.denominator)
+        coeffs = [low - a * c for low, c in zip([0, *coeffs], [*coeffs, 0])]  # times (y - a)
+    m = len(roots)
+    return CPoly(ctx, [Fraction(c, d ** (m - j)) for j, c in enumerate(coeffs)])
 
 
 # -- reports ----------------------------------------------------------------
@@ -341,17 +348,40 @@ def _charpoly(kind: MatrixKind, n: int):
 # -- eigenpairs and the eigenvector-eigenvalue identity ----------------------
 
 
+def twisted_products(matrix: CMatrix) -> list[list[CycloElem]]:
+    """[M v(s) for s = 1..n], v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns), for
+    any matrix M over Q(zeta_n) with n columns, from one ``twisted_sums``
+    pass (which rejects another column count).
+
+    (M v(s))_j = sum_c m_jc zeta^(-(c+1)s), so with T[r] = column r - 1 of
+    M for r = 1..n-1 and T[0] = column n - 1 (zeta^(-ns) = 1), M v(s) is
+    T[0] + twisted_sums(T)[s mod n].  Each column is a CPoly whose x^j
+    coefficient is m_jc, so the x-slot indexes the row and the tail that
+    CPoly trims is padded back with zeros.  Each entry is lifted and packed
+    once, with n^2 rotations in place of the n^3 big-int products of n
+    ``matvec`` calls; nothing assumes M circulant."""
+    ctx, n = matrix.ctx, matrix.cols
+    table = [CPoly(ctx, matrix.data[(r - 1) % n::n]) for r in range(n)]  # column r - 1
+    sums = twisted_sums(table)
+    products = []
+    for s in range(1, n + 1):
+        coeffs = (table[0] + sums[s % n]).coeffs
+        products.append([*coeffs, *[ctx.zero()] * (matrix.rows - len(coeffs))])
+    return products
+
+
 def _eigenpairs(kind: MatrixKind, n: int):
     """For every s = 1..n reads mu_s off M v(s) and compares it with the
     label of ``spectrum`` (mu_s is None when v(s) is not an eigenvector),
     and compares charpoly(M) with the product over the spectrum (the
-    multiset cross-check)."""
+    multiset cross-check).  All n products M v(s) come from one
+    ``twisted_products`` pass, which holds for any matrix, so a matrix
+    that is not circulant fails the check rather than being assumed away."""
     lams = spectrum(kind, n)
     ctx = shared_context(n)
     matrix = build_matrix(kind, ctx, n)
     mus = []
-    for s in range(1, n + 1):
-        w = matrix.matvec([ctx.zeta_pow(-k * s) for k in range(1, n + 1)])
+    for s, w in enumerate(twisted_products(matrix), 1):
         mu = w[0].mul_zeta_pow(s)  # v(s) starts with zeta^-s
         eigen = all(wk == mu.mul_zeta_pow(-k * s) for k, wk in enumerate(w, 1))
         mus.append(mu if eigen else None)

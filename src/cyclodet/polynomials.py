@@ -230,6 +230,8 @@ def twisted_sums(table) -> list:
       digit of a sum is a sum of at most n - 1 lifted coordinates, each at
       most B in absolute value: |digit| <= (n - 1) B < 2^(bitlen(B) +
       bitlen(n - 1)) = 2^(k-1) for k = bitlen(B) + bitlen(n - 1) + 1.
+      The x-slot may index the rows of a matrix instead of the powers of
+      x (``identities.twisted_products``); the proof is unchanged.
     - Products (``prod_one_minus_x_zeta``), of m kept factors with k = m + 2
       and w = m + 1: a product of at most m factors has x-degree at most
       m < w, so the shift by x (times 2^k) never moves a digit into the

@@ -152,3 +152,13 @@ def reference_charpoly(m: CMatrix) -> CPoly:
             toeplitz.append(-_dot(row, col, ctx))
         poly = [_dot(toeplitz[i::-1], poly, ctx) for i in range(len(poly) + 1)]
     return CPoly(ctx, poly[::-1])
+
+
+def reference_spectrum_poly(ctx: CycloContext, roots) -> CPoly:
+    """prod (x - root) over the rational roots with field operations, one
+    shift and one rational scaling per factor: acc * (x - root) =
+    x*acc - root*acc.  The reference for ``identities.spectrum_poly``."""
+    acc = CPoly.one(ctx)
+    for root in roots:
+        acc = acc.shift(1) - acc.scale(root)
+    return acc

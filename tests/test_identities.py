@@ -29,11 +29,13 @@ from cyclodet.identities import (
     spectrum,
     spectrum_poly,
     tilde_a_det_value,
+    twisted_products,
 )
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly, prod_one_minus_x_zeta
 
-from helpers import add_scalar, is_hermitian, minor_delete, random_matrix
+from helpers import (add_scalar, is_hermitian, minor_delete, random_element, random_matrix,
+                     reference_spectrum_poly)
 
 
 def test_build_ratio_matrix_entries():
@@ -143,6 +145,30 @@ def test_tables_and_linear_factors_make_no_field_product(monkeypatch):
         for kind in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I, MatrixKind.TWO_C):
             spectrum_poly(ctx, spectrum(kind, n))
     assert products == 0
+
+
+def test_spectrum_poly_matches_the_field_expansion():
+    # mixed denominators with negative, zero and repeated roots
+    ctx = shared_context(6)
+    for roots in ([Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 4), Fraction(-2, 3), -3],
+                  [0, 0, Fraction(-7, 6)], [Fraction(3, 10), Fraction(-1, 15), 2, 2],
+                  [Fraction(-1, 2)] * 5, [7]):
+        assert spectrum_poly(ctx, roots) == reference_spectrum_poly(ctx, roots), roots
+    assert spectrum_poly(ctx, []) == CPoly.one(ctx) == reference_spectrum_poly(ctx, [])
+    with pytest.raises(TypeError):
+        spectrum_poly(ctx, [0.5])
+
+
+def test_spectrum_poly_matches_the_field_expansion_on_every_claimed_spectrum():
+    # the spectra of the charpoly rows (c1, two-c) and the eigen rows (a, b, c1)
+    for n in range(2, 14):
+        ctx = shared_context(n)
+        kinds = [MatrixKind.C_PLUS_I, MatrixKind.TWO_C]
+        if n % 2:
+            kinds += [MatrixKind.A, MatrixKind.B]
+        for kind in kinds:
+            lams = spectrum(kind, n)
+            assert spectrum_poly(ctx, lams) == reference_spectrum_poly(ctx, lams), (kind, n)
 
 
 @pytest.mark.parametrize("kind", list(MatrixKind))
@@ -509,6 +535,73 @@ def _non_circulant(n):
     m = random_matrix(shared_context(n), random.Random(n), n)
     assert m != CMatrix(m.ctx, [[m[0, (c - r) % n] for c in range(n)] for r in range(n)])
     return m
+
+
+def _products_by_matvec(m):
+    ctx, n = m.ctx, m.cols
+    return [m.matvec([ctx.zeta_pow(-k * s) for k in range(1, n + 1)]) for s in range(1, n + 1)]
+
+
+def test_twisted_products_match_matvec():
+    # square matrices, circulant or not, with mixed denominators and
+    # nonzero diagonals
+    for n in range(2, 10):
+        ctx = shared_context(n)
+        for m in (_non_circulant(n), random_matrix(ctx, random.Random(100 + n), n, span=9)):
+            assert len({e.den for e in m.data}) > 1 and any(m[j, j] for j in range(n))
+            assert twisted_products(m) == _products_by_matvec(m), n
+        # n columns and any number of rows; another column count is refused
+        rng = random.Random(n)
+        tall = CMatrix(ctx, [[random_element(ctx, rng) for _ in range(n)] for _ in range(n + 2)])
+        assert twisted_products(tall) == _products_by_matvec(tall), n
+        with pytest.raises(ValueError):
+            twisted_products(random_matrix(ctx, rng, n + 1))
+
+
+def test_twisted_products_at_the_slot_width():
+    # every lifted coordinate is +-(2^b - 1), so the digits of the twisted
+    # sums reach (n - 1)(2^b - 1), the bound the slot width is set by
+    edge = (1 << 40) - 1
+    for n in range(2, 10):
+        ctx = shared_context(n)
+        rng = random.Random(n)
+        for signs in ([edge], [-edge], [edge, -edge]):
+            m = CMatrix(ctx, [[ctx.from_coeffs([rng.choice(signs) for _ in range(ctx.degree)])
+                               for _ in range(n)] for _ in range(n)])
+            assert twisted_products(m) == _products_by_matvec(m), (n, signs)
+
+
+def test_eigenpairs_make_no_matvec_call(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("matvec was called")
+
+    monkeypatch.setattr(CMatrix, "matvec", forbidden)
+    for kind in ("a", "b", "c1"):
+        assert run_identity(f"eigen-{kind}", 7).passed
+
+
+def test_eigenpairs_read_a_non_circulant_matrix(monkeypatch):
+    # A plus zeta^((c+1)t) on row 0, column c: v(s) stays an eigenvector for
+    # s != t, as sum_k zeta^(k(t-s)) = 0, but not for s = t
+    n, t = 5, 2
+    ctx = shared_context(n)
+    a = build_matrix(MatrixKind.A, ctx, n)
+    rows = a.row_lists()
+    rows[0] = [e + ctx.zeta_pow((c + 1) * t) for c, e in enumerate(rows[0])]
+    m = CMatrix(ctx, rows)
+    assert m != a and m[0, 1] != m[1, 2]
+    monkeypatch.setattr(identities, "build_matrix", lambda kind, ctx, size: m)
+    _, _, (mus, _) = identities._eigenpairs(MatrixKind.A, n)
+    by_matvec = []
+    for s, w in enumerate(_products_by_matvec(m), 1):
+        mu = w[0].mul_zeta_pow(s)
+        by_matvec.append(mu if all(wk == mu.mul_zeta_pow(-k * s) for k, wk in enumerate(w, 1))
+                         else None)
+    assert mus == by_matvec
+    lams = spectrum(MatrixKind.A, n)
+    assert mus == [None if s == t else lam for s, lam in enumerate(lams, 1)]
+    report = run_identity("eigen-a", n)
+    assert not report.passed and report.first_difference == f"[0][{t - 1}]"
 
 
 def test_cyclic_minor_has_the_charpoly_of_the_deleted_minor():
