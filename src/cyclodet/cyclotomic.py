@@ -19,9 +19,9 @@ Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
 ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
 a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
 to put the elements over one denominator).  That ring serves
-``CMatrix.charpoly`` and ``CMatrix.matvec``, and, with x-polynomial
-coefficients in each slot, ``polynomials.twisted_sums`` and the x-product
-tables of ``polynomials.prod_one_minus_x_zeta``.
+``CMatrix.charpoly`` and, with x-polynomial coefficients in each slot,
+``polynomials.twisted_sums`` and the x-product tables of
+``polynomials.prod_one_minus_x_zeta``.
 """
 
 from __future__ import annotations
@@ -331,36 +331,6 @@ class CycloElem:
             return self
         v = list(self.num) + [0] * (n - ctx.degree)
         return CycloElem(ctx, _reduce(ctx, v[n - e:] + v[:n - e]), self.den)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            num = [v * q.denominator for v in self.num]
-            return CycloElem(self.ctx, num, self.den * q.numerator)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def inverse(self) -> CycloElem:
         """Multiplicative inverse through the field norm.

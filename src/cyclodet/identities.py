@@ -358,8 +358,8 @@ def twisted_products(matrix: CMatrix) -> list[list[CycloElem]]:
     T[0] + twisted_sums(T)[s mod n].  Each column is a CPoly whose x^j
     coefficient is m_jc, so the x-slot indexes the row and the tail that
     CPoly trims is padded back with zeros.  Each entry is lifted and packed
-    once, with n^2 rotations in place of the n^3 big-int products of n
-    ``matvec`` calls; nothing assumes M circulant."""
+    once, and the n products take n^2 rotations; nothing assumes M
+    circulant."""
     ctx, n = matrix.ctx, matrix.cols
     table = [CPoly(ctx, matrix.data[(r - 1) % n::n]) for r in range(n)]  # column r - 1
     sums = twisted_sums(table)

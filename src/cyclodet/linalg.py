@@ -8,9 +8,10 @@ leading block is the difference matrix m_jk - m_j0 - m_0k + m_00.  No
 library path eliminates: it reads circulant truncations off their spectrum
 (``identities.circulant_block_det``), and elimination is the direct API and
 the tests' reference for that route.  The characteristic polynomial uses
-Berkowitz's algorithm, which is division-free, so it and the matrix-vector
-product run on plain ints: each entry is lifted over one common denominator
-and packed into one int of the ring Z/(2^(kn) - 1), with x -> 2^k.
+Berkowitz's algorithm, which is division-free, so it runs on plain ints:
+each entry is lifted over one common denominator and packed into one int of
+the ring Z/(2^(kn) - 1), with x -> 2^k.  The matrix-vector product is a
+plain loop of field operations.
 """
 
 from __future__ import annotations
@@ -137,26 +138,13 @@ class CMatrix:
                            for i, p in enumerate(poly)][::-1])
 
     def matvec(self, vec) -> list[CycloElem]:
-        """M v in the packed ring of ``charpoly``: one big-int dot product
-        per row, unpacked once.  Entry j of L v, with L = D m and the lifted
-        v over its own denominator, has every coordinate in Z[x]/(x^n - 1)
-        at most B = max_j sum_k ||L_jk||_1 ||v_k||_1, since the l1 norm is
-        submultiplicative and folding x^n onto 1 keeps it; so slots with
-        k - 1 = bitlen(B) hold it."""
+        """M v by field products and sums, sharing no packed-ring code with
+        ``identities.twisted_products``, which the tests check against it."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match columns")
-        ctx, cols, n = self.ctx, self.cols, self.ctx.n
-        mden, mlifts = _lift(self.data)
-        vden, vlifts = _lift([_entry(ctx, e) for e in vec])
-        mnorms = [sum(map(abs, v)) for v in mlifts]
-        vnorms = [sum(map(abs, v)) for v in vlifts]
-        k = max((sum(map(mul, mnorms[j * cols:(j + 1) * cols], vnorms)) for j in range(self.rows)),
-                default=0).bit_length() + 1
-        packed_vec = [_pack(v, k) for v in vlifts]
-        packed = [_pack(v, k) for v in mlifts]
-        dots = [sum(map(mul, packed[j * cols:(j + 1) * cols], packed_vec))
-                for j in range(self.rows)]
-        return [CycloElem(ctx, _reduce(ctx, _unpack(dot, k, n)), mden * vden) for dot in dots]
+        ctx = self.ctx
+        vec = [_entry(ctx, e) for e in vec]
+        return [sum(map(mul, row, vec), ctx.zero()) for row in self.row_lists()]
 
     def det_affine(self) -> tuple[CycloElem, CycloElem]:
         """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, by one

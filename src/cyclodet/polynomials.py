@@ -52,20 +52,9 @@ class CPoly:
         return cls(ctx, [ctx.one()])
 
     @classmethod
-    def x(cls, ctx: CycloContext) -> CPoly:
-        return cls(ctx, [ctx.zero(), ctx.one()])
-
-    @classmethod
     def x_pow(cls, ctx: CycloContext, k: int) -> CPoly:
         """x^k for k >= 0."""
         return cls.one(ctx).shift(k)
-
-    def degree(self) -> int:
-        """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def _check(self, other: CPoly):
         if self.ctx.n != other.ctx.n:
@@ -91,9 +80,6 @@ class CPoly:
         for i, c in enumerate(other.coeffs):
             out[i] = out[i] - c
         return CPoly(self.ctx, out)
-
-    def __neg__(self):
-        return CPoly(self.ctx, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloElem)):
@@ -126,14 +112,6 @@ class CPoly:
         if not self.coeffs:
             return self
         return CPoly(self.ctx, [self.ctx.zero()] * k + list(self.coeffs))
-
-    def evaluate(self, point) -> CycloElem:
-        if not isinstance(point, CycloElem):
-            point = self.ctx.from_rational(point)
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):

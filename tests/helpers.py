@@ -1,6 +1,7 @@
 """Random elements and matrices for the property tests, a Hermitian test,
-and the slow reference constructions the fast paths are checked against,
-among them the Leibniz expansion over permutations and derangements."""
+a Horner evaluation, and the slow reference constructions the fast paths
+are checked against, among them the Leibniz expansion over permutations and
+derangements."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -161,4 +162,12 @@ def reference_spectrum_poly(ctx: CycloContext, roots) -> CPoly:
     acc = CPoly.one(ctx)
     for root in roots:
         acc = acc.shift(1) - acc.scale(root)
+    return acc
+
+
+def evaluate(p: CPoly, point) -> CycloElem:
+    """p(point) by Horner's rule, for a rational or field point."""
+    acc = p.ctx.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
     return acc

@@ -268,7 +268,7 @@ def test_criterion_12_property_suites():
             dim = rng.randint(1, 4)
             m = random_matrix(ctx5, rng, dim, span=2)
             charpoly_ok = charpoly_ok and \
-                m.charpoly().evaluate(0) == m.det() * (-1) ** dim
+                m.charpoly().coeffs[0] == m.det() * (-1) ** dim
 
         hermitian_ok = True
         for kind in MatrixKind:
