@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
     p_verify.add_argument("--force", action="store_true",
-                          help="override factorial-cost guardrails")
+                          help="run --oracle above its guardrail of dimension 12 "
+                               "(2^d*d ring products at dimension d)")
     p_verify.add_argument("--jobs", type=int, default=0,
                           help="worker processes; 0 = one per CPU core "
                                "(capped at 8), 1 = serial")

@@ -11,9 +11,11 @@ stays in integer arithmetic (see ``CycloElem.inverse``).
 
 A product multiplies the numerators as integer polynomials by the
 schoolbook convolution.  The 2d - 1 coefficients are folded into
-Z[x]/(x^n - 1), where x^(n+i) = x^i, and only the powers x^d..x^(n-1) are
-reduced mod Phi_n: one row for prime n.  Twists by zeta^e and Galois maps
-are permutations in Z[x]/(x^n - 1) followed by the same reduction.
+Z[x]/(x^n - 1), where x^(n+i) = x^i, and then divided by Phi_n from the top
+down, one step per power x^d..x^(n-1) at the cost of the nonzero terms of
+Phi_n: one step for prime n.  The same long division builds Phi_n itself.
+Twists by zeta^e and Galois maps are permutations in Z[x]/(x^n - 1)
+followed by the same reduction.
 
 Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
 ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
@@ -34,40 +36,48 @@ from operator import mul
 from .rationals import exact, format_rational
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n) if n % d == 0]
-    return out
+def _divide(v: list[int], terms, d: int) -> None:
+    """Divide sum_k v[k] x^k in place by a monic polynomial of degree d whose
+    nonzero coefficients below x^d are the pairs (i - d, c_i) of ``terms``:
+    afterwards v[:d] is the remainder and v[d:] the quotient.
+
+    Step k, from the top degree down to d, takes q = v[k] as the quotient
+    coefficient of x^(k-d) and subtracts q * x^(k-d) times the terms of the
+    divisor below x^d.  It reads v[k] only after every higher step has written to
+    it, and it writes only below k, so each step sees its final dividend.
+    """
+    for k in range(len(v) - 1, d - 1, -1):
+        q = v[k]
+        if q:
+            for o, c in terms:
+                v[k + o] -= q * c
 
 
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide integer polynomials (dense, lowest degree first); den is monic
-    and must divide num exactly."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            out[k - dd] = c
-            for i in range(dd + 1):
-                num[k - dd + i] -= c * den[i]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
+def _terms(poly) -> tuple[tuple[int, int], ...]:
+    """The pairs (i - d, c_i) of the nonzero coefficients below the top of
+    the monic ``poly`` of degree d, as ``_divide`` reads them."""
+    d = len(poly) - 1
+    return tuple((i - d, c) for i, c in enumerate(poly[:d]) if c)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (dense, lowest degree first, monic).
 
-    Computed by exact division of x^n - 1 by the product of Phi_d over the
-    proper divisors d of n.
+    Computed by exact division of x^n - 1 by Phi_m for each proper divisor
+    m of n; a nonzero remainder raises ArithmeticError.
     """
     if n < 1:
         raise ValueError("n must be positive")
     poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
+    for m in range(1, n):
+        if n % m == 0:
+            phi = cyclotomic_polynomial(m)
+            d = len(phi) - 1
+            _divide(poly, _terms(phi), d)
+            if any(poly[:d]):
+                raise ArithmeticError("inexact polynomial division")
+            del poly[:d]
     return tuple(poly)
 
 
@@ -112,39 +122,42 @@ def _lift(elems) -> tuple[int, list[list[int]]]:
     return den, [[v * (den // e.den) for v in e.num] for e in elems]
 
 
+def _entry(ctx: CycloContext, e) -> CycloElem:
+    """e as an element of ``ctx``: an int or Fraction is coerced, and an
+    element of another context raises ValueError."""
+    if not isinstance(e, CycloElem):
+        return ctx.from_rational(e)
+    if e.ctx.n != ctx.n:
+        raise ValueError("element from a different context")
+    return e
+
+
 def _reduce(ctx: CycloContext, v: list[int]) -> list[int]:
     """Coordinates mod Phi_n of sum_k v[k] x^k, for d <= len(v) < 2n; the
-    list v is used as scratch space.
+    list v is used as scratch space and returned.
 
     Phi_n divides x^n - 1, so reducing first mod x^n - 1 is exact: x^(n+i)
-    folds onto x^i.  Then each x^k with d <= k < n is replaced by its row of
-    ``ctx._pow``; for prime n that is the one row x^(n-1) = -(1 + x + ... +
-    x^(n-2)).
+    folds onto x^i.  Then one long division by Phi_n (``_divide``) leaves the
+    remainder.  Each nonzero x^k with d <= k < n costs one product per
+    nonzero coefficient of Phi_n below x^d: for prime n there is one such
+    step, at x^(n-1), and Phi_81 = x^54 + x^27 + 1 costs two per step.
     """
     n, d = ctx.n, ctx.degree
-    end = len(v)
-    if end > n:
-        for k in range(n, end):
-            c = v[k]
-            if c:
-                v[k - n] += c
-        end = n
-    num = v[:d]
-    pow_table = ctx._pow
-    for k in range(d, end):
+    for k in range(n, len(v)):
         c = v[k]
         if c:
-            row = pow_table[k]
-            for i in range(d):
-                num[i] += c * row[i]
-    return num
+            v[k - n] += c
+    del v[n:]
+    _divide(v, ctx._phi_terms, d)
+    del v[d:]
+    return v
 
 
 class CycloContext:
-    """Precomputed data for Q(zeta_n): Phi_n, its degree, and reduction
-    tables for powers of zeta.  Immutable and shareable."""
+    """Precomputed data for Q(zeta_n): Phi_n, its degree, and the nonzero
+    terms of Phi_n that ``_reduce`` divides by.  Immutable and shareable."""
 
-    __slots__ = ("n", "phi", "degree", "_pow", "_zero", "_one")
+    __slots__ = ("n", "phi", "degree", "_phi_terms", "_zero", "_one")
 
     def __init__(self, n: int):
         if n < 2:
@@ -153,23 +166,7 @@ class CycloContext:
         self.phi = cyclotomic_polynomial(n)
         d = len(self.phi) - 1
         self.degree = d
-        # _pow[k] = coordinates of x^k mod Phi_n for 0 <= k < n: every
-        # product and twist is first folded into Z[x]/(x^n - 1) (see _reduce).
-        pow_table: list[tuple[int, ...]] = []
-        for k in range(d):
-            row = [0] * d
-            row[k] = 1
-            pow_table.append(tuple(row))
-        top = tuple(-c for c in self.phi[:d])  # x^d mod Phi_n
-        for k in range(d, n):
-            prev = pow_table[k - 1]
-            row = [0] + list(prev[: d - 1])
-            c = prev[d - 1]
-            if c:
-                for i in range(d):
-                    row[i] += c * top[i]
-            pow_table.append(tuple(row))
-        self._pow = tuple(pow_table)
+        self._phi_terms = _terms(self.phi)
         self._zero = CycloElem(self, (0,) * d, 1, _raw=True)
         one = [0] * d
         one[0] = 1
@@ -201,17 +198,18 @@ class CycloContext:
         vals = [exact(c) for c in coeffs]
         if len(vals) > self.degree:
             raise ValueError("too many coordinates")
-        den = 1
-        for v in vals:
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in vals))
         num = [0] * self.degree
         for i, v in enumerate(vals):
             num[i] = v.numerator * (den // v.denominator)
         return CycloElem(self, num, den)
 
     def zeta_pow(self, e: int) -> CycloElem:
-        """Canonical residue of zeta^e (exponent reduced mod n)."""
-        return CycloElem(self, self._pow[e % self.n], 1, _raw=True)
+        """Canonical residue of zeta^e: the monomial x^(e mod n) reduced
+        mod Phi_n."""
+        v = [0] * self.n
+        v[e % self.n] = 1
+        return CycloElem(self, _reduce(self, v))
 
     def zeta(self) -> CycloElem:
         return self.zeta_pow(1)
@@ -300,7 +298,7 @@ class CycloElem:
 
         The numerators are multiplied as integer polynomials by the
         schoolbook convolution; the 2d - 1 coefficients are then folded into
-        Z[x]/(x^n - 1) and reduced mod Phi_n (``_reduce``).
+        Z[x]/(x^n - 1) and divided by Phi_n (``_reduce``).
         """
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)

@@ -19,18 +19,8 @@ from __future__ import annotations
 from math import isqrt, prod
 from operator import mul
 
-from .cyclotomic import CycloContext, CycloElem, _lift, _pack, _reduce, _unpack
+from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _unpack
 from .polynomials import CPoly
-
-
-def _entry(ctx: CycloContext, e) -> CycloElem:
-    """e as an element of ``ctx``: an int or Fraction is coerced, and an
-    element of another context raises ValueError."""
-    if not isinstance(e, CycloElem):
-        return ctx.from_rational(e)
-    if e.ctx.n != ctx.n:
-        raise ValueError("entry from a different context")
-    return e
 
 
 class CMatrix:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycloContext, CycloElem, _lift, _pack, _reduce, _rotate, _unpack
+from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _rotate, _unpack
 from .rationals import format_rational
 
 
@@ -31,14 +31,7 @@ class CPoly:
 
     def __init__(self, ctx: CycloContext, coeffs=()):
         self.ctx = ctx
-        vals = []
-        for c in coeffs:
-            if isinstance(c, CycloElem):
-                if c.ctx.n != ctx.n:
-                    raise ValueError("coefficient from a different context")
-                vals.append(c)
-            else:
-                vals.append(ctx.from_rational(c))
+        vals = [_entry(ctx, c) for c in coeffs]
         while vals and not vals[-1]:
             vals.pop()
         self.coeffs = tuple(vals)

@@ -59,7 +59,7 @@ def test_cyclotomic_6_by_division_oracle():
     assert tuple(q) == cyclotomic_polynomial(6) == (1, -1, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("n", [*range(1, 31), 105, 195, 201, 225, 301])
 def test_cyclotomic_product_over_divisors(n):
     prod = [1]
     for d in range(1, n + 1):
@@ -120,6 +120,33 @@ def _numerator(ctx, rng, bits):
     num = [rng.randint(-top, top) for _ in range(ctx.degree)]
     num[rng.randrange(ctx.degree)] = rng.choice((top, -top))
     return num
+
+
+@pytest.mark.parametrize("n", [*range(2, 121), 225])
+def test_reduce_matches_long_division(n):
+    # The division by Phi_n from the top down, where a step reads what the
+    # steps above it wrote: monomials x^e for every e < 2n - 1 and sparse
+    # vectors of every length d..2n - 2, at dense Phi_n with fill-in (n = 2p),
+    # sparse Phi_n (n = 25, 27, 81, 225) and Phi_105, whose coefficients
+    # include -2, against the oracle.
+    ctx = shared_context(n)
+    d = ctx.degree
+
+    def expected(v):
+        _, r = int_poly_div(v, ctx.phi)
+        return r + [0] * (d - len(r))
+
+    for e in range(2 * n - 1):
+        v = [0] * max(e + 1, d)
+        v[e] = 1
+        assert cyclotomic._reduce(ctx, list(v)) == expected(v), e
+    rng = random.Random(n)
+    for length in range(d, 2 * n - 1):
+        v = [0] * length
+        for _ in range(3):
+            v[rng.randrange(length)] = rng.randint(-9, 9)
+        v[-1] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        assert cyclotomic._reduce(ctx, list(v)) == expected(v), v
 
 
 @pytest.mark.parametrize("n", range(2, 61))
@@ -400,8 +427,10 @@ def test_render():
     assert (-c3.zeta()).render() == "-z"
 
 
-def test_only_cyclotomic_reads_the_power_table():
-    # one reduction mod Phi_n: every other module goes through _reduce
+def test_only_cyclotomic_reads_the_terms_of_phi():
+    # one division by Phi_n: every other module goes through _reduce
     package = Path(cyclotomic.__file__).parent
-    readers = {p.name for p in package.glob("*.py") if re.search(r"\b_pow\b", p.read_text())}
+    pattern = r"\b(_phi_terms|_terms|_divide)\b"
+    readers = {p.name for p in package.glob("*.py") if re.search(pattern, p.read_text())}
     assert readers == {"cyclotomic.py"}
+    assert not hasattr(CycloContext, "_pow")
