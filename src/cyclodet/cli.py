@@ -10,12 +10,9 @@ Exit codes: 0 success, 1 a verification failed, 2 usage or guardrail error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import __version__
@@ -28,7 +25,7 @@ from .identities import (
     run_identity,
 )
 from .cyclotomic import shared_context
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_integer, parse_rational
 
 REPORT_FIELDS = ("identity", "n", "params", "expected", "computed",
                  "passed", "elapsed_seconds", "tool_version")
@@ -40,10 +37,8 @@ class UsageError(Exception):
 def _parse_n_range(text: str) -> tuple[int, int]:
     lo, dots, hi = text.partition("..")
     try:
-        if dots:
-            a, b = int(lo), int(hi)
-        else:
-            a = b = int(lo)
+        a = parse_integer(lo)
+        b = parse_integer(hi) if dots else a
     except ValueError:
         raise UsageError(f"bad n range {text!r}; expected N or A..B") from None
     if a > b:
@@ -57,6 +52,17 @@ def _grid_for(info, n_range) -> list[int]:
     a, b = n_range
     # no identity admits n < 2, so a very negative lower bound costs nothing
     return [n for n in range(max(a, 2), b + 1) if info.admits(n)]
+
+
+def _pool(jobs: int):
+    """A process pool of ``jobs`` workers, or for one job a null context that
+    yields None.  The pool's import loads ``multiprocessing``, so a serial
+    run never does."""
+    if jobs == 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _run_task(task):
@@ -91,6 +97,9 @@ def _emit_reports(reports, fmt: str, out):
         }
         payload = json.dumps(doc, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(REPORT_FIELDS)
@@ -145,8 +154,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     reports = []
     stream = sys.stderr if args.format != "text" or args.out else sys.stdout
-    with out as fh, ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for report in (pool.map if jobs > 1 else map)(_run_task, tasks):
+    with out as fh, _pool(jobs) as pool:
+        for report in (pool.map if pool else map)(_run_task, tasks):
             reports.append(report)
             print(_text_line(report), file=stream, flush=True)
         if args.format != "text" or args.out:
@@ -161,17 +170,18 @@ def cmd_det(args) -> int:
     if kind is None:
         raise UsageError(f"unknown matrix kind {args.matrix!r}; "
                          "known: " + ", ".join(DET_KINDS))
-    if args.n < 2:
-        raise UsageError("n must be at least 2")
     try:
+        n = parse_integer(args.n)
         x = parse_rational(args.x)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from None
+    if n < 2:
+        raise UsageError("n must be at least 2")
     try:
-        table = residue_table(kind, shared_context(args.n))
+        table = residue_table(kind, shared_context(n))
     except ZeroDivisionError:
         raise UsageError(
-            f"matrix kind {args.matrix!r} is undefined for n={args.n}") from None
+            f"matrix kind {args.matrix!r} is undefined for n={n}") from None
     d0, d1 = circulant_block_det(table)  # det[x + m_jk] = d0 + d1*x
     print(format_rational(d0 + d1 * x))
     return 0
@@ -188,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--identity", required=True,
                           help="identity name or 'all'")
     p_verify.add_argument("--n", default=None,
-                          help="inclusive range a..b (or single N); "
+                          help="inclusive range a..b (or single N) of integers "
+                               "in ASCII digits with an optional sign; "
                                "defaults to the identity's acceptance grid; "
                                "a negative bound needs the form --n=-3..5")
     p_verify.add_argument("--oracle", action="store_true",
@@ -206,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("det", help="print one exact determinant")
     p_det.add_argument("--matrix", required=True,
                        help="matrix kind: " + "|".join(DET_KINDS))
-    p_det.add_argument("--n", type=int, required=True)
+    p_det.add_argument("--n", required=True,
+                       help="integer n >= 2 (ASCII digits, optional sign)")
     p_det.add_argument("--x", default="0",
                        help="rational shift added to every entry (p/q); default 0")
     p_det.set_defaults(func=cmd_det)

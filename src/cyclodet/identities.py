@@ -24,8 +24,7 @@ the characteristic polynomial.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -199,23 +198,44 @@ def spectrum_poly(ctx: CycloContext, roots) -> CPoly:
 # -- reports ----------------------------------------------------------------
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    n: int
-    params: dict = field(default_factory=dict)
-    expected: str = ""
-    computed: str = ""
-    passed: bool = False
-    elapsed_seconds: float = 0.0
-    first_difference: str | None = None  # set on a failing report only
+    """The outcome of one identity at one n.  A plain class rather than a
+    dataclass, which would import ``dataclasses`` and ``inspect`` into every
+    process; it pickles through the ``--jobs`` pool by its ``__dict__`` and
+    takes extra attributes, which ``as_dict`` leaves out."""
+
+    _fields = ("identity", "n", "params", "expected", "computed", "passed",
+               "elapsed_seconds", "first_difference")
+
+    def __init__(self, identity: str, n: int, params: dict | None = None,
+                 expected: str = "", computed: str = "", passed: bool = False,
+                 elapsed_seconds: float = 0.0, first_difference: str | None = None):
+        self.identity = identity
+        self.n = n
+        self.params = {} if params is None else params
+        self.expected = expected
+        self.computed = computed
+        self.passed = passed
+        self.elapsed_seconds = elapsed_seconds
+        self.first_difference = first_difference  # set on a failing report only
 
     def as_dict(self) -> dict:
-        """The fields in declaration order, without a None first_difference."""
-        d = asdict(self)
+        """The ``_fields`` in order, without a None first_difference; params
+        is copied, so the dict shares no mutable state with the report."""
+        d = {name: getattr(self, name) for name in self._fields}
+        d["params"] = dict(self.params)
         if d["first_difference"] is None:
             del d["first_difference"]
         return d
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"IdentityReport({inner})"
 
 
 def first_difference(expected, computed) -> str:
@@ -259,20 +279,15 @@ def _odd_range(a: int, b: int) -> tuple[int, ...]:
     return tuple(n for n in range(a, b + 1) if n % 2 == 1)
 
 
-@dataclass(frozen=True)
-class DetIdentity:
+class DetIdentity(namedtuple("DetIdentity", "kind value slope grid oracle galois",
+                             defaults=(False, False))):
     """det of the ``kind`` matrix at size n-1 (odd n) equals ``value(n)``.
     With a ``slope`` the claim is the affine split det[x + m_jk] = d0 + d1*x
     with (d0, d1) = (value(n), slope(n)); ``None`` means a plain det.
     ``oracle`` rows (zero diagonal) can cross-check the signed derangement
     sum; ``galois`` rows also get a galois-<name> root-independence check."""
 
-    kind: MatrixKind
-    value: Callable[[int], Fraction]
-    slope: Callable[[int], Fraction] | None
-    grid: tuple[int, ...]
-    oracle: bool = False
-    galois: bool = False
+    __slots__ = ()
 
     def claim(self, n: int):
         """value(n), or the pair (value(n), slope(n)) for an affine row."""
@@ -483,17 +498,14 @@ def _galois(name: str, n: int):
 # -- registry -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityInfo:
+class IdentityInfo(namedtuple("IdentityInfo",
+                              "check default_grid odd_only supports_oracle text",
+                              defaults=(False, render))):
     """One identity: ``check(n)``, or ``check(n, oracle, force)`` on an
     oracle row, returns (params, expected, computed) with the two sides as
     exact values, and ``text`` renders them for the report."""
 
-    check: Callable
-    default_grid: tuple[int, ...]
-    odd_only: bool
-    supports_oracle: bool = False
-    text: Callable = render
+    __slots__ = ()
 
     def admits(self, n: int) -> bool:
         """Odd n >= 3 for an odd-only identity, any n >= 2 otherwise."""

@@ -9,7 +9,9 @@ positive denominator.  This module pins down the constructors and the
 import re
 from fractions import Fraction
 
-_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_LITERAL = re.compile(_INTEGER)
+_RATIONAL_LITERAL = re.compile(f"({_INTEGER})(?:/({_INTEGER}))?")
 
 
 def exact(value) -> Fraction:
@@ -25,6 +27,16 @@ def rational(numer, denom=1) -> Fraction:
     if denom == 0:
         raise ZeroDivisionError("rational with zero denominator")
     return numer / denom
+
+
+def parse_integer(text: str) -> int:
+    """Parse ASCII decimal digits with an optional sign, outer whitespace
+    ignored, into an int.  ``int`` alone would also take other scripts'
+    digits and underscores."""
+    text = text.strip()
+    if _INTEGER_LITERAL.fullmatch(text) is None:
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -92,6 +93,19 @@ def test_det_rejects_bad_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff15", "5.0", "abc"])
+def test_det_n_takes_ascii_digits_only(capsys, text):
+    # int() would read the first three as 10, 3 and 5
+    code, out, err = run(capsys, "det", "--matrix", "a", "--n", text)
+    assert code == 2 and out == ""
+    assert err == f"error: not an integer literal: {text!r}\n"
+
+
+def test_det_n_ignores_outer_whitespace(capsys):
+    code, out, _ = run(capsys, "det", "--matrix", "a", "--n", " 5 ")
+    assert code == 0 and out == format_rational(a_det_value(5)) + "\n"
+
+
 def test_det_rejects_even_n_for_inverted_ratio(capsys):
     code, _, err = run(capsys, "det", "--matrix", "s19", "--n", "4")
     assert code == 2 and "undefined" in err
@@ -150,6 +164,21 @@ def test_verify_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["1_0..1_1", "1_1", "\u0663..\u0664", "\u0663", "3..\u0665"])
+def test_verify_n_takes_ascii_digits_only(capsys, text):
+    # int() would run 1_0..1_1 as n = 10..11 and \u0663..\u0664 as n = 3..4
+    code, out, err = run(capsys, "verify", "--identity", "a-det", "--n", text, "--jobs", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: bad n range {text!r}; expected N or A..B\n"
+
+
+@pytest.mark.parametrize("text", [" 5 ", " 5 .. 5 "])
+def test_verify_n_ignores_outer_whitespace(capsys, text):
+    code, out, _ = run(capsys, "verify", "--identity", "a-det", "--n", text, "--jobs", "1")
+    assert code == 0
+    assert [l.split()[2] for l in out.splitlines() if l.startswith("PASS")] == ["n=5"]
+
+
 def test_verify_rejects_negative_jobs(capsys):
     code, out, err = run(capsys, "verify", "--identity", "a-det", "--n", "3..5",
                          "--jobs", "-5")
@@ -174,7 +203,8 @@ def test_verify_pool_is_no_larger_than_the_task_count(capsys, monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr("cyclodet.cli.ProcessPoolExecutor", InlinePool)
+    # cli imports the pool where it starts one, so patch it at its source
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     code, out, _ = run(capsys, "verify", "--identity", "row-sums", "--n", "2..3",
                        "--jobs", "500")
     assert code == 0 and out.count("PASS") == 2
@@ -287,6 +317,24 @@ def test_verify_parallel_matches_serial(capsys):
     code2, out2, _ = run(capsys, *args, "--jobs", "2")
     assert code1 == code2 == 0
     assert strip_timing(out1) == strip_timing(out2)
+
+
+# sha256 of the --format json report of `verify --identity all --n 2..13
+# --oracle` (168 reports) with every elapsed_seconds removed: it pins each
+# report's fields, their order and their values, serial or pooled; recompute
+# it only for an intended change to what a report says
+ALL_2_13_ORACLE_DIGEST = "c45b0fd3f6dcb8355678d965d9590a9cefd879cd0ff268e84c5c2ee6f4205af8"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_all_json_is_unchanged(capsys, jobs):
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--n", "2..13", "--oracle",
+                       "--format", "json", "--jobs", jobs)
+    doc = json.loads(out)
+    for report in doc["reports"]:
+        del report["elapsed_seconds"]
+    assert code == 0 and doc["summary"] == {"total": 168, "passed": 168, "failed": 0}
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == ALL_2_13_ORACLE_DIGEST
 
 
 def test_verify_all_small_grid(capsys):

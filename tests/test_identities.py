@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,7 +11,9 @@ from cyclodet.identities import (
     DET_KINDS,
     DETS,
     IDENTITIES,
+    DetIdentity,
     IdentityInfo,
+    IdentityReport,
     MatrixKind,
     a_det_value,
     b_det_value,
@@ -462,12 +464,65 @@ def test_report_pass_iff_renderings_agree():
 
 def test_wrong_det_claim_keeps_computed_values(monkeypatch):
     good = run_identity("galois-a-det", 5)
-    wrong = dataclasses.replace(DETS["a-det"], value=lambda n: a_det_value(n) + 1)
+    wrong = DETS["a-det"]._replace(value=lambda n: a_det_value(n) + 1)
     monkeypatch.setitem(DETS, "a-det", wrong)
     bad = run_identity("galois-a-det", 5)
     assert good.passed and not bad.passed
     assert bad.expected == "[(14/5, 0), (14/5, 0), (14/5, 0), (14/5, 0)]"
     assert bad.computed == good.computed == "[(9/5, 0), (9/5, 0), (9/5, 0), (9/5, 0)]"
+
+
+def test_report_as_dict_keeps_field_order_and_values():
+    report = IdentityReport(identity="a-det", n=5, params={"size": 4}, expected="9/5",
+                            computed="9/5", passed=True, elapsed_seconds=0.25)
+    assert list(report.as_dict().items()) == [
+        ("identity", "a-det"), ("n", 5), ("params", {"size": 4}), ("expected", "9/5"),
+        ("computed", "9/5"), ("passed", True), ("elapsed_seconds", 0.25)]
+    report.first_difference = "[1]"
+    assert list(report.as_dict().items())[-1] == ("first_difference", "[1]")
+    assert list(report.as_dict())[:-1] == list(IdentityReport("x", 2).as_dict())
+    report.first_difference = ""  # differs as a whole: kept, only None is left out
+    assert report.as_dict()["first_difference"] == ""
+
+
+def test_report_defaults_share_no_state():
+    a, b = IdentityReport("x", 2), IdentityReport("y", 3)
+    assert a.as_dict() == {"identity": "x", "n": 2, "params": {}, "expected": "",
+                           "computed": "", "passed": False, "elapsed_seconds": 0.0}
+    a.params["k"] = 1
+    assert b.params == {}
+    a.as_dict()["params"]["k"] = 2
+    assert a.params == {"k": 1}
+
+
+def test_report_pickles_and_takes_extra_attributes():
+    good = run_identity("a-det", 5, oracle=True)
+    bad = IdentityReport("a-det", 5, {"size": 4}, "[1, 2]", "[1, 3]", False, 0.5, "[1]")
+    for report in (good, bad):
+        report.bench_seconds = (0.1, 0.2)  # as bench/clirun.py sets it
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report and back.as_dict() == report.as_dict()
+        assert back.bench_seconds == (0.1, 0.2)
+        assert "bench_seconds" not in back.as_dict()
+    assert good != bad
+    assert repr(bad) == ("IdentityReport(identity='a-det', n=5, params={'size': 4}, "
+                         "expected='[1, 2]', computed='[1, 3]', passed=False, "
+                         "elapsed_seconds=0.5, first_difference='[1]')")
+
+
+def test_registry_rows_keep_their_fields_and_defaults():
+    assert DetIdentity._fields == ("kind", "value", "slope", "grid", "oracle", "galois")
+    row = DetIdentity(MatrixKind.A, a_det_value, None, (3,))
+    assert (row.oracle, row.galois) == (False, False)
+    assert IdentityInfo._fields == ("check", "default_grid", "odd_only", "supports_oracle",
+                                    "text")
+    info = IdentityInfo(len, (2,), False)
+    assert info.supports_oracle is False and info.text is render
+    with pytest.raises(AttributeError):
+        DETS["a-det"].value = c_det_value
+    with pytest.raises(AttributeError):
+        IDENTITIES["a-det"].extra = 1
+    assert DETS["a-det"]._replace(grid=(3,)).grid == (3,) and DETS["a-det"].grid != (3,)
 
 
 def test_circulant_block_det_equals_elimination_on_every_det_row():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclodet.rationals import format_rational, parse_rational, rational
+from cyclodet.rationals import format_rational, parse_integer, parse_rational, rational
 
 
 def test_canonical_reduction():
@@ -54,6 +54,21 @@ def test_parse_rational_rejects_non_ascii_digits(text):
     # int() takes the first seven: other scripts' digits, "_" and spaces
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_parse_integer():
+    assert parse_integer("7") == 7
+    assert parse_integer("+7") == 7
+    assert parse_integer(" -3\t") == -3
+    assert parse_integer("007") == 7
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff11", "1_0", "1 0", "- 1", "+-1", "1.0",
+                                  "0x10", "1/2", "", "+"])
+def test_parse_integer_rejects_all_but_ascii_digits(text):
+    # int() takes the first three: other scripts' digits and "_"
+    with pytest.raises(ValueError, match="not an integer literal"):
+        parse_integer(text)
 
 
 @given(st.fractions(), st.fractions(), st.fractions())
