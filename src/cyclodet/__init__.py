@@ -9,7 +9,7 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     shared_context,
 )
-from .polynomials import CPoly, prod_one_minus_x_zeta, partial_fraction_check, row_sum_x_check
+from .polynomials import CPoly, partial_fraction_check, row_sum_x_check
 from .linalg import CMatrix
 from .combinatorics import (
     GuardrailExceeded,
@@ -35,7 +35,6 @@ __all__ = [
     "factorial",
     "format_rational",
     "parse_rational",
-    "prod_one_minus_x_zeta",
     "partial_fraction_check",
     "rational",
     "row_sum_x_check",

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 a verification failed, 2 usage or guardrail error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -91,6 +90,8 @@ def _emit_reports(reports, fmt: str, out):
         lines.append(_summary_line(reports))
         payload = "\n".join(lines) + "\n"
     elif fmt == "json":
+        import json
+
         doc = {
             "reports": [_dict_with_version(r) for r in reports],
             "summary": _summary(reports),
@@ -99,6 +100,7 @@ def _emit_reports(reports, fmt: str, out):
     elif fmt == "csv":
         import csv
         import io
+        import json
 
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -22,8 +22,8 @@ ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
 a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
 to put the elements over one denominator).  That ring serves
 ``CMatrix.charpoly`` and, with x-polynomial coefficients in each slot,
-``polynomials.twisted_sums`` and the x-product tables of
-``polynomials.prod_one_minus_x_zeta``.
+``polynomials.twisted_sums`` and the partial-fraction sums of
+``polynomials._cleared_sums``.
 """
 
 from __future__ import annotations

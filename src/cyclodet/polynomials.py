@@ -4,18 +4,19 @@ These carry the indeterminate x of the rational-function identities and the
 characteristic polynomials.  Coefficients are stored lowest degree first and
 trimmed, so the zero polynomial is the empty tuple and equality is structural.
 
-The ``partial-fraction`` and ``row-sum-x`` checks share one residue table,
+The ``partial-fraction`` and ``row-sum-x`` checks share one kernel,
+``_cleared_sums``: the twisted sums S[s] = sum_{0<r<n} zeta^(-sr) Q_r of
 the cleared terms Q_r = (x - 1) P_r with
 P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'), built by multiplying out
 linear factors and never by dividing 1 - x^n (that would assume the
-factorisation under test).  Each check makes one ``twisted_sums`` call over
-Q, all n twisted sums in one pass, and covers every s, or every (k, s), of
-one n: ``row-sum-x`` reads its left side off those sums as S[s] + x*S[s - 1].
+factorisation under test).  One pass covers every s, or every (k, s), of
+one n: ``row-sum-x`` reads its left side as S[s] + x*S[s - 1].
 
 Both kernels run on plain ints, in the ring Z/(2^(k*w*n) - 1) that
 ``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
 is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
-(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.
+(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  Both
+end in the one rotate-and-sum loop, ``_rotated_sums``.
 """
 
 from __future__ import annotations
@@ -145,34 +146,6 @@ class CPoly:
         return f"CPoly({self.render()!r}, n={self.ctx.n})"
 
 
-def geometric_sum(ctx: CycloContext) -> CPoly:
-    """1 + x + ... + x^(n-1)."""
-    return CPoly(ctx, [ctx.one()] * ctx.n)
-
-
-def prod_one_minus_x_zeta(ctx: CycloContext, exclude=frozenset()) -> CPoly:
-    """Product of (1 - x*zeta^r) over r in 0..n-1 outside ``exclude``.
-
-    With nothing excluded this is 1 - x^n, since the zeta^r run over all
-    n-th roots of unity.  It is built in the packed ring of ``twisted_sums``
-    with x-width w = m + 1 and k = m + 2 for m kept factors (that docstring
-    proves the slots hold the product): each factor is one rotate-and-subtract
-    acc - acc * 2^(k + r*k*w), and the product is unpacked once.
-    """
-    n = ctx.n
-    exclude = set(exclude)
-    for r in exclude:
-        if not 0 <= r < n:
-            raise ValueError("excluded residues must lie in 0..n-1")
-    kept = [r for r in range(n) if r not in exclude]
-    k, w = len(kept) + 2, len(kept) + 1
-    modulus = (1 << (k * w * n)) - 1
-    acc = 1
-    for r in kept:
-        acc = (acc - _rotate(acc, k + r * k * w, modulus)) % modulus  # acc * (1 - x*zeta^r)
-    return CPoly(ctx, _x_coefficients(ctx, acc, k, w, 1))
-
-
 def twisted_sums(table) -> list:
     """The n twisted sums [sum_{r=1..n-1} t[r] * zeta^(-sr) for s = 0..n-1]
     of a residue table t of field elements or CPolys (coefficient by
@@ -188,27 +161,17 @@ def twisted_sums(table) -> list:
     over the common denominator D into Z[x, zeta]/(zeta^n - 1) of x-degree
     < w, with slot u*w + j holding the coordinate of zeta^u * x^j, and
     packed by x -> 2^k, zeta -> 2^(k*w): a ring map, since
-    zeta^n -> 2^(k*w*n) = 1.  A twist by zeta^(-sr) is then a rotation by
-    k*w*((-sr) mod n) bits, so each s sums n - 1 rotated ints, unpacks once
-    and reduces each x-coefficient mod Phi_n once; Phi_n divides
-    zeta^n - 1, so that reduction is a ring map too, and it must stay, as
-    the identities hold only at a primitive zeta.
+    zeta^n -> 2^(k*w*n) = 1.  ``_rotated_sums`` does the rest.
 
     Only the final digits must fit in the slots: the packing is a ring map,
     so intermediate values may wrap, and ``_unpack`` reads back every digit
-    vector with all |digits| < 2^(k-1).
-    - Twisted sums: a rotation permutes the slots of one x-power, so each
-      digit of a sum is a sum of at most n - 1 lifted coordinates, each at
-      most B in absolute value: |digit| <= (n - 1) B < 2^(bitlen(B) +
-      bitlen(n - 1)) = 2^(k-1) for k = bitlen(B) + bitlen(n - 1) + 1.
-      The x-slot may index the rows of a matrix instead of the powers of
-      x (``identities.twisted_products``); the proof is unchanged.
-    - Products (``prod_one_minus_x_zeta``), of m kept factors with k = m + 2
-      and w = m + 1: a product of at most m factors has x-degree at most
-      m < w, so the shift by x (times 2^k) never moves a digit into the
-      next zeta block.  The coefficient of x^j is (-1)^j times the sum of
-      the C(m, j) monomials zeta^(r_1 + ... + r_j), so each digit is at
-      most C(m, j) <= 2^m < 2^(k-1) in absolute value.
+    vector with all |digits| < 2^(k-1).  A rotation permutes the slots of
+    one x-power, so each digit of a sum is a sum of at most n - 1 lifted
+    coordinates, each at most B in absolute value: |digit| <= (n - 1) B <
+    2^(bitlen(B) + bitlen(n - 1)) = 2^(k-1) for
+    k = bitlen(B) + bitlen(n - 1) + 1.  The x-slot may index the rows of a
+    matrix instead of the powers of x (``identities.twisted_products``);
+    the proof is unchanged.
     """
     n = len(table)
     terms = table[1:]
@@ -221,7 +184,6 @@ def twisted_sums(table) -> list:
     den, lifts = _lift([c for row in rows for c in row])
     bound = max((abs(v) for lift in lifts for v in lift), default=0)
     k = bound.bit_length() + (n - 1).bit_length() + 1
-    modulus = (1 << (k * w * n)) - 1
     coords = iter(lifts)
     packed = []
     for r, row in enumerate(rows, 1):
@@ -229,32 +191,61 @@ def twisted_sums(table) -> list:
         for j in range(len(row)):
             slots[j::w] = next(coords)
         if any(slots):
-            packed.append((r, _pack(slots, k) % modulus))
+            packed.append((r, _pack(slots, k)))
+    sums = _rotated_sums(ctx, packed, k, w, den)
+    return [CPoly(ctx, coeffs) if polys else coeffs[0] for coeffs in sums]
+
+
+def _rotated_sums(ctx: CycloContext, packed, k: int, w: int, den: int) -> list[list[CycloElem]]:
+    """For s = 0..n-1, the x-coefficients c_0..c_(w-1) over ``den`` of
+    sum_r zeta^(-sr) t_r, for the pairs (r, t_r) of ``packed`` with t_r
+    packed as in ``twisted_sums``: each s sums the rotated ints, unpacks
+    once and reduces each x-coefficient mod Phi_n once.  Phi_n divides
+    zeta^n - 1, so that reduction is a ring map too, and it must stay, as
+    the identities hold only at a primitive zeta.  The callers prove that
+    every digit of a sum fits its slot.
+    """
+    n = ctx.n
+    modulus = (1 << (k * w * n)) - 1
+    packed = [(r, p % modulus) for r, p in packed]
     sums = []
     for s in range(n):
         total = sum(_rotate(p, k * w * (-s * r % n), modulus) for r, p in packed)
-        coeffs = _x_coefficients(ctx, total, k, w, den)
-        sums.append(CPoly(ctx, coeffs) if polys else coeffs[0])
+        digits = _unpack(total, k, n * w)
+        sums.append([CycloElem(ctx, _reduce(ctx, digits[j::w]), den) for j in range(w)])
     return sums
 
 
-def _x_coefficients(ctx: CycloContext, value: int, k: int, w: int, den: int) -> list[CycloElem]:
-    """The coefficients c_0..c_(w-1) of x^0..x^(w-1), as field elements over
-    the denominator ``den``, of a value packed as in ``twisted_sums``."""
-    digits = _unpack(value, k, ctx.n * w)
-    return [CycloElem(ctx, _reduce(ctx, digits[j::w]), den) for j in range(w)]
+def _cleared_sums(ctx: CycloContext) -> list[list[CycloElem]]:
+    """S[s] = sum_{0<r<n} zeta^(-sr) Q_r for s = 0..n-1, each as its n
+    x-coefficients, for Q_r = (x - 1) prod_{0<r'<n, r'!=r} (1 - x*zeta^r').
 
-
-def _partial_fraction_tables(ctx: CycloContext) -> tuple[tuple[CPoly, ...], tuple[CPoly, ...]]:
-    """(Q, R) for the partial-fraction identity cleared of x^n - 1: the residue
-    table of Q_r = (x - 1) P_r with P_r = prod_{r' not in {0, r}} (1 - x*zeta^r'),
-    r = 1..n-1, at index r (index 0 holds 0), and the right sides
-    R[s] = sum_j x^j - n*x^s."""
+    Each Q_r is built packed, with w = n and k = n + bitlen(n - 1): a factor
+    1 - x*zeta^r' is one rotate-and-subtract acc - acc * 2^(k + r'*k*w), and
+    so is x - 1.  ``_rotated_sums`` takes the packed Q_r as they are.  Only
+    the final digits must fit their slots (see ``twisted_sums``):
+    - Q_r has n - 1 linear factors, so x-degree n - 1 < w: a shift by x
+      never moves a digit into the next zeta block.
+    - With Q_r = (x - 1) P_r, the x^j coefficient of P_r is (-1)^j times a
+      sum of C(n - 2, j) monomials zeta^(r_1 + ... + r_j): its digits have
+      sign (-1)^j and size at most C(n - 2, j).  That of Q_r is the x^(j-1)
+      coefficient of P_r less the x^j one, so its digits are at most
+      C(n - 2, j - 1) + C(n - 2, j) = C(n - 1, j) <= 2^(n-1).
+    - A rotation permutes the zeta blocks of one x-power, so a digit of
+      S[s] sums n - 1 of those: at most (n - 1) 2^(n-1) <
+      2^(bitlen(n - 1) + n - 1) = 2^(k-1), the bound ``_unpack`` needs.
+    """
     n = ctx.n
-    products = (prod_one_minus_x_zeta(ctx, exclude={0, r}) for r in range(1, n))
-    cleared = tuple(p.shift(1) - p for p in products)  # (x - 1) P_r
-    rights = tuple(geometric_sum(ctx) - CPoly.x_pow(ctx, s).scale(n) for s in range(n))
-    return (CPoly.zero(ctx), *cleared), rights
+    k, w = n + (n - 1).bit_length(), n
+    modulus = (1 << (k * w * n)) - 1
+    packed = []
+    for r in range(1, n):
+        acc = 1
+        for u in range(1, n):
+            if u != r:  # acc * (1 - x*zeta^u)
+                acc = (acc - _rotate(acc, k + u * k * w, modulus)) % modulus
+        packed.append((r, (_rotate(acc, k, modulus) - acc) % modulus))  # (x - 1) P_r
+    return _rotated_sums(ctx, packed, k, w, 1)
 
 
 def partial_fraction_check(ctx: CycloContext) -> list[bool]:
@@ -262,13 +253,14 @@ def partial_fraction_check(ctx: CycloContext) -> list[bool]:
     sum_{0<r<n} zeta^(-rs)/(1 - x*zeta^r) = (sum_j x^j - n*x^s)/(x^n - 1)
     holds, for s = 0..n-1.
 
-    Both sides are multiplied by x^n - 1; the left side becomes
-    sum_{0<r<n} zeta^(-rs) * (x-1) * prod_{0<r'<n, r'!=r} (1 - x*zeta^r').
-    The cleared summands and right sides are built once, and one
-    ``twisted_sums`` call gives the left side for every s.
+    Both sides are multiplied by x^n - 1.  The left side becomes
+    S[s] = sum_{0<r<n} zeta^(-rs) Q_r, every s from one ``_cleared_sums``
+    pass, and the right side has the coefficient 1 - n*[j == s] at x^j for
+    j = 0..n-1.
     """
-    cleared, rights = _partial_fraction_tables(ctx)
-    return [total == right for total, right in zip(twisted_sums(cleared), rights)]
+    n = ctx.n
+    return [all(c == 1 - n * (j == s) for j, c in enumerate(total))
+            for s, total in enumerate(_cleared_sums(ctx))]
 
 
 def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
@@ -278,16 +270,19 @@ def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
     holds, as the n x n table indexed [k-1][s] for k = 1..n, s = 0..n-1.
 
     Cleared of x^n - 1, the summand at j - k = r is (1 + x*zeta^r) Q_r with
-    Q_r the partial-fraction table, and the right side is
-    (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s).  With S the twisted
-    sums of Q, the left side is S[s] + x*S[s - 1]: zeta^(-sr) * zeta^r =
-    zeta^(-(s-1)r), and zeta^n = 1 makes S[-1] = S[n - 1].
+    Q_r the partial-fraction term, and the right side is
+    (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s).  With S the sums of
+    ``_cleared_sums``, the left side is S[s] + x*S[s - 1]:
+    zeta^(-sr) * zeta^r = zeta^(-(s-1)r), and zeta^n = 1 makes
+    S[-1] = S[n - 1].  Both sides are compared coefficient by coefficient,
+    at x^0..x^n.
     """
     n = ctx.n
-    cleared, rights = _partial_fraction_tables(ctx)
-    sums = twisted_sums(cleared)
-    x_n_minus_1 = CPoly.x_pow(ctx, n) - CPoly.one(ctx)
-    row = [sums[s] + sums[s - 1].shift(1)
-           == x_n_minus_1.scale(1 - (n if s == 0 else 0)) + right.scale(2)
-           for s, right in enumerate(rights)]
+    sums = _cleared_sums(ctx)
+    row = []
+    for s in range(n):
+        c = 1 - n * (s == 0)
+        right = [2 * (1 - n * (j == s)) - c * (j == 0) for j in range(n)] + [c]
+        left = [a + b for a, b in zip([*sums[s], 0], [0, *sums[s - 1]])]
+        row.append(left == right)
     return [list(row) for _ in range(n)]  # every row is the k-free sum

@@ -34,7 +34,7 @@ from cyclodet.identities import (
     twisted_products,
 )
 from cyclodet.linalg import CMatrix
-from cyclodet.polynomials import CPoly, prod_one_minus_x_zeta
+from cyclodet.polynomials import CPoly
 
 from helpers import (add_scalar, is_hermitian, minor_delete, random_element, random_matrix,
                      reference_spectrum_poly)
@@ -123,8 +123,9 @@ def test_inv_one_plus_zeta():
 
 
 def test_tables_and_linear_factors_make_no_field_product(monkeypatch):
-    # residue tables, linear-factor products and spectrum polynomials take
-    # closed-form inverses, shifts, twists and rational scalings only
+    # residue tables, the partial-fraction sums of linear-factor products and
+    # spectrum polynomials take closed-form inverses, shifts, twists and
+    # rational scalings only
     products = 0
     mul = CycloElem.__mul__
 
@@ -142,8 +143,7 @@ def test_tables_and_linear_factors_make_no_field_product(monkeypatch):
         for kind in MatrixKind:
             if kind is not MatrixKind.S19 or n % 2:
                 residue_table(kind, ctx)
-        prod_one_minus_x_zeta(ctx)
-        prod_one_minus_x_zeta(ctx, exclude={0, n - 1})
+        polynomials._cleared_sums(ctx)
         for kind in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I, MatrixKind.TWO_C):
             spectrum_poly(ctx, spectrum(kind, n))
     assert products == 0
@@ -703,17 +703,17 @@ def test_render_of_a_field_element():
 
 
 def _with_wrong_term(build):
-    """The builder ``build`` with its table entry at r = 2 off by 1."""
+    """The kernel ``build`` of the sums S[s] = sum_r zeta^(-sr) Q_r with Q_2
+    off by 1: zeta^(-2s) more in the x^0 coefficient of every S[s]."""
     def wrong(ctx):
-        table, rights = build(ctx)
-        return (*table[:2], table[2] + CPoly.one(ctx), *table[3:]), rights
+        return [[c + ctx.zeta_pow(-2 * s), *rest] for s, (c, *rest) in enumerate(build(ctx))]
     return wrong
 
 
 def test_wrong_row_sum_x_term_keeps_expected(monkeypatch):
     good = run_identity("row-sum-x", 5)
-    monkeypatch.setattr(polynomials, "_partial_fraction_tables",
-                        _with_wrong_term(polynomials._partial_fraction_tables))  # Q_2 off by 1
+    monkeypatch.setattr(polynomials, "_cleared_sums",
+                        _with_wrong_term(polynomials._cleared_sums))  # Q_2 off by 1
     bad = run_identity("row-sum-x", 5)
     assert good.passed and not bad.passed
     assert bad.expected == good.expected
@@ -723,8 +723,8 @@ def test_wrong_row_sum_x_term_keeps_expected(monkeypatch):
 
 def test_wrong_partial_fraction_term_keeps_expected(monkeypatch):
     good = run_identity("partial-fraction", 5)
-    monkeypatch.setattr(polynomials, "_partial_fraction_tables",
-                        _with_wrong_term(polynomials._partial_fraction_tables))  # Q_2 off by 1
+    monkeypatch.setattr(polynomials, "_cleared_sums",
+                        _with_wrong_term(polynomials._cleared_sums))  # Q_2 off by 1
     bad = run_identity("partial-fraction", 5)
     assert good.passed and not bad.passed
     assert bad.expected == good.expected

@@ -6,14 +6,7 @@ import pytest
 
 from cyclodet import polynomials
 from cyclodet.cyclotomic import CycloContext, CycloElem, shared_context
-from cyclodet.polynomials import (
-    CPoly,
-    geometric_sum,
-    partial_fraction_check,
-    prod_one_minus_x_zeta,
-    row_sum_x_check,
-    twisted_sums,
-)
+from cyclodet.polynomials import CPoly, partial_fraction_check, row_sum_x_check, twisted_sums
 
 from helpers import random_element
 
@@ -75,26 +68,35 @@ def test_coefficients_reject_floats():
         CPoly(ctx, [0.1])
 
 
+def _direct_product(ctx, exclude=()):
+    # the product of (1 - x*zeta^r) over r in 0..n-1 outside exclude, each
+    # linear factor multiplied in by CPoly.__mul__
+    acc = CPoly.one(ctx)
+    for r in range(ctx.n):
+        if r not in exclude:
+            acc = acc * CPoly(ctx, [ctx.one(), -ctx.zeta_pow(r)])
+    return acc
+
+
 @pytest.mark.parametrize("n", range(2, 41))
 def test_full_product_is_one_minus_x_to_n(n):
+    # the factorisation that the partial-fraction expansion rests on
     ctx = shared_context(n)
     target = CPoly(ctx, [1] + [0] * (n - 1) + [-1])
-    assert prod_one_minus_x_zeta(ctx) == target
+    assert _direct_product(ctx) == target
 
 
 def test_product_excluding_zero():
     # dividing 1 - x^3 by 1 - x must recover the excluded-0 product
     ctx = shared_context(3)
-    candidate = prod_one_minus_x_zeta(ctx, exclude={0})
-    assert candidate * CPoly(ctx, [1, -1]) == prod_one_minus_x_zeta(ctx)
+    candidate = _direct_product(ctx, exclude={0})
+    assert candidate * CPoly(ctx, [1, -1]) == _direct_product(ctx)
     assert candidate == CPoly(ctx, [1, 1, 1])
 
 
 def test_product_excluding_all():
     ctx = shared_context(3)
-    assert prod_one_minus_x_zeta(ctx, exclude={0, 1, 2}) == CPoly.one(ctx)
-    with pytest.raises(ValueError):
-        prod_one_minus_x_zeta(ctx, exclude={3})
+    assert _direct_product(ctx, exclude={0, 1, 2}) == CPoly.one(ctx)
 
 
 def test_partial_fraction_hand_expansion():
@@ -102,10 +104,11 @@ def test_partial_fraction_hand_expansion():
     ctx = shared_context(3)
     lhs = CPoly.zero(ctx)
     for r in (1, 2):
-        lhs = lhs + prod_one_minus_x_zeta(ctx, exclude={0, r}).scale(ctx.zeta_pow(0))
+        lhs = lhs + _direct_partial_product(ctx, r).scale(ctx.zeta_pow(0))
     lhs = lhs * CPoly(ctx, [-1, 1])
     assert lhs == CPoly(ctx, [-2, 1, 1])
-    assert lhs == geometric_sum(ctx) - CPoly.one(ctx).scale(3)
+    assert lhs == CPoly(ctx, [1, 1, 1]) - CPoly.one(ctx).scale(3)
+    assert CPoly(ctx, polynomials._cleared_sums(ctx)[0]) == lhs
     assert partial_fraction_check(ctx)[0]
 
 
@@ -120,11 +123,7 @@ def test_row_sum_x_all_k_s(n):
 
 
 def _direct_partial_product(ctx, r):
-    acc = CPoly.one(ctx)
-    for r2 in range(1, ctx.n):
-        if r2 != r:
-            acc = acc * CPoly(ctx, [ctx.one(), -ctx.zeta_pow(r2)])
-    return acc
+    return _direct_product(ctx, exclude={0, r})
 
 
 def _direct_partial_fraction_term(ctx, r):
@@ -136,10 +135,20 @@ def _direct_row_sum_x_term(ctx, r):
     return numer * _direct_partial_fraction_term(ctx, r)
 
 
-def _assert_row_sum_x_reindexing(ctx, cleared):
-    # the twisted sums of the directly multiplied row-sum-x summands are
-    # S[s] + x*S[s - 1], with S the twisted sums of the cleared table
-    sums = twisted_sums(cleared)
+def _direct_cleared_sums(ctx):
+    # the twisted sums of the directly multiplied cleared terms Q_r
+    return twisted_sums([CPoly.zero(ctx)]
+                        + [_direct_partial_fraction_term(ctx, r) for r in range(1, ctx.n)])
+
+
+def _assert_cleared_sums_are_direct(ctx):
+    # _cleared_sums gives the twisted sums of the directly multiplied Q_r, as
+    # n x-coefficients each; and the twisted sums of the directly multiplied
+    # row-sum-x summands are S[s] + x*S[s - 1], with S those sums
+    cleared = polynomials._cleared_sums(ctx)
+    assert len(cleared) == ctx.n and all(len(c) == ctx.n for c in cleared)
+    sums = [CPoly(ctx, coeffs) for coeffs in cleared]
+    assert sums == _direct_cleared_sums(ctx)
     direct = twisted_sums([CPoly.zero(ctx)]
                           + [_direct_row_sum_x_term(ctx, r) for r in range(1, ctx.n)])
     for s in range(ctx.n):
@@ -148,13 +157,7 @@ def _assert_row_sum_x_reindexing(ctx, cleared):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_tables_equal_direct_products(n):
-    ctx = shared_context(n)
-    cleared, _ = polynomials._partial_fraction_tables(ctx)
-    assert len(cleared) == n
-    assert cleared[0] == CPoly.zero(ctx)
-    for r in range(1, n):
-        assert cleared[r] == _direct_partial_fraction_term(ctx, r)
-    _assert_row_sum_x_reindexing(ctx, cleared)
+    _assert_cleared_sums_are_direct(shared_context(n))
 
 
 def test_cached_tables_from_a_fresh_context():
@@ -162,10 +165,7 @@ def test_cached_tables_from_a_fresh_context():
     assert ctx is not shared_context(7)
     assert row_sum_x_check(ctx) == [[True] * 7] * 7
     assert partial_fraction_check(ctx) == [True] * 7
-    cleared, _ = polynomials._partial_fraction_tables(ctx)
-    for r in range(1, 7):
-        assert cleared[r] == _direct_partial_fraction_term(ctx, r)
-    _assert_row_sum_x_reindexing(ctx, cleared)
+    _assert_cleared_sums_are_direct(ctx)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -186,19 +186,19 @@ def test_each_check_builds_its_own_products(monkeypatch):
     # no state is kept between calls, so what a check builds does not depend
     # on which check ran before it on the same n
     built = []
-    real = polynomials.prod_one_minus_x_zeta
+    real = polynomials._cleared_sums
 
-    def counting(ctx, exclude=frozenset()):
-        built.append(frozenset(exclude))
-        return real(ctx, exclude)
+    def counting(ctx):
+        built.append(ctx.n)
+        return real(ctx)
 
-    monkeypatch.setattr(polynomials, "prod_one_minus_x_zeta", counting)
+    monkeypatch.setattr(polynomials, "_cleared_sums", counting)
     ctx = shared_context(6)
     for check in (row_sum_x_check, row_sum_x_check, partial_fraction_check,
                   partial_fraction_check, row_sum_x_check):
         built.clear()
         check(ctx)
-        assert sorted(built, key=sorted) == [frozenset({0, r}) for r in range(1, 6)]
+        assert built == [6]
 
 
 def _direct_row_sum(ctx, table, k, s, zero):
@@ -277,14 +277,16 @@ def test_twisted_sums_of_zero_tables(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_products_equal_their_multiplied_factors(n):
+    # the expansion behind the slot bound of _cleared_sums: the x^j
+    # coefficient of a product of linear factors is (-1)^j times the sum of
+    # the C(m, j) monomials zeta^(r_1 + ... + r_j) over j of the m kept r
     ctx = shared_context(n)
     for size in range(n + 1):
         for exclude in combinations(range(n), size):
-            direct = CPoly.one(ctx)
-            for r in range(n):
-                if r not in exclude:
-                    direct = direct * CPoly(ctx, [ctx.one(), -ctx.zeta_pow(r)])
-            assert prod_one_minus_x_zeta(ctx, exclude=set(exclude)) == direct
+            kept = [r for r in range(n) if r not in exclude]
+            expanded = [sum((ctx.zeta_pow(sum(rs)) for rs in combinations(kept, j)),
+                            ctx.zero()) * (-1) ** j for j in range(len(kept) + 1)]
+            assert _direct_product(ctx, exclude=set(exclude)) == CPoly(ctx, expanded)
 
 
 def test_kernels_make_no_field_operation(monkeypatch):
@@ -294,7 +296,7 @@ def test_kernels_make_no_field_operation(monkeypatch):
     polys = [CPoly(ctx, [random_element(ctx, rng) for _ in range(r % 4)]) for r in range(12)]
     expected = ([_direct_row_sum(ctx, elements, 1, s, ctx.zero()) for s in range(12)],
                 [_direct_row_sum(ctx, polys, 1, s, CPoly.zero(ctx)) for s in range(12)],
-                _direct_partial_product(ctx, 5))
+                _direct_cleared_sums(ctx))
 
     def refuse(*args):
         raise AssertionError("field operation in a packed kernel")
@@ -302,10 +304,10 @@ def test_kernels_make_no_field_operation(monkeypatch):
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                  "mul_zeta_pow"):
         monkeypatch.setattr(CycloElem, attr, refuse)
-    computed = (twisted_sums(elements), twisted_sums(polys),
-                prod_one_minus_x_zeta(ctx, exclude={0, 5}))
+    computed = (twisted_sums(elements), twisted_sums(polys), polynomials._cleared_sums(ctx))
     monkeypatch.undo()
-    assert computed == expected
+    assert computed[:2] == expected[:2]
+    assert [CPoly(ctx, coeffs) for coeffs in computed[2]] == expected[2]
 
 
 def test_render():
