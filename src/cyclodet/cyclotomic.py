@@ -11,11 +11,12 @@ stays in integer arithmetic (see ``CycloElem.inverse``).
 
 A product multiplies the numerators as integer polynomials by the
 schoolbook convolution.  The 2d - 1 coefficients are folded into
-Z[x]/(x^n - 1), where x^(n+i) = x^i, and then divided by Phi_n from the top
-down, one step per power x^d..x^(n-1) at the cost of the nonzero terms of
-Phi_n: one step for prime n.  The same long division builds Phi_n itself.
-Twists by zeta^e and Galois maps are permutations in Z[x]/(x^n - 1)
-followed by the same reduction.
+Z[x]/(x^n - 1), where x^(n+i) = x^i, and each power x^d..x^(n-1) left is
+replaced by its power row, x^k mod Phi_n kept as its nonzero terms: one
+dense row for prime n, and rows of a few terms where Phi_n is sparse.  The
+rows are built once per n, on first use.  A long division builds Phi_n
+itself.  Twists by zeta^e and Galois maps are permutations in
+Z[x]/(x^n - 1) followed by the same reduction.
 
 Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
 ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
@@ -53,13 +54,6 @@ def _divide(v: list[int], terms, d: int) -> None:
                 v[k + o] -= q * c
 
 
-def _terms(poly) -> tuple[tuple[int, int], ...]:
-    """The pairs (i - d, c_i) of the nonzero coefficients below the top of
-    the monic ``poly`` of degree d, as ``_divide`` reads them."""
-    d = len(poly) - 1
-    return tuple((i - d, c) for i, c in enumerate(poly[:d]) if c)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n (dense, lowest degree first, monic).
@@ -74,7 +68,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % m == 0:
             phi = cyclotomic_polynomial(m)
             d = len(phi) - 1
-            _divide(poly, _terms(phi), d)
+            _divide(poly, [(i - d, c) for i, c in enumerate(phi[:d]) if c], d)
             if any(poly[:d]):
                 raise ArithmeticError("inexact polynomial division")
             del poly[:d]
@@ -132,32 +126,53 @@ def _entry(ctx: CycloContext, e) -> CycloElem:
     return e
 
 
+@lru_cache(maxsize=None)
+def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k - d, for d <= k < n: x^k mod Phi_n as its nonzero pairs
+    (i, c_i), i < d.  x^d = -(the terms of Phi_n below x^d), and each next
+    row is x times the last, its x^d term replaced the same way."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    row, rows = [-c for c in phi[:d]], []
+    for _ in range(d, n):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row.pop()
+        row.insert(0, 0)
+        if top:
+            row = [a - top * c for a, c in zip(row, phi)]
+    return tuple(rows)
+
+
 def _reduce(ctx: CycloContext, v: list[int]) -> list[int]:
     """Coordinates mod Phi_n of sum_k v[k] x^k, for d <= len(v) < 2n; the
     list v is used as scratch space and returned.
 
     Phi_n divides x^n - 1, so reducing first mod x^n - 1 is exact: x^(n+i)
-    folds onto x^i.  Then one long division by Phi_n (``_divide``) leaves the
-    remainder.  Each nonzero x^k with d <= k < n costs one product per
-    nonzero coefficient of Phi_n below x^d: for prime n there is one such
-    step, at x^(n-1), and Phi_81 = x^54 + x^27 + 1 costs two per step.
+    folds onto x^i.  Then each v[k] with d <= k < n adds v[k] times its
+    power row (``_power_rows``) to v[:d].  Every row lies below x^d, so no
+    step writes to a v[k] with k >= d: each is read once, with its final
+    value, and the order of the steps does not matter.  A step costs the
+    nonzero terms of its row: for prime n there is one step, at x^(n-1),
+    and every row of Phi_81 = x^54 + x^27 + 1 has one or two terms.
     """
     n, d = ctx.n, ctx.degree
     for k in range(n, len(v)):
         c = v[k]
         if c:
             v[k - n] += c
-    del v[n:]
-    _divide(v, ctx._phi_terms, d)
+    for c, row in zip(v[d:n], _power_rows(n)):
+        if c:
+            for i, a in row:
+                v[i] += c * a
     del v[d:]
     return v
 
 
 class CycloContext:
-    """Precomputed data for Q(zeta_n): Phi_n, its degree, and the nonzero
-    terms of Phi_n that ``_reduce`` divides by.  Immutable and shareable."""
+    """Precomputed data for Q(zeta_n): Phi_n and its degree.  Immutable and
+    shareable."""
 
-    __slots__ = ("n", "phi", "degree", "_phi_terms", "_zero", "_one")
+    __slots__ = ("n", "phi", "degree", "_zero", "_one")
 
     def __init__(self, n: int):
         if n < 2:
@@ -166,7 +181,6 @@ class CycloContext:
         self.phi = cyclotomic_polynomial(n)
         d = len(self.phi) - 1
         self.degree = d
-        self._phi_terms = _terms(self.phi)
         self._zero = CycloElem(self, (0,) * d, 1, _raw=True)
         one = [0] * d
         one[0] = 1
@@ -301,9 +315,8 @@ class CycloElem:
         Z[x]/(x^n - 1) and divided by Phi_n (``_reduce``).
         """
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            num = [v * q.numerator for v in self.num]
-            return CycloElem(self.ctx, num, self.den * q.denominator)
+            num = [v * other.numerator for v in self.num]
+            return CycloElem(self.ctx, num, self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -388,10 +401,9 @@ class CycloElem:
         return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return (not any(self.num[1:])) and self.num[0] == q.numerator \
-                and self.den == q.denominator
+        if isinstance(other, (int, Fraction)):  # an int is its own numerator, over 1
+            return self.num[0] == other.numerator and self.den == other.denominator \
+                and not any(self.num[1:])
         if not isinstance(other, CycloElem):
             return NotImplemented
         if self.ctx.n != other.ctx.n:
@@ -429,41 +441,47 @@ class CycloElem:
         return f"CycloElem({self.render()!r}, n={self.ctx.n})"
 
 
-def inv_one_minus_zeta(ctx: CycloContext, r: int) -> CycloElem:
-    """Closed form for 1/(1 - zeta^r), r not divisible by n.
+def _inv_one_minus_zeta_vector(n: int, r: int) -> list[int]:
+    """n/(1 - zeta^r) in Z[x]/(x^n - 1), as n int coordinates, for r not
+    divisible by n.
 
     (1 - zeta^r) * sum_{j<n} (j+1) zeta^(rj) = -n, so the inverse is
-    -(1/n) sum_{j<n} (j+1) zeta^(rj).  One pass over Z[x]/(x^n - 1) and one
-    reduction, where ``(1 - zeta^r).inverse()`` takes phi(n) products; the
-    two are cross-checked in the tests.
+    -(1/n) sum_{j<n} (j+1) zeta^(rj): one pass, where
+    ``(1 - zeta^r).inverse()`` takes phi(n) products; the two are
+    cross-checked in the tests.
     """
-    n = ctx.n
     r %= n
     if r == 0:
         raise ZeroDivisionError("1 - zeta^0 is zero")
     v = [0] * n
     for j in range(n):
         v[r * j % n] -= j + 1
-    return CycloElem(ctx, _reduce(ctx, v), n)
+    return v
 
 
-def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
-    """Closed form for 1/(1 + zeta^u), 2u not divisible by n.
+def _inv_one_plus_zeta_vector(n: int, u: int) -> list[int]:
+    """n/(1 + zeta^u) in Z[x]/(x^n - 1), as n int coordinates, for 2u not
+    divisible by n.
 
     With y = zeta^u, 1/(1 + y) = (1 - y)/(1 - y^2), and y^2 = zeta^(2u) is
     an n-th root of unity other than 1 exactly when 2u is not divisible by
-    n, so by the identity of ``inv_one_minus_zeta`` at r = 2u,
-    1/(1 + y) = -(1/n) sum_{j<n} (j+1) (zeta^(2uj) - zeta^((2j+1)u)): one
-    pass over Z[x]/(x^n - 1) and one reduction, for odd and even n alike.
-    Raises ZeroDivisionError exactly when 2u = 0 mod n, which covers
-    zeta^u = -1 (u = n/2 for even n) and u = 0.
+    n: the vector of ``_inv_one_minus_zeta_vector`` at r = 2u, less its
+    rotation by u, for odd and even n alike.  So this raises
+    ZeroDivisionError exactly when 2u = 0 mod n, which covers zeta^u = -1
+    (u = n/2 for even n) and u = 0.
     """
-    n = ctx.n
     u %= n
-    if 2 * u % n == 0:
-        raise ZeroDivisionError("1 - zeta^(2u) is zero")
-    v = [0] * n
-    for j in range(n):
-        v[2 * u * j % n] -= j + 1
-        v[(2 * j + 1) * u % n] += j + 1
-    return CycloElem(ctx, _reduce(ctx, v), n)
+    v = _inv_one_minus_zeta_vector(n, 2 * u)
+    return [a - b for a, b in zip(v, v[n - u:] + v[:n - u])]
+
+
+def inv_one_minus_zeta(ctx: CycloContext, r: int) -> CycloElem:
+    """Closed form for 1/(1 - zeta^r), r not divisible by n: the vector of
+    ``_inv_one_minus_zeta_vector`` over n, reduced once."""
+    return CycloElem(ctx, _reduce(ctx, _inv_one_minus_zeta_vector(ctx.n, r)), ctx.n)
+
+
+def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
+    """Closed form for 1/(1 + zeta^u), 2u not divisible by n: the vector of
+    ``_inv_one_plus_zeta_vector`` over n, reduced once."""
+    return CycloElem(ctx, _reduce(ctx, _inv_one_plus_zeta_vector(ctx.n, u)), ctx.n)

@@ -32,11 +32,12 @@ from math import gcd, lcm
 
 from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
-from .cyclotomic import (CycloContext, CycloElem, inv_one_minus_zeta, inv_one_plus_zeta,
+from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
+                         _inv_one_plus_zeta_vector, inv_one_minus_zeta, inv_one_plus_zeta,
                          shared_context)
 from .linalg import CMatrix
 from . import polynomials
-from .polynomials import CPoly, twisted_sums
+from .polynomials import CPoly, _twisted_vector_sums, twisted_sums
 from .rationals import exact, format_rational
 
 
@@ -444,16 +445,20 @@ def _eei(kind: MatrixKind, n: int):
 def _root_sums(n: int):
     """Weighted sums over the nontrivial n-th roots:
     sum_{0<r<n} zeta^(-rs)/(1 - zeta^r) = (n-1)/2 - s for every s, and for
-    odd n also sum_{0<r<n} zeta^(-rs)/(1 + zeta^r) = ((-1)^s n - 1)/2."""
+    odd n also sum_{0<r<n} zeta^(-rs)/(1 + zeta^r) = ((-1)^s n - 1)/2.
+    Each table entry stays the int vector of n/(1 -+ zeta^r) in
+    Z[x]/(x^n - 1), so only the n sums of each half are reduced mod Phi_n;
+    the vector builders are module globals looked up at each call, so a
+    patched one is seen."""
     ctx = shared_context(n)
-    halves = [(inv_one_minus_zeta, lambda s: Fraction(n - 1, 2) - s)]
+    halves = [(_inv_one_minus_zeta_vector, lambda s: Fraction(n - 1, 2) - s)]
     if n % 2 == 1:
-        halves.append((inv_one_plus_zeta, lambda s: Fraction((-1) ** s * n - 1, 2)))
+        halves.append((_inv_one_plus_zeta_vector, lambda s: Fraction((-1) ** s * n - 1, 2)))
     expected, computed = [], []
-    for inverse, closed in halves:
-        table = (ctx.zero(), *(inverse(ctx, r) for r in range(1, n)))
+    for vector, closed in halves:
+        sums = _twisted_vector_sums(ctx, [vector(n, r) for r in range(1, n)], 1, n)
         expected.extend(closed(s) for s in range(n))
-        computed.extend(twisted_sums(table))
+        computed.extend(coeffs[0] for coeffs in sums)
     return {"checks": len(computed)}, expected, computed
 
 

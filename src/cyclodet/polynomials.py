@@ -16,12 +16,13 @@ Both kernels run on plain ints, in the ring Z/(2^(k*w*n) - 1) that
 ``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
 is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
 (1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  Both
-end in the one rotate-and-sum loop, ``_rotated_sums``.
+end in the one shift-and-sum loop, ``_rotated_sums``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import lshift
 
 from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _rotate, _unpack
 from .rationals import format_rational
@@ -156,22 +157,12 @@ def twisted_sums(table) -> list:
     equals entry s: as j runs over j != k, r = (j - k) mod n runs over
     1..n-1 once each, and zeta^(-s(j - k)) = zeta^(-sr) as zeta^n = 1.
 
-    The sums run in the ring Z/(2^(k*w*n) - 1), w the x-width (the longest
-    t[r], at least 1; w = 1 for field elements).  Each t[r] is lifted once
-    over the common denominator D into Z[x, zeta]/(zeta^n - 1) of x-degree
-    < w, with slot u*w + j holding the coordinate of zeta^u * x^j, and
-    packed by x -> 2^k, zeta -> 2^(k*w): a ring map, since
-    zeta^n -> 2^(k*w*n) = 1.  ``_rotated_sums`` does the rest.
-
-    Only the final digits must fit in the slots: the packing is a ring map,
-    so intermediate values may wrap, and ``_unpack`` reads back every digit
-    vector with all |digits| < 2^(k-1).  A rotation permutes the slots of
-    one x-power, so each digit of a sum is a sum of at most n - 1 lifted
-    coordinates, each at most B in absolute value: |digit| <= (n - 1) B <
-    2^(bitlen(B) + bitlen(n - 1)) = 2^(k-1) for
-    k = bitlen(B) + bitlen(n - 1) + 1.  The x-slot may index the rows of a
-    matrix instead of the powers of x (``identities.twisted_products``);
-    the proof is unchanged.
+    The front end lifts each t[r] once over the common denominator D into
+    Z[x, zeta]/(zeta^n - 1) of x-degree < w, w the x-width (the longest
+    t[r], at least 1; w = 1 for field elements), with slot u*w + j holding
+    the coordinate of zeta^u * x^j; ``_twisted_vector_sums`` does the rest.
+    The x-slot may index the rows of a matrix instead of the powers of x
+    (``identities.twisted_products``); the proof there is unchanged.
     """
     n = len(table)
     terms = table[1:]
@@ -182,35 +173,59 @@ def twisted_sums(table) -> list:
     rows = [t.coeffs if polys else (t,) for t in terms]
     w = max(1, *map(len, rows))
     den, lifts = _lift([c for row in rows for c in row])
-    bound = max((abs(v) for lift in lifts for v in lift), default=0)
-    k = bound.bit_length() + (n - 1).bit_length() + 1
     coords = iter(lifts)
-    packed = []
-    for r, row in enumerate(rows, 1):
+    vectors = []
+    for row in rows:
         slots = [0] * (ctx.degree * w)
         for j in range(len(row)):
             slots[j::w] = next(coords)
-        if any(slots):
-            packed.append((r, _pack(slots, k)))
-    sums = _rotated_sums(ctx, packed, k, w, den)
+        vectors.append(slots)
+    sums = _twisted_vector_sums(ctx, vectors, w, den)
     return [CPoly(ctx, coeffs) if polys else coeffs[0] for coeffs in sums]
+
+
+def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[list[CycloElem]]:
+    """The sums of ``twisted_sums`` for t[r] = vectors[r - 1] / den,
+    r = 1..n-1, as ``_rotated_sums`` returns them.  Each vector holds the
+    int coordinates of den * t[r] in Z[x, zeta]/(zeta^n - 1), slot u*w + j
+    for zeta^u * x^j, and may have any length up to n*w: the d*w slots of a
+    lifted field element, or all n*w of an element never reduced mod Phi_n
+    (``identities._root_sums``).  Each is packed once by x -> 2^k,
+    zeta -> 2^(k*w): a ring map, since zeta^n -> 2^(k*w*n) = 1.
+
+    Only the final digits must fit in the slots: the packing is a ring map,
+    so intermediate values may wrap, and ``_unpack`` reads back every digit
+    vector with all |digits| < 2^(k-1).  A rotation permutes the slots of
+    one x-power, so each digit of a sum is a sum of at most n - 1
+    coordinates, each at most B in absolute value: |digit| <= (n - 1) B <
+    2^(bitlen(B) + bitlen(n - 1)) = 2^(k-1) for
+    k = bitlen(B) + bitlen(n - 1) + 1.
+    """
+    n = ctx.n
+    bound = max((max(max(v), -min(v)) for v in vectors), default=0)
+    k = bound.bit_length() + (n - 1).bit_length() + 1
+    packed = [(r, _pack(v, k)) for r, v in enumerate(vectors, 1) if any(v)]
+    return _rotated_sums(ctx, packed, k, w, den)
 
 
 def _rotated_sums(ctx: CycloContext, packed, k: int, w: int, den: int) -> list[list[CycloElem]]:
     """For s = 0..n-1, the x-coefficients c_0..c_(w-1) over ``den`` of
     sum_r zeta^(-sr) t_r, for the pairs (r, t_r) of ``packed`` with t_r
-    packed as in ``twisted_sums``: each s sums the rotated ints, unpacks
-    once and reduces each x-coefficient mod Phi_n once.  Phi_n divides
-    zeta^n - 1, so that reduction is a ring map too, and it must stay, as
-    the identities hold only at a primitive zeta.  The callers prove that
-    every digit of a sum fits its slot.
+    packed as in ``_twisted_vector_sums``.  Each s shifts every t_r once,
+    by k*w*(-sr mod n) bits, and sums the shifted ints: a shift is the
+    twist by zeta^(-sr) mod 2^(k*w*n) - 1, and ``_unpack`` takes any
+    representative, so neither a t_r nor a sum is reduced before it.  Each
+    sum is unpacked once and each x-coefficient reduced mod Phi_n once.
+    Phi_n divides zeta^n - 1, so that reduction is a ring map too, and it
+    must stay, as the identities hold only at a primitive zeta.  The callers
+    prove that every digit of a sum fits its slot.
     """
     n = ctx.n
-    modulus = (1 << (k * w * n)) - 1
-    packed = [(r, p % modulus) for r, p in packed]
+    rs = [r for r, _ in packed]
+    ps = [p for _, p in packed]
     sums = []
     for s in range(n):
-        total = sum(_rotate(p, k * w * (-s * r % n), modulus) for r, p in packed)
+        total = sum(map(lshift, ps, [k * w * (-s * r % n) for r in rs]))
         digits = _unpack(total, k, n * w)
         sums.append([CycloElem(ctx, _reduce(ctx, digits[j::w]), den) for j in range(w)])
     return sums
@@ -223,7 +238,7 @@ def _cleared_sums(ctx: CycloContext) -> list[list[CycloElem]]:
     Each Q_r is built packed, with w = n and k = n + bitlen(n - 1): a factor
     1 - x*zeta^r' is one rotate-and-subtract acc - acc * 2^(k + r'*k*w), and
     so is x - 1.  ``_rotated_sums`` takes the packed Q_r as they are.  Only
-    the final digits must fit their slots (see ``twisted_sums``):
+    the final digits must fit their slots (see ``_twisted_vector_sums``):
     - Q_r has n - 1 linear factors, so x-degree n - 1 < w: a shift by x
       never moves a digit into the next zeta block.
     - With Q_r = (x - 1) P_r, the x^j coefficient of P_r is (-1)^j times a

@@ -53,7 +53,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
-    q = exact(q)
+    if not isinstance(q, Fraction):
+        q = exact(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -12,6 +12,7 @@ from cyclodet.cyclotomic import (
     CycloElem,
     cyclotomic_polynomial,
     inv_one_minus_zeta,
+    inv_one_plus_zeta,
     shared_context,
 )
 from helpers import reference_mul
@@ -240,6 +241,51 @@ def test_inv_one_minus_zeta_matches_norm_inverse(n):
         assert closed == (one - ctx.zeta_pow(r)).inverse()
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_raw_vectors_reduce_to_the_closed_forms(n):
+    # The unreduced tables of root-sums: each int vector over n, reduced once,
+    # is the public closed form and, by the field product, the inverse.
+    ctx = shared_context(n)
+    one = ctx.one()
+
+    def reduced(vector):
+        return CycloElem(ctx, cyclotomic._reduce(ctx, vector), n)
+
+    with pytest.raises(ZeroDivisionError):
+        cyclotomic._inv_one_minus_zeta_vector(n, 0)
+    for r in range(1, n):
+        elem = reduced(cyclotomic._inv_one_minus_zeta_vector(n, r))
+        assert elem == inv_one_minus_zeta(ctx, r)
+        assert elem * (one - ctx.zeta_pow(r)) == 1, r
+    for u in range(n):
+        if 2 * u % n == 0:
+            with pytest.raises(ZeroDivisionError):
+                cyclotomic._inv_one_plus_zeta_vector(n, u)
+            continue
+        elem = reduced(cyclotomic._inv_one_plus_zeta_vector(n, u))
+        assert elem == inv_one_plus_zeta(ctx, u)
+        assert elem * (one + ctx.zeta_pow(u)) == 1, u
+
+
+def test_context_builds_no_power_rows():
+    # The rows are built on the first reduction at n, never by the context.
+    rows = cyclotomic._power_rows
+    before = rows.cache_info()
+    ctx = CycloContext(997)
+    assert rows.cache_info() == before
+    ctx.zeta_pow(1)
+    after = rows.cache_info()
+    assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
+    assert len(rows(997)) == 1  # prime n: the one row x^996
+
+
+def test_power_rows_of_a_sparse_phi_are_sparse():
+    # Phi_81 = x^54 + x^27 + 1: every row x^k, 54 <= k < 81, has one or two terms
+    rows = cyclotomic._power_rows(81)
+    assert len(rows) == 81 - 54
+    assert all(1 <= len(row) <= 2 and all(i < 54 for i, _ in row) for row in rows)
+
+
 def _random_unit(ctx, rng, bits, den_bits):
     while True:
         a = ctx.from_coeffs([Fraction(rng.randint(-(1 << bits), 1 << bits),
@@ -379,6 +425,17 @@ def test_rational_elements_hash_as_their_value():
     assert len({half, Fraction(1, 2)}) == 1
     assert len({ctx.zero(), 0, ctx.one(), ctx.zeta()}) == 3
     assert (ctx.zeta_pow(2) - ctx.zeta()) * 3 in {ctx.zeta_pow(2) * 3 - ctx.zeta() * 3}
+
+
+def test_equality_with_a_rational_reads_every_coordinate():
+    # the int and Fraction fast path: equal only when the element is that rational
+    ctx = shared_context(5)
+    z = ctx.zeta()
+    assert z + 1 != 1 and 1 != z + 1
+    assert z * Fraction(1, 2) + Fraction(1, 2) != Fraction(1, 2)
+    assert ctx.from_rational(Fraction(-3, 4)) == Fraction(-3, 4) != Fraction(3, 4)
+    assert ctx.from_rational(Fraction(-3, 4)) != Fraction(-3, 2)
+    assert ctx.from_rational(7) == 7 and ctx.from_rational(7) != Fraction(7, 2)
 
 
 def test_rational_elements_equal_across_contexts():

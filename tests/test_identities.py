@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodet import identities, linalg, polynomials
+from cyclodet import cyclotomic, identities, linalg, polynomials
 from cyclodet.cli import _grid_for, main
 from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import (
@@ -352,6 +352,40 @@ def test_root_sums_spot_values():
     assert run_identity("root-sums", 3).passed
     assert run_identity("root-sums", 6).passed  # even n runs the minus half only
     assert run_identity("root-sums", 6).params["checks"] == 6
+
+
+def test_wrong_root_sums_vector_keeps_expected(monkeypatch):
+    good = run_identity("root-sums", 7)
+    real = identities._inv_one_minus_zeta_vector
+
+    def wrong(n, r):
+        v = real(n, r)
+        if r == 2:
+            v[3] += 1  # t[2] off by zeta^3/n: zeta^(3 - 2s)/n more in every sum
+        return v
+
+    monkeypatch.setattr(identities, "_inv_one_minus_zeta_vector", wrong)
+    bad = run_identity("root-sums", 7)
+    assert good.passed and not bad.passed
+    assert bad.expected == good.expected
+    assert bad.computed != good.computed
+    assert bad.first_difference == "[0]"
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9, 16, 25])
+def test_root_sums_reduce_once_per_sum(monkeypatch, n):
+    # the tables stay unreduced: n reductions per half, one per sum
+    calls = []
+    real = cyclotomic._reduce
+
+    def counting(ctx, v):
+        calls.append(len(v))
+        return real(ctx, v)
+
+    monkeypatch.setattr(cyclotomic, "_reduce", counting)
+    monkeypatch.setattr(polynomials, "_reduce", counting)
+    assert run_identity("root-sums", n).passed
+    assert calls == [n] * (n * (2 if n % 2 else 1))
 
 
 def test_row_sums_spot_values():
