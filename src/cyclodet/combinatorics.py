@@ -93,4 +93,4 @@ def signed_derangement_sum(matrix, force: bool = False):
                     dp[s | bit] -= v * packed[i * dim + j]
                 else:
                     dp[s | bit] += v * packed[i * dim + j]
-    return CycloElem(ctx, _reduce(ctx, _unpack(dp[-1] % modulus, k, n)), den ** dim)
+    return CycloElem(ctx, _reduce(ctx, _unpack(dp[-1], k, n)), den ** dim)

@@ -22,9 +22,10 @@ Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
 ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
 a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
 to put the elements over one denominator).  That ring serves
-``CMatrix.charpoly`` and, with x-polynomial coefficients in each slot,
-``polynomials.twisted_sums`` and the partial-fraction sums of
-``polynomials._cleared_sums``.
+``CMatrix.charpoly`` and ``polynomials.twisted_sums``, which takes field
+elements; with w x-slots per power of zeta it also serves the
+partial-fraction sums of ``polynomials._cleared_sums`` and the matrix rows
+of ``identities.twisted_products``.
 """
 
 from __future__ import annotations
@@ -419,6 +420,8 @@ class CycloElem:
 
     def render(self, symbol: str = "z") -> str:
         """Human-readable "c0 + c1*z + ..." with zero terms dropped."""
+        if not any(self.num[1:]):  # rational, and already in lowest terms
+            return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:

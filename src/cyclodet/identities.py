@@ -33,8 +33,8 @@ from math import gcd, lcm
 from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
-                         _inv_one_plus_zeta_vector, inv_one_minus_zeta, inv_one_plus_zeta,
-                         shared_context)
+                         _inv_one_plus_zeta_vector, _lift, inv_one_minus_zeta,
+                         inv_one_plus_zeta, shared_context)
 from .linalg import CMatrix
 from . import polynomials
 from .polynomials import CPoly, _twisted_vector_sums, twisted_sums
@@ -263,11 +263,8 @@ def render(value) -> str:
     if isinstance(value, (tuple, list)):
         inner = ", ".join(map(render, value))
         return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
-    if isinstance(value, CPoly):
+    if isinstance(value, (CPoly, CycloElem)):
         return value.render()
-    if isinstance(value, CycloElem):
-        q = value.as_rational()
-        return value.render() if q is None else format_rational(q)
     if value is None or isinstance(value, bool):
         return str(value)
     return format_rational(value)
@@ -366,24 +363,26 @@ def _charpoly(kind: MatrixKind, n: int):
 
 def twisted_products(matrix: CMatrix) -> list[list[CycloElem]]:
     """[M v(s) for s = 1..n], v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns), for
-    any matrix M over Q(zeta_n) with n columns, from one ``twisted_sums``
-    pass (which rejects another column count).
+    any matrix M over Q(zeta_n) with n columns, from one packed twisted-sum
+    pass; another column count raises ValueError.
 
     (M v(s))_j = sum_c m_jc zeta^(-(c+1)s), so with T[r] = column r - 1 of
     M for r = 1..n-1 and T[0] = column n - 1 (zeta^(-ns) = 1), M v(s) is
-    T[0] + twisted_sums(T)[s mod n].  Each column is a CPoly whose x^j
-    coefficient is m_jc, so the x-slot indexes the row and the tail that
-    CPoly trims is padded back with zeros.  Each entry is lifted and packed
-    once, and the n products take n^2 rotations; nothing assumes M
-    circulant."""
-    ctx, n = matrix.ctx, matrix.cols
-    table = [CPoly(ctx, matrix.data[(r - 1) % n::n]) for r in range(n)]  # column r - 1
-    sums = twisted_sums(table)
-    products = []
-    for s in range(1, n + 1):
-        coeffs = (table[0] + sums[s % n]).coeffs
-        products.append([*coeffs, *[ctx.zero()] * (matrix.rows - len(coeffs))])
-    return products
+    T[0] plus the twisted sums of T at s mod n.  Each T[r] is one vector
+    for ``_twisted_vector_sums`` with w the row count: slot u*w + j holds
+    the zeta^u coordinate of the lifted m_jc, so the x-slot indexes the
+    row.  Each entry is lifted and packed once, and the n products take
+    n^2 rotations; nothing assumes M circulant."""
+    ctx, n, w = matrix.ctx, matrix.cols, matrix.rows
+    if n != ctx.n:
+        raise ValueError(f"twisted products need {ctx.n} columns, got {n}")
+    den, lifts = _lift(matrix.data)
+    vectors = [[0] * (ctx.degree * w) for _ in range(n)]  # column c is T[c + 1]
+    for i, lift in enumerate(lifts):
+        vectors[i % n][i // n::w] = lift  # row i // n, column i mod n
+    sums = _twisted_vector_sums(ctx, vectors[:-1], w, den)
+    last = matrix.data[n - 1::n]  # T[0]
+    return [[a + b for a, b in zip(last, sums[s % n])] for s in range(1, n + 1)]
 
 
 def _eigenpairs(kind: MatrixKind, n: int):

@@ -12,11 +12,13 @@ linear factors and never by dividing 1 - x^n (that would assume the
 factorisation under test).  One pass covers every s, or every (k, s), of
 one n: ``row-sum-x`` reads its left side as S[s] + x*S[s - 1].
 
-Both kernels run on plain ints, in the ring Z/(2^(k*w*n) - 1) that
-``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
-is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
-(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  Both
-end in the one shift-and-sum loop, ``_rotated_sums``.
+``twisted_sums``, over a table of field elements, and ``_cleared_sums``
+run on plain ints, in the ring Z/(2^(k*w*n) - 1) that ``charpoly`` also
+uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m is a rotation by
+k*w*m bits (``cyclotomic._rotate``) and a linear factor (1 - x*zeta^r) is
+one rotate-and-subtract, with no field operation.  Only ``_cleared_sums``
+and ``identities.twisted_products`` use w > 1 x-slots.  Both kernels end
+in the one shift-and-sum loop, ``_rotated_sums``.
 """
 
 from __future__ import annotations
@@ -147,51 +149,39 @@ class CPoly:
         return f"CPoly({self.render()!r}, n={self.ctx.n})"
 
 
-def twisted_sums(table) -> list:
+def twisted_sums(table) -> list[CycloElem]:
     """The n twisted sums [sum_{r=1..n-1} t[r] * zeta^(-sr) for s = 0..n-1]
-    of a residue table t of field elements or CPolys (coefficient by
-    coefficient in x); t[0] is skipped, and an entry from a context of
-    another order than n = len(t) raises ValueError.
+    of a residue table t of n >= 2 field elements; t[0] is skipped, and a
+    shorter table or an entry from a context of another order than
+    n = len(t) raises ValueError.
 
     Every row sum sum_{j=1..n, j != k} t[(j - k) mod n] * zeta^(-s(j - k))
     equals entry s: as j runs over j != k, r = (j - k) mod n runs over
     1..n-1 once each, and zeta^(-s(j - k)) = zeta^(-sr) as zeta^n = 1.
 
-    The front end lifts each t[r] once over the common denominator D into
-    Z[x, zeta]/(zeta^n - 1) of x-degree < w, w the x-width (the longest
-    t[r], at least 1; w = 1 for field elements), with slot u*w + j holding
-    the coordinate of zeta^u * x^j; ``_twisted_vector_sums`` does the rest.
-    The x-slot may index the rows of a matrix instead of the powers of x
-    (``identities.twisted_products``); the proof there is unchanged.
+    The front end lifts each t[r] once over the common denominator D, and
+    ``_twisted_vector_sums`` does the rest with one x-slot (w = 1).
     """
     n = len(table)
     terms = table[1:]
+    if not terms:
+        raise ValueError(f"twisted sums need a table of n >= 2 entries, got {n}")
     if any(t.ctx.n != n for t in terms):
         raise ValueError("table entry from a context of another order")
-    ctx = terms[0].ctx
-    polys = isinstance(terms[0], CPoly)
-    rows = [t.coeffs if polys else (t,) for t in terms]
-    w = max(1, *map(len, rows))
-    den, lifts = _lift([c for row in rows for c in row])
-    coords = iter(lifts)
-    vectors = []
-    for row in rows:
-        slots = [0] * (ctx.degree * w)
-        for j in range(len(row)):
-            slots[j::w] = next(coords)
-        vectors.append(slots)
-    sums = _twisted_vector_sums(ctx, vectors, w, den)
-    return [CPoly(ctx, coeffs) if polys else coeffs[0] for coeffs in sums]
+    den, lifts = _lift(terms)
+    return [coeffs[0] for coeffs in _twisted_vector_sums(terms[0].ctx, lifts, 1, den)]
 
 
 def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[list[CycloElem]]:
-    """The sums of ``twisted_sums`` for t[r] = vectors[r - 1] / den,
-    r = 1..n-1, as ``_rotated_sums`` returns them.  Each vector holds the
-    int coordinates of den * t[r] in Z[x, zeta]/(zeta^n - 1), slot u*w + j
-    for zeta^u * x^j, and may have any length up to n*w: the d*w slots of a
-    lifted field element, or all n*w of an element never reduced mod Phi_n
-    (``identities._root_sums``).  Each is packed once by x -> 2^k,
-    zeta -> 2^(k*w): a ring map, since zeta^n -> 2^(k*w*n) = 1.
+    """The twisted sums sum_{r=1..n-1} zeta^(-sr) t_r for s = 0..n-1, of
+    t_r = vectors[r - 1] / den of x-degree < w, as ``_rotated_sums``
+    returns them.  Each vector holds the int coordinates of den * t_r in
+    Z[x, zeta]/(zeta^n - 1), slot u*w + j for zeta^u * x^j, and may have
+    any length up to n*w: the d*w slots of w lifted field elements
+    (``twisted_sums`` with w = 1, and ``identities.twisted_products``,
+    whose x-slot j is row j of a matrix), or all n*w of an element never
+    reduced mod Phi_n (``identities._root_sums``).  Each is packed once by
+    x -> 2^k, zeta -> 2^(k*w): a ring map, since zeta^n -> 2^(k*w*n) = 1.
 
     Only the final digits must fit in the slots: the packing is a ring map,
     so intermediate values may wrap, and ``_unpack`` reads back every digit

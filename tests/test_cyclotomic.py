@@ -480,6 +480,8 @@ def test_render():
     c3 = shared_context(3)
     assert c3.zero().render() == "0"
     assert (c3.from_rational(Fraction(-1, 3))).render() == "-1/3"
+    assert c3.from_rational(Fraction(14, 4)).render() == "7/2"
+    assert c3.from_rational(-5).render() == "-5"
     assert (c3.from_rational(2) + c3.zeta()).render() == "2 + z"
     assert (-c3.zeta()).render() == "-z"
 

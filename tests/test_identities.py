@@ -643,8 +643,22 @@ def test_twisted_products_match_matvec():
         rng = random.Random(n)
         tall = CMatrix(ctx, [[random_element(ctx, rng) for _ in range(n)] for _ in range(n + 2)])
         assert twisted_products(tall) == _products_by_matvec(tall), n
+        # all-zero trailing rows and an all-zero column n // 2
+        top = [[0 if c == n // 2 else random_element(ctx, rng) for c in range(n)]
+               for _ in range(n - 2)]
+        sparse = CMatrix(ctx, top + [[0] * n] * 2)
+        assert twisted_products(sparse) == _products_by_matvec(sparse), n
         with pytest.raises(ValueError):
             twisted_products(random_matrix(ctx, rng, n + 1))
+
+
+def test_twisted_sums_of_a_short_table_and_products_of_the_empty_matrix_are_refused():
+    ctx = shared_context(3)
+    for table in ([ctx.one()], []):
+        with pytest.raises(ValueError):
+            polynomials.twisted_sums(table)
+    with pytest.raises(ValueError):
+        twisted_products(CMatrix(ctx, []))
 
 
 def test_twisted_products_at_the_slot_width():
