@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 
 from . import __version__
 from .combinatorics import GuardrailExceeded
@@ -53,15 +53,86 @@ def _grid_for(info, n_range) -> list[int]:
     return [n for n in range(max(a, 2), b + 1) if info.admits(n)]
 
 
-def _pool(jobs: int):
-    """A process pool of ``jobs`` workers, or for one job a null context that
-    yields None.  The pool's import loads ``multiprocessing``, so a serial
-    run never does."""
-    if jobs == 1:
-        return nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
+def _forked_map(fn, tasks, jobs):
+    """Yield ``fn(task)`` for each task, in task order.
 
-    return ProcessPoolExecutor(max_workers=jobs)
+    With ``jobs`` > 1, and where the platform can fork, ``jobs`` children
+    are forked at once: child i runs ``tasks[i::jobs]`` and pickles each
+    result, or the exception a task raised, down its own pipe, so task t is
+    read from child t % jobs and results stream in order.  A child that ends
+    without sending a result is an error naming the task.  However the
+    caller leaves (close the generator when it stops early), the pipes are
+    closed and every child is killed and reaped.  Elsewhere the tasks run
+    serially through ``map``, and ``pickle`` is not imported.  The CLI runs
+    no threads, so forking it is safe; the children inherit whatever the
+    caller installed, such as a wrapper around ``fn``."""
+    if jobs == 1 or not hasattr(os, "fork"):
+        yield from map(fn, tasks)
+        return
+    import pickle
+    import signal
+
+    pids, readers = [], []
+    try:
+        for i in range(jobs):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, tasks[i::jobs], w, readers)
+            finally:
+                os.close(w)  # so a child's exit is EOF here
+            pids.append(pid)
+        for t, task in enumerate(tasks):
+            try:
+                ok, value = pickle.load(readers[t % jobs])
+            except EOFError:
+                raise RuntimeError(f"worker {pids[t % jobs]} ended without "
+                                   f"a result for task {task!r}") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn, tasks, fd, readers):
+    """A forked child's whole life: run the tasks, pickle each result (or
+    the exception that stops the run) to fd, and leave by ``os._exit``, so
+    the stdout and file buffers inherited from the parent are not flushed
+    twice and no exception gets back into the parent's code."""
+    import pickle
+
+    code = 1
+    try:
+        for reader in readers:  # the parent's ends: an orphan's write fails, not blocks
+            reader.close()
+        with open(fd, "wb") as out:
+            for task in tasks:
+                try:
+                    result = True, fn(task)
+                except Exception as exc:
+                    result = False, exc
+                pickle.dump(result, out)
+                out.flush()
+                if not result[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_task(task):
@@ -147,8 +218,8 @@ def cmd_verify(args) -> int:
     if not tasks:
         raise UsageError(f"n range {n_range[0]}..{n_range[1]} leaves no admissible n")
     tasks.sort(key=lambda t: (t[0], t[1]))
-    # a fork pool starts all its workers at once, so never more than tasks
-    jobs = min(args.jobs or min(os.cpu_count() or 1, 8), len(tasks))
+    # every worker is forked at once, so never more than tasks
+    jobs = min(args.jobs or min(_usable_cpus(), 8), len(tasks))
     # an unwritable --out is a usage error before any check runs
     try:
         out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
@@ -156,8 +227,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     reports = []
     stream = sys.stderr if args.format != "text" or args.out else sys.stdout
-    with out as fh, _pool(jobs) as pool:
-        for report in (pool.map if pool else map)(_run_task, tasks):
+    with out as fh, closing(_forked_map(_run_task, tasks, jobs)) as results:
+        for report in results:
             reports.append(report)
             print(_text_line(report), file=stream, flush=True)
         if args.format != "text" or args.out:

@@ -202,7 +202,7 @@ def spectrum_poly(ctx: CycloContext, roots) -> CPoly:
 class IdentityReport:
     """The outcome of one identity at one n.  A plain class rather than a
     dataclass, which would import ``dataclasses`` and ``inspect`` into every
-    process; it pickles through the ``--jobs`` pool by its ``__dict__`` and
+    process; it pickles from the ``--jobs`` workers by its ``__dict__`` and
     takes extra attributes, which ``as_dict`` leaves out."""
 
     _fields = ("identity", "n", "params", "expected", "computed", "passed",

@@ -27,7 +27,6 @@ from fractions import Fraction
 from operator import lshift
 
 from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _rotate, _unpack
-from .rationals import format_rational
 
 
 class CPoly:
@@ -126,19 +125,17 @@ class CPoly:
             c = self.coeffs[k]
             if not c:
                 continue
-            q = c.as_rational()
             xpart = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            if q is None:
+            if any(c.num[1:]):
                 body = f"({c.render()})"
                 body = body + ("*" + xpart if xpart else "")
                 sign = "+"
-            else:
-                sign = "+" if q > 0 else "-"
-                mag = abs(q)
-                if xpart and mag == 1:
-                    body = xpart
-                else:
-                    body = format_rational(mag) + ("*" + xpart if xpart else "")
+            else:  # rational, and already in lowest terms
+                p, den = c.num[0], c.den
+                sign = "+" if p > 0 else "-"
+                body = str(abs(p)) if den == 1 else f"{abs(p)}/{den}"
+                if xpart:
+                    body = xpart if body == "1" else f"{body}*{xpart}"
             if not parts:
                 parts.append(body if sign == "+" else f"-{body}")
             else:

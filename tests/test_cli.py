@@ -1,18 +1,28 @@
 import csv
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from contextlib import closing, contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cyclodet import __version__
-from cyclodet.cli import REPORT_FIELDS, build_parser, main
+from cyclodet.cli import REPORT_FIELDS, _forked_map, build_parser, main
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import (DET_KINDS, DETS, IdentityReport, MatrixKind, a_det_value,
                                  build_matrix, c_det_value)
 from cyclodet.rationals import format_rational
 
 from helpers import add_scalar
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -186,29 +196,41 @@ def test_verify_rejects_negative_jobs(capsys):
     assert "PASS" not in out
 
 
-def test_verify_pool_is_no_larger_than_the_task_count(capsys, monkeypatch):
-    # a fork pool starts max_workers processes at once, so record the size
-    # through a fake pool that runs the tasks inline instead of starting any
+def _record_jobs(monkeypatch):
+    """Patch the fan-out with one that records its worker count and runs
+    the tasks inline instead of forking; return the list of counts."""
     sizes = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def inline(fn, tasks, jobs):
+        sizes.append(jobs)
+        yield from map(fn, tasks)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr("cyclodet.cli._forked_map", inline)
+    return sizes
 
-        def __exit__(self, *exc):
-            return False
 
-        map = staticmethod(map)
-
-    # cli imports the pool where it starts one, so patch it at its source
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+def test_verify_pool_is_no_larger_than_the_task_count(capsys, monkeypatch):
+    # every worker is forked at once, so record the count through a fake
+    # fan-out that runs the tasks inline instead of forking any
+    sizes = _record_jobs(monkeypatch)
     code, out, _ = run(capsys, "verify", "--identity", "row-sums", "--n", "2..3",
                        "--jobs", "500")
     assert code == 0 and out.count("PASS") == 2
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("usable, jobs", [(1, 1), (3, 3), (16, 8)])
+def test_verify_jobs_0_counts_the_cpus_this_process_may_use(capsys, monkeypatch,
+                                                            usable, jobs):
+    # the affinity mask, not the machine's count, and at most 8
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    sizes = _record_jobs(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--identity", "row-sums", "--n", "2..20",
+                       "--jobs", "0")
+    assert code == 0 and out.count("PASS") == 19
+    assert sizes == [jobs]
 
 
 def test_verify_negative_lower_bound_in_the_equals_form(capsys):
@@ -308,15 +330,101 @@ def test_formats_agree_on_verdicts(tmp_path, capsys):
     assert text_verdicts == json_verdicts == csv_verdicts == ["PASS"] * 5
 
 
-def test_verify_parallel_matches_serial(capsys):
-    def strip_timing(text):
-        return [line.rsplit(" (", 1)[0] for line in text.splitlines()]
+def _strip_timing(text):
+    return [line.rsplit(" (", 1)[0] for line in text.splitlines()]
 
+
+def test_verify_parallel_matches_serial(capsys):
     args = ("verify", "--identity", "eigen-a", "--n", "3..9")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args, "--jobs", "2")
     assert code1 == code2 == 0
-    assert strip_timing(out1) == strip_timing(out2)
+    assert _strip_timing(out1) == _strip_timing(out2)
+
+
+def _square_unless_three(task):
+    if task == 3:
+        raise ValueError("task 3 raised")
+    return task * task
+
+
+def _exit_on_three(task):
+    if task == 3:
+        os._exit(7)
+    return task * task
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this (main) thread after ``seconds``; forked
+    children inherit the handler but not the timer."""
+    def expire(*_):
+        raise TimeoutError("the fan-out hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+@pytest.mark.parametrize("fn, error", [(_square_unless_three, ValueError),
+                                       (_exit_on_three, RuntimeError)])
+def test_forked_map_raises_for_a_failed_task_and_leaves_no_child(fn, error):
+    # a task that raises comes back as its exception; a child that dies
+    # without a result is an error naming the task, not a hang
+    results = []
+    with _time_limit(30), pytest.raises(error, match="task 3"):
+        for result in _forked_map(fn, list(range(8)), 3):
+            results.append(result)
+    assert results == [0, 1, 4]
+    _assert_no_child_left()
+
+
+def _square_or_sleep_on_two(task):
+    if task == 2:
+        time.sleep(60)
+    return task * task
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks")
+def test_forked_map_streams_and_kills_its_children_when_the_caller_stops_early():
+    # child 0 runs tasks 0 and 2: result 0 must arrive while task 2 still
+    # runs, and closing the generator must kill that child, not wait for it
+    results = _forked_map(_square_or_sleep_on_two, [0, 1, 2, 3], 2)
+    with _time_limit(10), closing(results):
+        assert next(results) == 0
+    _assert_no_child_left()
+
+
+def test_verify_jobs_3_matches_serial_on_a_task_count_that_is_not_a_multiple(capsys):
+    args = ("verify", "--identity", "row-sums", "--n", "2..9")  # 8 tasks
+    code1, out1, _ = run(capsys, *args, "--jobs", "1")
+    code3, out3, _ = run(capsys, *args, "--jobs", "3")
+    assert code1 == code3 == 0 and out1.count("PASS") == 8
+    assert _strip_timing(out1) == _strip_timing(out3)
+
+
+def test_verify_json_to_stdout_with_forked_workers_is_one_document():
+    # a whole process, so that whatever the children write to the inherited
+    # stdout shows up
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-B", "-m", "cyclodet.cli", "verify", "--identity", "b-det",
+         "--n", "3..9", "--format", "json", "--jobs", "2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)  # raises on anything after the document
+    assert [r["n"] for r in doc["reports"]] == [3, 5, 7, 9]
+    assert result.stderr.count("PASS") == 4
 
 
 # sha256 of the --format json report of `verify --identity all --n 2..13

@@ -1,7 +1,7 @@
-"""Cold start: importing cyclodet, or running ``det`` or a serial ``verify``,
-loads no module that the run does not execute.  Each probe is compared with
-a bare interpreter in the same environment, so a site hook that loads one of
-these modules anyway does not fail the test."""
+"""Cold start: importing cyclodet, or running ``det`` or ``verify``, serial
+or with forked workers, loads no module that the run does not execute.
+Each probe is compared with a bare interpreter in the same environment, so
+a site hook that loads one of these modules anyway does not fail the test."""
 
 import functools
 import os
@@ -34,11 +34,20 @@ def loaded_modules(code: str) -> frozenset[str]:
     "'--jobs', '1'])",
     "from cyclodet.cli import main; main(['verify', '--identity', 'a-det', '--n', '3..9', "
     "'--jobs', '1', '--format', 'json'])",
+    "from cyclodet.cli import main; main(['verify', '--identity', 'a-det', '--n', '3..9', "
+    "'--jobs', '2'])",
 ])
 def test_a_run_imports_only_what_it_executes(code):
     added = loaded_modules(code) - loaded_modules("pass")
     assert "cyclodet.cli" in added  # the probe did import the package
+    forbidden = UNUSED
     # only the json and csv report formats serialise with json
-    forbidden = UNUSED if "--format" in code else UNUSED + ("json",)
+    if "--format" not in code:
+        forbidden += ("json",)
+    # only forked workers pickle
+    if "'--jobs', '2'" in code:
+        assert "pickle" in added  # the probe did fork
+    else:
+        forbidden += ("pickle",)
     unused = {m for m in added if any(m == u or m.startswith(u + ".") for u in forbidden)}
     assert not unused

@@ -314,6 +314,12 @@ def test_render():
     assert CPoly(ctx, [0, -4, 0, 1]).render() == "x^3 - 4*x"
     assert CPoly(ctx, [Fraction(2, 3)]).render() == "2/3"
     assert CPoly.zero(ctx).render() == "0"
+    # rational coefficients print as p or p/q, and a unit one as a bare power
+    assert CPoly(ctx, [-1, Fraction(-6, 4), 0, -1]).render() == "-x^3 - 3/2*x - 1"
+    assert CPoly(ctx, [Fraction(1, 2), 1, Fraction(-5)]).render() == "-5*x^2 + x + 1/2"
+    assert CPoly(ctx, [0, Fraction(-1, 3), Fraction(1, 2)]).render() == "1/2*x^2 - 1/3*x"
+    z = ctx.zeta_pow(1)
+    assert CPoly(ctx, [z, 2]).render() == "2*x + (z)"
 
 
 def test_context_mismatch():
