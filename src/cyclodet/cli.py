@@ -19,11 +19,9 @@ from .combinatorics import GuardrailExceeded
 from .identities import (
     DET_KINDS,
     IDENTITIES,
-    circulant_block_det,
-    residue_table,
+    kind_block_det,
     run_identity,
 )
-from .cyclotomic import shared_context
 from .rationals import format_rational, parse_integer, parse_rational
 
 REPORT_FIELDS = ("identity", "n", "params", "expected", "computed",
@@ -80,7 +78,7 @@ def _forked_map(fn, tasks, jobs):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(fn, tasks[i::jobs], w, readers)
+                    _child(fn, tasks[i::jobs], w, readers, i)
             finally:
                 os.close(w)  # so a child's exit is EOF here
             pids.append(pid)
@@ -101,15 +99,17 @@ def _forked_map(fn, tasks, jobs):
             os.waitpid(pid, 0)
 
 
-def _child(fn, tasks, fd, readers):
-    """A forked child's whole life: run the tasks, pickle each result (or
-    the exception that stops the run) to fd, and leave by ``os._exit``, so
-    the stdout and file buffers inherited from the parent are not flushed
-    twice and no exception gets back into the parent's code."""
+def _child(fn, tasks, fd, readers, index):
+    """A forked child's whole life: move to its own CPU, run the tasks,
+    pickle each result (or the exception that stops the run) to fd, and
+    leave by ``os._exit``, so the stdout and file buffers inherited from the
+    parent are not flushed twice and no exception gets back into the
+    parent's code."""
     import pickle
 
     code = 1
     try:
+        _spread(index)
         for reader in readers:  # the parent's ends: an orphan's write fails, not blocks
             reader.close()
         with open(fd, "wb") as out:
@@ -125,6 +125,24 @@ def _child(fn, tasks, fd, readers):
         code = 0
     finally:
         os._exit(code)
+
+
+def _spread(index: int) -> None:
+    """Move this process to the index-th CPU it may run on, then allow it
+    every one of them again.  The scheduler often starts a forked child on
+    the CPU a sibling already runs on, and the two share it until a timer
+    tick (4 ms at 250 Hz) lets an idle CPU take one over: a first task that
+    took 0.8 ms read about 5 ms in a fifth to a half of the runs on a
+    2-vCPU VM.  The first move is made at once, and since the child's CPU
+    stays in the restored mask it stays put until the load says otherwise."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # a mask the platform will not set only costs the move
+        pass
 
 
 def _usable_cpus() -> int:
@@ -251,11 +269,10 @@ def cmd_det(args) -> int:
     if n < 2:
         raise UsageError("n must be at least 2")
     try:
-        table = residue_table(kind, shared_context(n))
+        d0, d1 = kind_block_det(kind, n)  # det[x + m_jk] = d0 + d1*x
     except ZeroDivisionError:
         raise UsageError(
             f"matrix kind {args.matrix!r} is undefined for n={n}") from None
-    d0, d1 = circulant_block_det(table)  # det[x + m_jk] = d0 + d1*x
     print(format_rational(d0 + d1 * x))
     return 0
 

@@ -445,20 +445,25 @@ class CycloElem:
 
 
 def _inv_one_minus_zeta_vector(n: int, r: int) -> list[int]:
-    """n/(1 - zeta^r) in Z[x]/(x^n - 1), as n int coordinates, for r not
-    divisible by n.
+    """n/(1 - zeta^r) in Z[x]/(x^n - 1), as n int coordinates of size at
+    most n/2, for r not divisible by n.
 
-    (1 - zeta^r) * sum_{j<n} (j+1) zeta^(rj) = -n, so the inverse is
-    -(1/n) sum_{j<n} (j+1) zeta^(rj): one pass, where
+    y = zeta^r has order m = n/gcd(n, r) > 1, so sum_{i<m} y^i = 0 and
+    (1 - y) * sum_{i<m} (i+1) y^i = sum_{i<m} y^i - m y^m = -m.  Adding
+    c = floor((m+1)/2) times that zero sum centres the weights:
+    n/(1 - y) = (n/m) sum_{i<m} (c - i - 1) y^i, with |c - i - 1| <= m/2 at
+    the m distinct slots r*i mod n.  One pass, where
     ``(1 - zeta^r).inverse()`` takes phi(n) products; the two are
     cross-checked in the tests.
     """
     r %= n
     if r == 0:
         raise ZeroDivisionError("1 - zeta^0 is zero")
+    g = gcd(n, r)
+    m, c = n // g, (n // g + 1) // 2
     v = [0] * n
-    for j in range(n):
-        v[r * j % n] -= j + 1
+    for i in range(m):
+        v[r * i % n] = g * (c - i - 1)
     return v
 
 

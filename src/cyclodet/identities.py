@@ -1,10 +1,13 @@
 """Matrix builders and the identity registry.
 
 Every matrix here is circulant, so a kind at n is its residue table t:
-t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  ``circulant``
-expands a table, ``twisted_sums`` sums it twisted by every v(s), and
-``circulant_block_det`` reads the determinant of the leading block off those
-sums, the eigenvalues of the circulant.  Each
+t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  A kind's
+off-diagonal entries are first int vectors in Z[x]/(x^n - 1), never reduced
+(``residue_vectors``); ``residue_table`` reduces each once into a field
+element.  ``circulant`` expands a table, ``twisted_sums`` sums it twisted by
+every v(s), and ``circulant_block_det`` reads the determinant of the leading
+block off those sums, the eigenvalues of the circulant; ``kind_block_det``
+does the same from a kind's vectors, reducing only the n sums.  Each
 identity is one row of ``IDENTITIES``; its check computes both sides in
 exact arithmetic and only returns them as two exact values, the claim
 (``expected``) and what it actually computed (``computed``).
@@ -33,8 +36,8 @@ from math import gcd, lcm
 from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
-                         _inv_one_plus_zeta_vector, _lift, inv_one_minus_zeta,
-                         inv_one_plus_zeta, shared_context)
+                         _inv_one_plus_zeta_vector, _lift, _reduce, shared_context)
+from .cyclotomic import inv_one_plus_zeta  # noqa: F401  (still importable from here)
 from .linalg import CMatrix
 from . import polynomials
 from .polynomials import CPoly, _twisted_vector_sums, twisted_sums
@@ -65,20 +68,34 @@ _KINDS = {
 }
 
 
+def residue_vectors(kind: MatrixKind, n: int) -> tuple[Fraction, list[list[int]]]:
+    """(diagonal, vectors): the ``kind`` matrix at n as its rational diagonal
+    and, for u = 1..n-1, vectors[u - 1], the n int coordinates of n times
+    the entry at u = (j - k) mod n in Z[x]/(x^n - 1), never reduced mod
+    Phi_n.  The entry p/(1 - c*zeta^u) + q is p*V_c(n, u) + q*n*e_0 over the
+    denominator n, with V_c the vector of n/(1 - zeta^u) (c = 1) or of
+    n/(1 + zeta^u) (c = -1); the vector builders are module globals looked
+    up at each call, so a patched one is seen."""
+    c, p, q, diagonal = _KINDS[kind]
+    vector = _inv_one_minus_zeta_vector if c == 1 else _inv_one_plus_zeta_vector
+    vectors = []
+    for u in range(1, n):
+        v = vector(n, u)
+        if p != 1:
+            v = [p * a for a in v]
+        v[0] += q * n
+        vectors.append(v)
+    return diagonal, vectors
+
+
 def residue_table(kind: MatrixKind, ctx: CycloContext) -> tuple[CycloElem, ...]:
     """The ``kind`` matrix at n as its residue table t: t[u] is the entry at
     u = (j - k) mod n for u = 0..n-1, so t[0] is the diagonal.  Each entry
-    is a closed-form inverse scaled by rationals, with no field product;
-    the module global ``inv_one_minus_zeta`` is looked up at each call, so
-    a patched one is seen."""
-    c, p, q, diagonal = _KINDS[kind]
-    inverse = inv_one_minus_zeta if c == 1 else inv_one_plus_zeta
-    entries = (inverse(ctx, u) for u in range(1, ctx.n))
-    if p != 1:
-        entries = (e * p for e in entries)
-    if q:
-        entries = (e + q for e in entries)
-    return (ctx.from_rational(diagonal), *entries)
+    u >= 1 is its vector of ``residue_vectors`` over n, reduced once, with
+    no field product or sum."""
+    n = ctx.n
+    diagonal, vectors = residue_vectors(kind, n)
+    return (ctx.from_rational(diagonal), *(CycloElem(ctx, _reduce(ctx, v), n) for v in vectors))
 
 
 def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
@@ -90,17 +107,18 @@ def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
     return CMatrix(ctx, [[table[(j - k) % n] for k in range(size)] for j in range(size)])
 
 
-def circulant_block_det(table) -> tuple[Fraction, Fraction]:
+def _block_det(diagonal: Fraction, sums) -> tuple[Fraction, Fraction]:
     """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, m being the
-    leading (n-1) x (n-1) block of the circulant C of the residue table t,
-    read off the spectrum of C with no matrix and no elimination.
+    leading (n-1) x (n-1) block of the circulant C of a residue table t with
+    the rational diagonal t[0] and the n twisted sums ``sums`` of t, read
+    off the spectrum of C with no matrix and no elimination.
 
     C is circulant by construction: row j, column k holds t[(j - k) mod n].
     So the vector w(s) = (zeta^(sk))_k is an eigenvector with eigenvalue
-    lambda_s = sum_u t[u] zeta^(-su) = t[0] + twisted_sums(t)[s], for
-    s = 0..n-1; lambda_0, the row sum, belongs to the all-ones vector.
-    Every lambda_s must be rational, else this raises ArithmeticError: the
-    values are exact or absent, never rounded.
+    lambda_s = sum_u t[u] zeta^(-su) = t[0] + sums[s], for s = 0..n-1;
+    lambda_0, the row sum, belongs to the all-ones vector.  Every lambda_s
+    must be rational, else this raises ArithmeticError: the values are
+    exact or absent, never rounded.
 
     The adjugate of C is a polynomial in C (Cayley-Hamilton), so it is
     circulant too and its diagonal entries are equal.  Their sum is the sum
@@ -111,19 +129,48 @@ def circulant_block_det(table) -> tuple[Fraction, Fraction]:
     lambda_0, by nx.  With e = e_{n-2}(lambda_1..lambda_{n-1}) and
     p = prod_{s>=1} lambda_s, det[x + m_jk] = ((lambda_0 + nx) e + p)/n,
     so d1 = e and d0 = (lambda_0 e + p)/n.  e and p are the two lowest
-    coefficients of prod_{s>=1} (z + lambda_s), the only ones kept: O(n)
-    rational operations after the one ``twisted_sums`` pass.
+    coefficients of prod_{s>=1} (z + lambda_s), the only ones kept.
+
+    The product runs on ints: with D the lcm of the denominators,
+    lambda_s = a_s/D.  After k factors, P_k = D^k p_k and
+    E_k = D^(k-1) e_k satisfy P_(k+1) = P_k a and E_(k+1) = E_k a + P_k,
+    since D^k (e_k lambda + p_k) = D^(k-1) e_k * D lambda + D^k p_k.  So
+    after the n - 1 factors p = P/D^(n-1) and e = E/D^(n-2), and
+    d0 = (a_0 E + P)/(n D^(n-1)), d1 = E/D^(n-2): two divisions in all.
     """
-    lams = []
-    for s, twisted in enumerate(twisted_sums(table)):
-        lam = (table[0] + twisted).as_rational()
-        if lam is None:
+    n = len(sums)
+    for s, twisted in enumerate(sums):
+        if any(twisted.num[1:]):
             raise ArithmeticError(f"eigenvalue lambda_{s} of the circulant is not rational")
-        lams.append(lam)
-    p, e = Fraction(1), Fraction(0)  # z^0 and z^1 coefficients of the product
-    for lam in lams[1:]:
-        p, e = p * lam, e * lam + p
-    return (lams[0] * e + p) / len(table), e
+    den = lcm(diagonal.denominator, *(t.den for t in sums))
+    base = diagonal.numerator * (den // diagonal.denominator)
+    a = [base + t.num[0] * (den // t.den) for t in sums]
+    p, e = 1, 0  # z^0 and z^1 coefficients of the product, scaled
+    for a_s in a[1:]:
+        p, e = p * a_s, e * a_s + p
+    return Fraction(a[0] * e + p, n * den ** (n - 1)), Fraction(e, den ** (n - 2))
+
+
+def circulant_block_det(table) -> tuple[Fraction, Fraction]:
+    """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, m being the
+    leading (n-1) x (n-1) block of the circulant of any residue table t of
+    n field elements: ``_block_det`` after one ``twisted_sums`` pass.  The
+    n eigenvalues sum to n*t[0], as the twisted sums of each t[r] cancel
+    over s, so a t[0] that is not rational raises ArithmeticError too."""
+    diagonal = table[0].as_rational()
+    if diagonal is None:
+        raise ArithmeticError("the diagonal is not rational, so some eigenvalue is not")
+    return _block_det(diagonal, twisted_sums(table))
+
+
+def kind_block_det(kind: MatrixKind, n: int) -> tuple[Fraction, Fraction]:
+    """``circulant_block_det`` of the ``kind`` table at n, taken of the
+    unreduced ``residue_vectors``: the reduction mod Phi_n is a ring map
+    from Z[x]/(x^n - 1), so it commutes with the twists, and each of the n
+    sums is reduced once while no entry is."""
+    diagonal, vectors = residue_vectors(kind, n)
+    sums = _twisted_vector_sums(shared_context(n), vectors, 1, n)
+    return _block_det(diagonal, [coeffs[0] for coeffs in sums])
 
 
 def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
@@ -291,12 +338,15 @@ class DetIdentity(namedtuple("DetIdentity", "kind value slope grid oracle galois
         """value(n), or the pair (value(n), slope(n)) for an affine row."""
         return self.value(n) if self.slope is None else (self.value(n), self.slope(n))
 
+    def split(self, d0, d1):
+        """What ``claim`` states of the affine split (d0, d1): d0, or
+        (d0, d1) on an affine row."""
+        return d0 if self.slope is None else (d0, d1)
+
     def of(self, table):
         """What ``claim`` states, read off the spectrum of the circulant of
-        the residue table by ``circulant_block_det``: d0, or (d0, d1) on an
-        affine row."""
-        d0, d1 = circulant_block_det(table)
-        return d0 if self.slope is None else (d0, d1)
+        the residue table by ``circulant_block_det``."""
+        return self.split(*circulant_block_det(table))
 
     def text(self, values) -> str:
         """Renders [det] or [det, derangement sum] as a det report line."""
@@ -326,22 +376,22 @@ DET_KINDS = {k.value: k for k in MatrixKind if any(d.kind is k for d in DETS.val
 
 def _det(name: str, n: int, oracle: bool = False, force: bool = False):
     """The ``DETS[name]`` closed form at odd n, computed from the spectrum of
-    the kind's circulant by ``circulant_block_det``, with no matrix and no
-    elimination.  With ``oracle`` on a row that supports it, also recovers
-    the value from the paper's signed derangement sum over the expanded
-    block at sizes up to ``combinatorics.SIGNED_SUM_GUARDRAIL`` unless
-    forced: a zero diagonal restricts the Leibniz expansion to
-    derangements."""
+    the kind's circulant by ``kind_block_det``, with no matrix, no
+    elimination and no field operation.  With ``oracle`` on a row that
+    supports it, also recovers the value from the paper's signed derangement
+    sum over the block expanded from ``residue_table``, at sizes up to
+    ``combinatorics.SIGNED_SUM_GUARDRAIL`` unless forced: a zero diagonal
+    restricts the Leibniz expansion to derangements."""
     det = DETS[name]
     run_oracle = det.oracle and oracle and \
         (n - 1 <= combinatorics.SIGNED_SUM_GUARDRAIL or force)
-    ctx = shared_context(n)
-    table = residue_table(det.kind, ctx)
     expected = [det.claim(n)]
-    computed = [det.of(table)]
+    computed = [det.split(*kind_block_det(det.kind, n))]
     if run_oracle:
+        ctx = shared_context(n)
+        block = circulant(ctx, residue_table(det.kind, ctx), n - 1)
         expected.append(det.value(n))
-        computed.append(signed_derangement_sum(circulant(ctx, table, n - 1), force=force))
+        computed.append(signed_derangement_sum(block, force=force))
     params = {"size": n - 1, "oracle": run_oracle} if det.oracle else {"size": n - 1}
     return params, expected, computed
 
@@ -463,10 +513,13 @@ def _root_sums(n: int):
 
 def _row_sums(n: int):
     """For every k and s: sum_{j != k} ratio(zeta^(j-k)) zeta^(s(k-j))
-    equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k)."""
-    table = residue_table(MatrixKind.A, shared_context(n))
+    equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k).  The
+    table stays the unreduced ``residue_vectors``, so only the n sums are
+    reduced mod Phi_n."""
+    _, vectors = residue_vectors(MatrixKind.A, n)
+    sums = _twisted_vector_sums(shared_context(n), vectors, 1, n)
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
-    computed = [twisted_sums(table)] * n  # every row k is the k-free sum
+    computed = [[coeffs[0] for coeffs in sums]] * n  # every row k is the k-free sum
     return {"checks": n * n}, expected, computed
 
 

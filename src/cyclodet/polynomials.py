@@ -177,7 +177,8 @@ def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[l
     any length up to n*w: the d*w slots of w lifted field elements
     (``twisted_sums`` with w = 1, and ``identities.twisted_products``,
     whose x-slot j is row j of a matrix), or all n*w of an element never
-    reduced mod Phi_n (``identities._root_sums``).  Each is packed once by
+    reduced mod Phi_n (``identities.residue_vectors`` and
+    ``identities._root_sums``).  Each is packed once by
     x -> 2^k, zeta -> 2^(k*w): a ring map, since zeta^n -> 2^(k*w*n) = 1.
 
     Only the final digits must fit in the slots: the packing is a ring map,

@@ -1,7 +1,7 @@
 """Random elements and matrices for the property tests, a Hermitian test,
 a Horner evaluation, and the slow reference constructions the fast paths
 are checked against, among them the Leibniz expansion over permutations and
-derangements."""
+derangements and the Fraction recurrence of the spectral determinant."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -163,6 +163,18 @@ def reference_spectrum_poly(ctx: CycloContext, roots) -> CPoly:
     for root in roots:
         acc = acc.shift(1) - acc.scale(root)
     return acc
+
+
+def fraction_block_det(lams) -> tuple[Fraction, Fraction]:
+    """(d0, d1) of the leading block of a circulant from its eigenvalues
+    lambda_0..lambda_(n-1), by the Fraction recurrence p <- p*lambda,
+    e <- e*lambda + p over lambda_1..lambda_(n-1), then
+    d0 = (lambda_0 e + p)/n and d1 = e.  The reference for the integer
+    recurrence of ``identities._block_det``."""
+    p, e = Fraction(1), Fraction(0)
+    for lam in lams[1:]:
+        p, e = p * lam, e * lam + p
+    return (lams[0] * e + p) / len(lams), e
 
 
 def evaluate(p: CPoly, point) -> CycloElem:

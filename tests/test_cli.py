@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cyclodet import __version__
-from cyclodet.cli import REPORT_FIELDS, _forked_map, build_parser, main
+from cyclodet.cli import REPORT_FIELDS, _forked_map, _spread, build_parser, main
 from cyclodet.cyclotomic import shared_context
 from cyclodet.identities import (DET_KINDS, DETS, IdentityReport, MatrixKind, a_det_value,
                                  build_matrix, c_det_value)
@@ -403,6 +403,31 @@ def test_forked_map_streams_and_kills_its_children_when_the_caller_stops_early()
     with _time_limit(10), closing(results):
         assert next(results) == 0
     _assert_no_child_left()
+
+
+def test_spread_visits_the_index_th_usable_cpu_then_restores_the_mask(monkeypatch):
+    calls = []
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+    monkeypatch.setattr("os.sched_setaffinity", lambda pid, mask: calls.append(set(mask)),
+                        raising=False)
+    _spread(4)  # wraps round the three usable CPUs 2, 5, 7
+    assert calls == [{5}, {2, 5, 7}]
+
+
+def test_spread_ignores_a_mask_the_platform_refuses(monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.sched_setaffinity", refuse, raising=False)
+    _spread(1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
+def test_spread_leaves_this_process_its_mask():
+    before = os.sched_getaffinity(0)
+    _spread(1)
+    assert os.sched_getaffinity(0) == before
 
 
 def test_verify_jobs_3_matches_serial_on_a_task_count_that_is_not_a_multiple(capsys):

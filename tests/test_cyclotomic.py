@@ -267,6 +267,16 @@ def test_raw_vectors_reduce_to_the_closed_forms(n):
         assert elem * (one + ctx.zeta_pow(u)) == 1, u
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 12, 25, 30, 45, 64])
+def test_raw_vectors_are_centred(n):
+    # every coordinate of n/(1 - zeta^r) is at most n/2 in size, so at most
+    # n for n/(1 + zeta^u), the difference of two such vectors
+    for r in range(1, n):
+        assert max(map(abs, cyclotomic._inv_one_minus_zeta_vector(n, r))) <= n // 2, r
+        if 2 * r % n:
+            assert max(map(abs, cyclotomic._inv_one_plus_zeta_vector(n, r))) <= n, r
+
+
 def test_context_builds_no_power_rows():
     # The rows are built on the first reduction at n, never by the context.
     rows = cyclotomic._power_rows

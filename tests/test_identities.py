@@ -24,8 +24,10 @@ from cyclodet.identities import (
     circulant_block_det,
     first_difference,
     inv_one_plus_zeta,
+    kind_block_det,
     render,
     residue_table,
+    residue_vectors,
     run_identity,
     s19_det_value,
     spectrum,
@@ -36,8 +38,8 @@ from cyclodet.identities import (
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
 
-from helpers import (add_scalar, is_hermitian, minor_delete, random_element, random_matrix,
-                     reference_spectrum_poly)
+from helpers import (add_scalar, fraction_block_det, is_hermitian, minor_delete, random_element,
+                     random_matrix, reference_spectrum_poly)
 
 
 def test_build_ratio_matrix_entries():
@@ -584,21 +586,61 @@ def test_circulant_block_det_of_galois_equivariant_tables():
                 (n, g)
 
 
+@pytest.mark.parametrize("name", list(DETS))
+def test_kind_block_det_equals_circulant_block_det_of_the_table(name):
+    # 99 and 105 have the largest power-row growth under 150
+    kind = DETS[name].kind
+    for n in (*range(3, 62, 2), 99, 105):
+        assert kind_block_det(kind, n) == circulant_block_det(residue_table(kind, shared_context(n))), n
+
+
+def test_residue_table_is_the_scaled_closed_form_inverse():
+    # entry u is p/(1 - c*zeta^u) + q, from the field closed forms
+    for n in range(2, 41):
+        ctx = shared_context(n)
+        for kind in MatrixKind:
+            if kind is MatrixKind.S19 and n % 2 == 0:
+                continue  # 1 + zeta^(n/2) = 0
+            c, p, q, diagonal = identities._KINDS[kind]
+            inverse = cyclotomic.inv_one_minus_zeta if c == 1 else inv_one_plus_zeta
+            want = (ctx.from_rational(diagonal), *(inverse(ctx, u) * p + q for u in range(1, n)))
+            assert residue_table(kind, ctx) == want, (kind, n)
+            assert residue_vectors(kind, n)[0] == diagonal
+
+
+def test_block_det_matches_the_fraction_recurrence():
+    # rational spectra with mixed denominators, zeros and n = 2 included
+    rng = random.Random(30)
+    for n in (2, 2, 3, 4, 5, 6, 7, 9, 12, 16):
+        ctx = shared_context(n)
+        for _ in range(6):
+            diagonal = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            sums = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 7, 10, 12)))
+                    for _ in range(n)]
+            lams = [diagonal + t for t in sums]
+            got = identities._block_det(diagonal, [ctx.from_rational(t) for t in sums])
+            assert got == fraction_block_det(lams), (n, diagonal, sums)
+
+
 def test_circulant_block_det_rejects_an_irrational_eigenvalue():
     ctx = shared_context(5)
     table = (ctx.zero(), ctx.zeta(), ctx.zero(), ctx.zero(), ctx.zero())
     with pytest.raises(ArithmeticError):
         circulant_block_det(table)
+    with pytest.raises(ArithmeticError):  # the eigenvalues sum to 5 zeta
+        circulant_block_det((ctx.zeta(), *table[1:]))
 
 
 def test_wrong_residue_entries_fail_the_det_report(monkeypatch):
-    real = identities.residue_table
+    real = identities.residue_vectors
 
-    def wrong(kind, ctx):
-        table = real(kind, ctx)
-        return (table[0], *(e + Fraction(1, 3) for e in table[1:]))
+    def wrong(kind, n):
+        diagonal, vectors = real(kind, n)
+        for v in vectors:
+            v[0] += n  # every off-diagonal entry off by 1, over the denominator n
+        return diagonal, vectors
 
-    monkeypatch.setattr(identities, "residue_table", wrong)
+    monkeypatch.setattr(identities, "residue_vectors", wrong)
     for name in DETS:
         report = run_identity(name, 5)
         assert not report.passed and report.computed != report.expected, name
@@ -782,14 +824,14 @@ def test_wrong_partial_fraction_term_keeps_expected(monkeypatch):
 
 def test_wrong_residue_entry_keeps_row_sums_expected(monkeypatch):
     good = run_identity("row-sums", 5)
-    real = identities.residue_table
+    real = identities.residue_vectors
 
-    def wrong(kind, ctx):
-        table = list(real(kind, ctx))
-        table[2] = table[2] + 1  # the entry at j - k = 2 off by 1
-        return tuple(table)
+    def wrong(kind, n):
+        diagonal, vectors = real(kind, n)
+        vectors[1][0] += n  # the entry at j - k = 2 off by 1, over the denominator n
+        return diagonal, vectors
 
-    monkeypatch.setattr(identities, "residue_table", wrong)
+    monkeypatch.setattr(identities, "residue_vectors", wrong)
     bad = run_identity("row-sums", 5)
     assert good.passed and not bad.passed
     assert bad.expected == good.expected
