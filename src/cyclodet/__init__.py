@@ -13,7 +13,6 @@ from .polynomials import CPoly, partial_fraction_check, row_sum_x_check
 from .linalg import CMatrix
 from .combinatorics import (
     GuardrailExceeded,
-    derangement_count,
     double_factorial,
     factorial,
     signed_derangement_sum,
@@ -30,7 +29,6 @@ __all__ = [
     "MatrixKind",
     "build_matrix",
     "cyclotomic_polynomial",
-    "derangement_count",
     "double_factorial",
     "factorial",
     "format_rational",

@@ -1,4 +1,4 @@
-"""Factorials, derangement counts and the paper's signed derangement sum.
+"""Factorials and the paper's signed derangement sum.
 
 The signed derangement sum runs as a recursion over column subsets in the
 packed int ring of ``CMatrix.charpoly``; its Leibniz reference lives in the
@@ -24,19 +24,6 @@ def double_factorial(k: int) -> int:
     if k < -1:
         raise ValueError("double factorial requires k >= -1")
     return prod(range(k, 0, -2))
-
-
-def derangement_count(m: int) -> int:
-    """Number of derangements of 1..m via the alternating sum
-    m! * sum_k (-1)^k / k!, carried out in integers."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    total = 0
-    term = factorial(m)  # m!/k! for k = 0
-    for k in range(m + 1):
-        total += term if k % 2 == 0 else -term
-        term //= k + 1
-    return total
 
 
 def signed_derangement_sum(matrix, force: bool = False):

@@ -173,19 +173,14 @@ class CycloContext:
     """Precomputed data for Q(zeta_n): Phi_n and its degree.  Immutable and
     shareable."""
 
-    __slots__ = ("n", "phi", "degree", "_zero", "_one")
+    __slots__ = ("n", "phi", "degree")
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError("cyclotomic context requires n >= 2")
         self.n = n
         self.phi = cyclotomic_polynomial(n)
-        d = len(self.phi) - 1
-        self.degree = d
-        self._zero = CycloElem(self, (0,) * d, 1, _raw=True)
-        one = [0] * d
-        one[0] = 1
-        self._one = CycloElem(self, tuple(one), 1, _raw=True)
+        self.degree = len(self.phi) - 1
 
     def __eq__(self, other):
         return isinstance(other, CycloContext) and other.n == self.n
@@ -196,38 +191,11 @@ class CycloContext:
     def __repr__(self):
         return f"CycloContext(n={self.n})"
 
-    def zero(self) -> CycloElem:
-        return self._zero
-
-    def one(self) -> CycloElem:
-        return self._one
-
     def from_rational(self, value) -> CycloElem:
         q = exact(value)
         num = [0] * self.degree
         num[0] = q.numerator
         return CycloElem(self, num, q.denominator)
-
-    def from_coeffs(self, coeffs) -> CycloElem:
-        """Element with the given coordinates (length <= degree, padded)."""
-        vals = [exact(c) for c in coeffs]
-        if len(vals) > self.degree:
-            raise ValueError("too many coordinates")
-        den = lcm(*(v.denominator for v in vals))
-        num = [0] * self.degree
-        for i, v in enumerate(vals):
-            num[i] = v.numerator * (den // v.denominator)
-        return CycloElem(self, num, den)
-
-    def zeta_pow(self, e: int) -> CycloElem:
-        """Canonical residue of zeta^e: the monomial x^(e mod n) reduced
-        mod Phi_n."""
-        v = [0] * self.n
-        v[e % self.n] = 1
-        return CycloElem(self, _reduce(self, v))
-
-    def zeta(self) -> CycloElem:
-        return self.zeta_pow(1)
 
 
 @lru_cache(maxsize=None)
@@ -305,9 +273,6 @@ class CycloElem:
             return NotImplemented
         return other - self
 
-    def __neg__(self):
-        return CycloElem(self.ctx, tuple(-v for v in self.num), self.den, _raw=True)
-
     def __mul__(self, other):
         """Product in Q(zeta_n).
 
@@ -361,7 +326,7 @@ class CycloElem:
         n = ctx.n
         x = CycloElem(ctx, self.num, 1, _raw=True)
         conjugates = [x.galois(t) for t in range(2, n) if gcd(t, n) == 1]
-        conj = reduce(mul, conjugates) if conjugates else ctx.one()
+        conj = reduce(mul, conjugates) if conjugates else ctx.from_rational(1)
         norm = (x * conj).as_rational()
         if norm is None:
             raise ArithmeticError("norm of a field element is not rational")
@@ -380,10 +345,6 @@ class CycloElem:
         for k, c in enumerate(self.num):
             v[k * t % n] = c
         return CycloElem(ctx, _reduce(ctx, v), self.den)
-
-    def conjugate(self) -> CycloElem:
-        """Complex conjugation, i.e. zeta -> zeta^(n-1)."""
-        return self.galois(self.ctx.n - 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -488,8 +449,3 @@ def inv_one_minus_zeta(ctx: CycloContext, r: int) -> CycloElem:
     ``_inv_one_minus_zeta_vector`` over n, reduced once."""
     return CycloElem(ctx, _reduce(ctx, _inv_one_minus_zeta_vector(ctx.n, r)), ctx.n)
 
-
-def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
-    """Closed form for 1/(1 + zeta^u), 2u not divisible by n: the vector of
-    ``_inv_one_plus_zeta_vector`` over n, reduced once."""
-    return CycloElem(ctx, _reduce(ctx, _inv_one_plus_zeta_vector(ctx.n, u)), ctx.n)

@@ -37,7 +37,6 @@ from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
 from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
                          _inv_one_plus_zeta_vector, _lift, _reduce, shared_context)
-from .cyclotomic import inv_one_plus_zeta  # noqa: F401  (still importable from here)
 from .linalg import CMatrix
 from . import polynomials
 from .polynomials import CPoly, _twisted_vector_sums, twisted_sums
@@ -483,8 +482,7 @@ def _eei(kind: MatrixKind, n: int):
     for j in range(1, n + 1):
         minor = _cyclic_minor(matrix, j)
         charpoly = first_charpoly if minor == first else minor.charpoly()
-        coeffs = charpoly.coeffs  # p_{M_j}(0) is the constant coefficient
-        computed.append(coeffs[0] if coeffs else matrix.ctx.zero())
+        computed.append(charpoly.coeffs[0])  # p_{M_j}(0); a monic charpoly keeps it
     return {"size": n}, [target] * n, computed
 
 

@@ -45,9 +45,6 @@ class CMatrix:
         r, c = rc
         return self.data[r * self.cols + c]
 
-    def row_lists(self) -> list[list[CycloElem]]:
-        return [list(self.data[r * self.cols:(r + 1) * self.cols]) for r in range(self.rows)]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -69,9 +66,10 @@ class CMatrix:
         """Exact determinant; the empty matrix has determinant 1."""
         if not self.is_square():
             raise ValueError("determinant requires a square matrix")
-        if self.rows == 0:
-            return self.ctx.one()
-        return _eliminate(self.row_lists(), self.ctx)[0]
+        dim = self.rows
+        if dim == 0:
+            return self.ctx.from_rational(1)
+        return _eliminate([list(self.data[r * dim:(r + 1) * dim]) for r in range(dim)], self.ctx)[0]
 
     def charpoly(self) -> CPoly:
         """Monic characteristic polynomial det(x*I - M) by Berkowitz's
@@ -132,9 +130,11 @@ class CMatrix:
         ``identities.twisted_products``, which the tests check against it."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match columns")
-        ctx = self.ctx
+        ctx, cols = self.ctx, self.cols
         vec = [_entry(ctx, e) for e in vec]
-        return [sum(map(mul, row, vec), ctx.zero()) for row in self.row_lists()]
+        zero = ctx.from_rational(0)
+        return [sum(map(mul, self.data[r * cols:(r + 1) * cols], vec), zero)
+                for r in range(self.rows)]
 
     def det_affine(self) -> tuple[CycloElem, CycloElem]:
         """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, by one
@@ -178,17 +178,17 @@ def _eliminate(a: list[list[CycloElem]], ctx: CycloContext) -> tuple[CycloElem, 
     pivot, so the block is singular and its determinant is 0.
     """
     dim = len(a)
-    acc = ctx.one()
+    acc, zero = ctx.from_rational(1), ctx.from_rational(0)
     negate = False
     leading = None  # the block's determinant, once known
     for col in range(dim):
         if col == dim - 1 and leading is None:
-            leading = -acc if negate else acc
+            leading = acc * -1 if negate else acc
         pivot_row = next((r for r in range(col, dim) if a[r][col]), None)
         if pivot_row is None:
-            return ctx.zero(), ctx.zero() if leading is None else leading
+            return zero, zero if leading is None else leading
         if pivot_row == dim - 1 and leading is None:
-            leading = ctx.zero()
+            leading = zero
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             negate = not negate
@@ -205,5 +205,5 @@ def _eliminate(a: list[list[CycloElem]], ctx: CycloContext) -> tuple[CycloElem, 
                 row = a[r]
                 for c in range(col + 1, dim):
                     row[c] = row[c] - f * top[c]
-    return (-acc if negate else acc), leading
+    return (acc * -1 if negate else acc), leading
 

@@ -1,8 +1,12 @@
-"""Dense univariate polynomials over Q(zeta_n).
+"""Polynomials in x over Q(zeta_n), and the x-polynomial identity checks.
 
-These carry the indeterminate x of the rational-function identities and the
-characteristic polynomials.  Coefficients are stored lowest degree first and
-trimmed, so the zero polynomial is the empty tuple and equality is structural.
+``CPoly`` is the value type of the characteristic polynomials and the
+spectrum polynomials that the spectrum, eigen and EEI rows compare.  Its
+coefficients are stored lowest degree first and trimmed, so the zero
+polynomial is the empty tuple and equality is structural.  It has no sum
+and no shift; its product ``__mul__`` has no library caller and stays only
+as the tests' reference, because the benchmark's tracer wraps it by name
+(``tests/test_bench_contract.py`` guards that).
 
 The ``partial-fraction`` and ``row-sum-x`` checks share one kernel,
 ``_cleared_sums``: the twisted sums S[s] = sum_{0<r<n} zeta^(-sr) Q_r of
@@ -30,6 +34,8 @@ from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, 
 
 
 class CPoly:
+    """The value of ``CMatrix.charpoly`` and ``identities.spectrum_poly``."""
+
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: CycloContext, coeffs=()):
@@ -39,53 +45,18 @@ class CPoly:
             vals.pop()
         self.coeffs = tuple(vals)
 
-    @classmethod
-    def zero(cls, ctx: CycloContext) -> CPoly:
-        return cls(ctx)
-
-    @classmethod
-    def one(cls, ctx: CycloContext) -> CPoly:
-        return cls(ctx, [ctx.one()])
-
-    @classmethod
-    def x_pow(cls, ctx: CycloContext, k: int) -> CPoly:
-        """x^k for k >= 0."""
-        return cls.one(ctx).shift(k)
-
-    def _check(self, other: CPoly):
+    def __mul__(self, other):
+        """Product by a constant, or the schoolbook product over the field:
+        the tests' reference (see the module docstring)."""
+        if isinstance(other, (int, Fraction, CycloElem)):
+            return CPoly(self.ctx, [c * other for c in self.coeffs])
+        if not isinstance(other, CPoly):
+            return NotImplemented
         if self.ctx.n != other.ctx.n:
             raise ValueError("polynomials from different contexts")
-
-    def __add__(self, other):
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return CPoly(self.ctx, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        self._check(other)
-        out = list(self.coeffs) + [self.ctx.zero()] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return CPoly(self.ctx, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloElem)):
-            return self.scale(other)
-        if not isinstance(other, CPoly):
-            return NotImplemented
-        self._check(other)
         if not self.coeffs or not other.coeffs:
-            return CPoly.zero(self.ctx)
-        zero = self.ctx.zero()
+            return CPoly(self.ctx)
+        zero = self.ctx.from_rational(0)
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -95,19 +66,6 @@ class CPoly:
         return CPoly(self.ctx, out)
 
     __rmul__ = __mul__
-
-    def scale(self, factor) -> CPoly:
-        """Multiply by a constant; a rational one scales the coordinates
-        without a field product."""
-        return CPoly(self.ctx, [c * factor for c in self.coeffs])
-
-    def shift(self, k: int) -> CPoly:
-        """Multiply by x^k, k >= 0; a negative k raises ValueError."""
-        if k < 0:
-            raise ValueError(f"x^{k} is not a polynomial")
-        if not self.coeffs:
-            return self
-        return CPoly(self.ctx, [self.ctx.zero()] * k + list(self.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):

@@ -1,14 +1,64 @@
-"""Random elements and matrices for the property tests, a Hermitian test,
-a Horner evaluation, and the slow reference constructions the fast paths
-are checked against, among them the Leibniz expansion over permutations and
+"""Constructors and polynomial sums that the library does not need,
+random elements and matrices for the property tests, a Hermitian test, a
+Horner evaluation, and the slow reference constructions the fast paths are
+checked against, among them the Leibniz expansion over permutations and
 derangements and the Fraction recurrence of the spectral determinant."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
+from math import lcm
 
+from cyclodet import cyclotomic
 from cyclodet.cyclotomic import CycloContext, CycloElem
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
+from cyclodet.rationals import exact
+
+
+def zero(ctx: CycloContext) -> CycloElem:
+    return ctx.from_rational(0)
+
+
+def one(ctx: CycloContext) -> CycloElem:
+    return ctx.from_rational(1)
+
+
+def zeta_pow(ctx: CycloContext, e: int) -> CycloElem:
+    """zeta^e: the monomial x^(e mod n) reduced mod Phi_n, with no twist."""
+    v = [0] * ctx.n
+    v[e % ctx.n] = 1
+    return CycloElem(ctx, cyclotomic._reduce(ctx, v))
+
+
+def from_coeffs(ctx: CycloContext, coeffs) -> CycloElem:
+    """The element with the given rational coordinates, zero-padded to the
+    degree."""
+    vals = [exact(c) for c in coeffs]
+    den = lcm(*(v.denominator for v in vals))
+    num = [v.numerator * (den // v.denominator) for v in vals]
+    return CycloElem(ctx, num + [0] * (ctx.degree - len(num)), den)
+
+
+def conjugate(a: CycloElem) -> CycloElem:
+    """Complex conjugation, the automorphism zeta -> zeta^(n-1)."""
+    return a.galois(a.ctx.n - 1)
+
+
+def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
+    """1/(1 + zeta^u): the unreduced vector n/(1 + zeta^u) over n, reduced
+    once, as ``identities.residue_table`` reduces it."""
+    n = ctx.n
+    return CycloElem(ctx, cyclotomic._reduce(ctx, cyclotomic._inv_one_plus_zeta_vector(n, u)), n)
+
+
+def poly_add(p: CPoly, q: CPoly) -> CPoly:
+    """p + q, coefficient by coefficient."""
+    return CPoly(p.ctx, [a + b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0)])
+
+
+def poly_shift(p: CPoly, k: int) -> CPoly:
+    """x^k * p, for k >= 0."""
+    return CPoly(p.ctx, [0] * k + list(p.coeffs))
 
 
 def random_element(ctx: CycloContext, rng, span: int = 3) -> CycloElem:
@@ -16,7 +66,7 @@ def random_element(ctx: CycloContext, rng, span: int = 3) -> CycloElem:
     1..3)."""
     coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, 3))
               for _ in range(ctx.degree)]
-    return ctx.from_coeffs(coeffs)
+    return from_coeffs(ctx, coeffs)
 
 
 def reference_mul(a: CycloElem, b: CycloElem) -> CycloElem:
@@ -45,7 +95,7 @@ def random_matrix(ctx: CycloContext, rng, dim: int, span: int = 3) -> CMatrix:
 def is_hermitian(m: CMatrix) -> bool:
     if not m.is_square():
         return False
-    return all(m[r, c] == m[c, r].conjugate()
+    return all(m[r, c] == conjugate(m[c, r])
                for r in range(m.rows) for c in range(r, m.cols))
 
 
@@ -79,10 +129,10 @@ def signed_product_sum(matrix: CMatrix, perms) -> CycloElem:
     sign(p) * prod_j M[j, p(j)]: the Leibniz determinant expansion,
     restricted to ``perms``, with field products."""
     ctx = matrix.ctx
-    total = ctx.zero()
+    total = zero(ctx)
     data, cols = matrix.data, matrix.cols
     for perm in perms:
-        prod = ctx.one()
+        prod = one(ctx)
         for j, img in enumerate(perm):
             e = data[j * cols + (img - 1)]
             if not e:
@@ -129,7 +179,7 @@ def add_scalar(m: CMatrix, x) -> CMatrix:
 
 def _dot(xs, ys, ctx: CycloContext) -> CycloElem:
     """Sum of the products of paired entries, skipping zero factors."""
-    acc = ctx.zero()
+    acc = zero(ctx)
     for x, y in zip(xs, ys):
         if x and y:
             acc = acc + x * y
@@ -141,16 +191,16 @@ def reference_charpoly(m: CMatrix) -> CPoly:
     Toeplitz recursion as ``CMatrix.charpoly`` with field products and sums,
     no lift and no packing."""
     ctx, dim = m.ctx, m.rows
-    rows = m.row_lists()
-    poly = [ctx.one()]
+    rows = [[m[r, c] for c in range(dim)] for r in range(dim)]
+    poly = [one(ctx)]
     for k in range(dim - 1, -1, -1):
         sub = [r[k + 1:] for r in rows[k + 1:]]
         row, col = rows[k][k + 1:], [r[k] for r in rows[k + 1:]]
-        toeplitz = [ctx.one(), -rows[k][k]]
+        toeplitz = [one(ctx), rows[k][k] * -1]
         for i in range(dim - k - 1):
             if i:
                 col = [_dot(r, col, ctx) for r in sub]
-            toeplitz.append(-_dot(row, col, ctx))
+            toeplitz.append(_dot(row, col, ctx) * -1)
         poly = [_dot(toeplitz[i::-1], poly, ctx) for i in range(len(poly) + 1)]
     return CPoly(ctx, poly[::-1])
 
@@ -159,9 +209,9 @@ def reference_spectrum_poly(ctx: CycloContext, roots) -> CPoly:
     """prod (x - root) over the rational roots with field operations, one
     shift and one rational scaling per factor: acc * (x - root) =
     x*acc - root*acc.  The reference for ``identities.spectrum_poly``."""
-    acc = CPoly.one(ctx)
+    acc = CPoly(ctx, [1])
     for root in roots:
-        acc = acc.shift(1) - acc.scale(root)
+        acc = poly_add(poly_shift(acc, 1), acc * -root)
     return acc
 
 
@@ -179,7 +229,7 @@ def fraction_block_det(lams) -> tuple[Fraction, Fraction]:
 
 def evaluate(p: CPoly, point) -> CycloElem:
     """p(point) by Horner's rule, for a rational or field point."""
-    acc = p.ctx.zero()
+    acc = zero(p.ctx)
     for c in reversed(p.coeffs):
         acc = acc * point + c
     return acc

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from cyclodet import __version__
+from cyclodet import __version__, cyclotomic, linalg
 from cyclodet.cli import REPORT_FIELDS, _forked_map, _spread, build_parser, main
-from cyclodet.cyclotomic import shared_context
+from cyclodet.cyclotomic import CycloElem, shared_context
 from cyclodet.identities import (DET_KINDS, DETS, IdentityReport, MatrixKind, a_det_value,
                                  build_matrix, c_det_value)
+from cyclodet.linalg import CMatrix
+from cyclodet.polynomials import CPoly
 from cyclodet.rationals import format_rational
 
 from helpers import add_scalar
@@ -486,6 +489,36 @@ def test_verify_default_grid(capsys):
     code, out, _ = run(capsys, "verify", "--identity", "galois-a-det")
     assert code == 0
     assert len([l for l in out.splitlines() if l.startswith("PASS")]) == 4  # 3,5,7,9
+
+
+def test_no_cli_path_runs_the_tests_references(capsys, monkeypatch):
+    # the field product, difference and inverse, elimination, matvec, the
+    # CPoly product and the closed-form inverse are references the tests
+    # check the packed routes against: every CLI path runs with them refused
+    def refuse(*args):
+        raise AssertionError("a CLI path ran a test reference")
+
+    for owner, names in ((CycloElem, ("__mul__", "__rmul__", "__sub__", "__rsub__", "inverse")),
+                         (CMatrix, ("det", "det_affine", "matvec")),
+                         (CPoly, ("__mul__", "__rmul__")),
+                         (linalg, ("_eliminate",)),
+                         (cyclotomic, ("inv_one_minus_zeta",))):
+        for name in names:
+            monkeypatch.setattr(owner, name, refuse)
+    code, out, _ = run(capsys, "verify", "--identity", "all", "--oracle", "--jobs", "1")
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert code == 0 and len(lines) == 218 and all(l.startswith("PASS") for l in lines)
+    for kind in DET_KINDS:
+        for n in (3, 9, 25):
+            assert main(["det", "--matrix", kind, "--n", str(n), "--x", "1/2"]) == 0, (kind, n)
+
+
+def test_readme_python_examples_run():
+    # every python block of README.md, each in a fresh namespace
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_bench_subcommand_is_gone(capsys):

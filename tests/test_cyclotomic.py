@@ -12,10 +12,9 @@ from cyclodet.cyclotomic import (
     CycloElem,
     cyclotomic_polynomial,
     inv_one_minus_zeta,
-    inv_one_plus_zeta,
     shared_context,
 )
-from helpers import reference_mul
+from helpers import conjugate, from_coeffs, one, reference_mul, zero, zeta_pow
 
 
 def totient(n):
@@ -88,31 +87,30 @@ def test_context_rejects_small_n():
 
 def test_zeta_pow_examples():
     c3 = shared_context(3)
-    assert c3.zeta_pow(0) == 1
-    assert c3.zeta_pow(2).coeffs == (Fraction(-1), Fraction(-1))  # -1 - z
+    assert zeta_pow(c3, 0) == 1
+    assert zeta_pow(c3, 2).coeffs == (Fraction(-1), Fraction(-1))  # -1 - z
     c5 = shared_context(5)
-    assert c5.zeta_pow(7) == c5.zeta_pow(2)
+    assert zeta_pow(c5, 7) == zeta_pow(c5, 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 12])
 def test_primitivity(n):
     ctx = shared_context(n)
-    one = ctx.one()
     for e in range(1, n):
         if gcd(e, n) == 1:
-            z = ctx.zeta_pow(e)
-            assert prod([z] * n, start=one) == one
-            assert z != one
+            z = zeta_pow(ctx, e)
+            assert prod([z] * n, start=one(ctx)) == 1
+            assert z != 1
 
 
 def test_mul_examples():
     c3 = shared_context(3)
-    one, z = c3.one(), c3.zeta()
-    assert (one - z) * (one - c3.zeta_pow(2)) == 3
-    a = c3.from_coeffs([Fraction(2, 5), Fraction(-1, 3)])
-    assert a * one == a
+    z = zeta_pow(c3, 1)
+    assert (1 - z) * (1 - zeta_pow(c3, 2)) == 3
+    a = from_coeffs(c3, [Fraction(2, 5), Fraction(-1, 3)])
+    assert a * one(c3) == a
     c5 = shared_context(5)
-    assert c5.zeta_pow(2) * c5.zeta_pow(3) == 1
+    assert zeta_pow(c5, 2) * zeta_pow(c5, 3) == 1
 
 
 def _numerator(ctx, rng, bits):
@@ -161,9 +159,9 @@ def test_mul_matches_reference(n):
     d = ctx.degree
     widest = [(1 << 64) - 1] * d  # every |c_j| up to d * max|a| * max|b|
     pairs = [
-        (ctx.zero().num, _numerator(ctx, rng, 64)),
-        (ctx.one().num, _numerator(ctx, rng, 1000)),
-        ((-ctx.one()).num, _numerator(ctx, rng, 64)),
+        (zero(ctx).num, _numerator(ctx, rng, 64)),
+        (one(ctx).num, _numerator(ctx, rng, 1000)),
+        ((one(ctx) * -1).num, _numerator(ctx, rng, 64)),
         (_numerator(ctx, rng, 1), _numerator(ctx, rng, 1)),
         (_numerator(ctx, rng, 64), _numerator(ctx, rng, 64)),
         (widest, [-c for c in widest]),
@@ -172,7 +170,7 @@ def test_mul_matches_reference(n):
         (_numerator(ctx, rng, 1000), _numerator(ctx, rng, 64)),
         (_numerator(ctx, rng, 1000), _numerator(ctx, rng, 1000)),
         (_numerator(ctx, rng, 20000), _numerator(ctx, rng, 64)),
-        (_numerator(ctx, rng, 20000), (-ctx.one()).num),
+        (_numerator(ctx, rng, 20000), (one(ctx) * -1).num),
     ]
     for i, (x, y) in enumerate(pairs):
         dens = (6, 6) if i % 2 else (2 ** 5, 3 ** 4 * 7)
@@ -188,17 +186,9 @@ def test_from_rational_rejects_inexact_input(bad):
         ctx.from_rational(bad)
 
 
-def test_from_coeffs_rejects_inexact_input():
-    ctx = shared_context(5)
-    with pytest.raises(TypeError):
-        ctx.from_coeffs([0.1])
-    with pytest.raises(TypeError):
-        ctx.from_coeffs([1, Fraction(1, 2), 0.25])
-
-
 def test_context_mismatch_rejected():
-    a = shared_context(3).zeta()
-    b = shared_context(5).zeta()
+    a = zeta_pow(shared_context(3), 1)
+    b = zeta_pow(shared_context(5), 1)
     with pytest.raises(ValueError):
         a * b
     with pytest.raises(ValueError):
@@ -207,38 +197,36 @@ def test_context_mismatch_rejected():
 
 def test_inverse_examples():
     c3 = shared_context(3)
-    one, z = c3.one(), c3.zeta()
-    assert (one - z).inverse() == (one - c3.zeta_pow(2)) * Fraction(1, 3)
-    assert one.inverse() == one
-    assert z.inverse() == c3.zeta_pow(2)
+    z = zeta_pow(c3, 1)
+    assert (1 - z).inverse() == (1 - zeta_pow(c3, 2)) * Fraction(1, 3)
+    assert one(c3).inverse() == 1
+    assert z.inverse() == zeta_pow(c3, 2)
     with pytest.raises(ZeroDivisionError):
-        c3.zero().inverse()
+        zero(c3).inverse()
 
 
 @pytest.mark.parametrize("n", [3, 5, 8, 12])
 def test_inverse_two_sided_random(n):
     rng = random.Random(n)
     ctx = shared_context(n)
-    one = ctx.one()
     count = 0
     while count < 200:
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                   for _ in range(ctx.degree)]
-        a = ctx.from_coeffs(coeffs)
+        a = from_coeffs(ctx, coeffs)
         if not a:
             continue
         count += 1
-        assert a * a.inverse() == one
-        assert a.inverse() * a == one
+        assert a * a.inverse() == 1
+        assert a.inverse() * a == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 47])
 def test_inv_one_minus_zeta_matches_norm_inverse(n):
     ctx = shared_context(n)
-    one = ctx.one()
     for r in range(1, n):
         closed = inv_one_minus_zeta(ctx, r)
-        assert closed == (one - ctx.zeta_pow(r)).inverse()
+        assert closed == (1 - zeta_pow(ctx, r)).inverse()
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -246,7 +234,6 @@ def test_raw_vectors_reduce_to_the_closed_forms(n):
     # The unreduced tables of root-sums: each int vector over n, reduced once,
     # is the public closed form and, by the field product, the inverse.
     ctx = shared_context(n)
-    one = ctx.one()
 
     def reduced(vector):
         return CycloElem(ctx, cyclotomic._reduce(ctx, vector), n)
@@ -256,15 +243,14 @@ def test_raw_vectors_reduce_to_the_closed_forms(n):
     for r in range(1, n):
         elem = reduced(cyclotomic._inv_one_minus_zeta_vector(n, r))
         assert elem == inv_one_minus_zeta(ctx, r)
-        assert elem * (one - ctx.zeta_pow(r)) == 1, r
+        assert elem * (1 - zeta_pow(ctx, r)) == 1, r
     for u in range(n):
         if 2 * u % n == 0:
             with pytest.raises(ZeroDivisionError):
                 cyclotomic._inv_one_plus_zeta_vector(n, u)
             continue
         elem = reduced(cyclotomic._inv_one_plus_zeta_vector(n, u))
-        assert elem == inv_one_plus_zeta(ctx, u)
-        assert elem * (one + ctx.zeta_pow(u)) == 1, u
+        assert elem * (1 + zeta_pow(ctx, u)) == 1, u
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 12, 25, 30, 45, 64])
@@ -283,7 +269,7 @@ def test_context_builds_no_power_rows():
     before = rows.cache_info()
     ctx = CycloContext(997)
     assert rows.cache_info() == before
-    ctx.zeta_pow(1)
+    zeta_pow(ctx, 1)
     after = rows.cache_info()
     assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
     assert len(rows(997)) == 1  # prime n: the one row x^996
@@ -298,7 +284,7 @@ def test_power_rows_of_a_sparse_phi_are_sparse():
 
 def _random_unit(ctx, rng, bits, den_bits):
     while True:
-        a = ctx.from_coeffs([Fraction(rng.randint(-(1 << bits), 1 << bits),
+        a = from_coeffs(ctx, [Fraction(rng.randint(-(1 << bits), 1 << bits),
                                       rng.randint(1, 1 << den_bits))
                              for _ in range(ctx.degree)])
         if a:
@@ -322,7 +308,7 @@ def test_norm_inverse_two_sided(n):
 def test_inverse_makes_phi_n_products(n, monkeypatch):
     # phi(n) - 2 products of the conjugates, then the norm and the scaling
     ctx = shared_context(n)
-    a = ctx.from_coeffs([Fraction(k - 2, 3) for k in range(ctx.degree)])
+    a = from_coeffs(ctx, [Fraction(k - 2, 3) for k in range(ctx.degree)])
     calls = []
     mul = CycloElem.__mul__
 
@@ -381,13 +367,13 @@ def test_inverse_of_rational_element(n):
 
 def test_galois_examples():
     c3 = shared_context(3)
-    assert c3.zeta().galois(2) == c3.zeta_pow(2)
-    a = c3.from_coeffs([Fraction(1, 2), Fraction(3)])
+    assert zeta_pow(c3, 1).galois(2) == zeta_pow(c3, 2)
+    a = from_coeffs(c3, [Fraction(1, 2), Fraction(3)])
     assert a.galois(1) == a
     c5 = shared_context(5)
-    assert c5.zeta().galois(2).galois(2) == c5.zeta_pow(4)
+    assert zeta_pow(c5, 1).galois(2).galois(2) == zeta_pow(c5, 4)
     with pytest.raises(ValueError):
-        shared_context(6).zeta().galois(3)
+        zeta_pow(shared_context(6), 1).galois(3)
 
 
 @pytest.mark.parametrize("n", [5, 8, 9])
@@ -396,8 +382,8 @@ def test_galois_is_field_homomorphism(n):
     ctx = shared_context(n)
     ts = [t for t in range(1, n) if gcd(t, n) == 1]
     for _ in range(30):
-        a = ctx.from_coeffs([rng.randint(-4, 4) for _ in range(ctx.degree)])
-        b = ctx.from_coeffs([rng.randint(-4, 4) for _ in range(ctx.degree)])
+        a = from_coeffs(ctx, [rng.randint(-4, 4) for _ in range(ctx.degree)])
+        b = from_coeffs(ctx, [rng.randint(-4, 4) for _ in range(ctx.degree)])
         t = rng.choice(ts)
         assert (a + b).galois(t) == a.galois(t) + b.galois(t)
         assert (a * b).galois(t) == a.galois(t) * b.galois(t)
@@ -405,42 +391,43 @@ def test_galois_is_field_homomorphism(n):
 
 def test_conjugate():
     c3 = shared_context(3)
-    assert c3.zeta().conjugate() == c3.zeta_pow(2)
+    assert conjugate(zeta_pow(c3, 1)) == zeta_pow(c3, 2)
     r = c3.from_rational(Fraction(7, 3))
-    assert r.conjugate() == r
+    assert conjugate(r) == r
     c5 = shared_context(5)
-    assert (c5.one() - c5.zeta()).conjugate() == c5.one() - c5.zeta_pow(4)
+    assert conjugate(1 - zeta_pow(c5, 1)) == 1 - zeta_pow(c5, 4)
     rng = random.Random(11)
     for _ in range(20):
-        a = c5.from_coeffs([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        a = from_coeffs(c5, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                             for _ in range(c5.degree)])
-        assert a.conjugate().conjugate() == a
+        assert conjugate(conjugate(a)) == a
 
 
 def test_as_rational():
     c3 = shared_context(3)
-    zero_sum = c3.zeta_pow(0) + c3.zeta() + c3.zeta_pow(2)
+    zero_sum = zeta_pow(c3, 0) + zeta_pow(c3, 1) + zeta_pow(c3, 2)
     assert zero_sum.as_rational() == 0
     assert c3.from_rational(Fraction(5, 3)).as_rational() == Fraction(5, 3)
-    assert c3.zeta().as_rational() is None
+    assert zeta_pow(c3, 1).as_rational() is None
 
 
 def test_rational_elements_hash_as_their_value():
     # equal values must hash equal, so sets and dicts merge them
     ctx = shared_context(5)
     half = ctx.from_rational(Fraction(1, 2))
-    assert ctx.one() == 1 and hash(ctx.one()) == hash(1)
+    assert one(ctx) == 1 and hash(one(ctx)) == hash(1)
     assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
-    assert len({ctx.one(), 1}) == 1
+    assert len({one(ctx), 1}) == 1
     assert len({half, Fraction(1, 2)}) == 1
-    assert len({ctx.zero(), 0, ctx.one(), ctx.zeta()}) == 3
-    assert (ctx.zeta_pow(2) - ctx.zeta()) * 3 in {ctx.zeta_pow(2) * 3 - ctx.zeta() * 3}
+    z, z2 = zeta_pow(ctx, 1), zeta_pow(ctx, 2)
+    assert len({zero(ctx), 0, one(ctx), z}) == 3
+    assert (z2 - z) * 3 in {z2 * 3 - z * 3}
 
 
 def test_equality_with_a_rational_reads_every_coordinate():
     # the int and Fraction fast path: equal only when the element is that rational
     ctx = shared_context(5)
-    z = ctx.zeta()
+    z = zeta_pow(ctx, 1)
     assert z + 1 != 1 and 1 != z + 1
     assert z * Fraction(1, 2) + Fraction(1, 2) != Fraction(1, 2)
     assert ctx.from_rational(Fraction(-3, 4)) == Fraction(-3, 4) != Fraction(3, 4)
@@ -450,15 +437,15 @@ def test_equality_with_a_rational_reads_every_coordinate():
 
 def test_rational_elements_equal_across_contexts():
     # a rational value is the same number in every Q(zeta_n)
-    one3, one5 = shared_context(3).one(), shared_context(5).one()
+    one3, one5 = one(shared_context(3)), one(shared_context(5))
     assert one3 == one5 and one3 == 1 and one5 == 1
-    assert len({shared_context(3).one(), shared_context(5).one(), 1}) == 1
+    assert len({one(shared_context(3)), one(shared_context(5)), 1}) == 1
     half7 = shared_context(7).from_rational(Fraction(1, 2))
     assert half7 == shared_context(4).from_rational(Fraction(1, 2))
     assert half7 != shared_context(4).from_rational(Fraction(1, 3))
     # non-rational elements compare only within one context
-    assert shared_context(3).zeta() != shared_context(6).zeta()
-    assert shared_context(3).zeta() != one3
+    assert zeta_pow(shared_context(3), 1) != zeta_pow(shared_context(6), 1)
+    assert zeta_pow(shared_context(3), 1) != one3
 
 
 def test_as_rational_inverts_embedding():
@@ -474,26 +461,26 @@ def test_mul_zeta_pow_matches_general_mul():
         ctx = shared_context(n)
         rng = random.Random(n)
         for _ in range(20):
-            a = ctx.from_coeffs([rng.randint(-3, 3) for _ in range(ctx.degree)])
+            a = from_coeffs(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)])
             e = rng.randrange(-2 * n, 2 * n)
-            assert a.mul_zeta_pow(e) == a * ctx.zeta_pow(e)
+            assert a.mul_zeta_pow(e) == a * zeta_pow(ctx, e)
 
 
 def test_coeffs_round_trip():
     ctx = shared_context(12)
     coeffs = [Fraction(1, 2), 0, Fraction(-3, 4), 5]
-    a = ctx.from_coeffs(coeffs)
+    a = from_coeffs(ctx, coeffs)
     assert a.coeffs == (Fraction(1, 2), Fraction(0), Fraction(-3, 4), Fraction(5))
 
 
 def test_render():
     c3 = shared_context(3)
-    assert c3.zero().render() == "0"
+    assert zero(c3).render() == "0"
     assert (c3.from_rational(Fraction(-1, 3))).render() == "-1/3"
     assert c3.from_rational(Fraction(14, 4)).render() == "7/2"
     assert c3.from_rational(-5).render() == "-5"
-    assert (c3.from_rational(2) + c3.zeta()).render() == "2 + z"
-    assert (-c3.zeta()).render() == "-z"
+    assert (c3.from_rational(2) + zeta_pow(c3, 1)).render() == "2 + z"
+    assert (zeta_pow(c3, 1) * -1).render() == "-z"
 
 
 def test_only_cyclotomic_reads_the_terms_of_phi():

@@ -23,7 +23,6 @@ from cyclodet.identities import (
     circulant,
     circulant_block_det,
     first_difference,
-    inv_one_plus_zeta,
     kind_block_det,
     render,
     residue_table,
@@ -38,21 +37,22 @@ from cyclodet.identities import (
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
 
-from helpers import (add_scalar, fraction_block_det, is_hermitian, minor_delete, random_element,
-                     random_matrix, reference_spectrum_poly)
+from helpers import (add_scalar, fraction_block_det, from_coeffs, inv_one_plus_zeta, is_hermitian,
+                     minor_delete, one, random_element, random_matrix, reference_spectrum_poly,
+                     zero, zeta_pow)
 
 
 def test_build_ratio_matrix_entries():
     # rows carry formula(row - col): [[0, -(1+z)/(1-z)], [(1+z)/(1-z), 0]]
     ctx = shared_context(3)
-    one, z = ctx.one(), ctx.zeta()
-    ratio = (one + z) * (one - z).inverse()
+    z = zeta_pow(ctx, 1)
+    ratio = (1 + z) * (1 - z).inverse()
     m = build_matrix(MatrixKind.A, ctx, 2)
     assert m[0, 0] == 0 and m[1, 1] == 0
     assert m[1, 0] == ratio
-    assert m[0, 1] == -ratio
+    assert m[0, 1] == ratio * -1
     # the same entry via the defining formula at zeta^2
-    assert m[0, 1] == (one + ctx.zeta_pow(2)) * (one - ctx.zeta_pow(2)).inverse()
+    assert m[0, 1] == (1 + zeta_pow(ctx, 2)) * (1 - zeta_pow(ctx, 2)).inverse()
 
 
 def test_build_diagonals():
@@ -96,7 +96,7 @@ def test_build_matrix_matches_the_entry_formula(kind):
     ns = range(3, 26, 2) if kind is MatrixKind.S19 else range(2, 26)
     for n in ns:
         ctx = shared_context(n)
-        at = [None, *(entry(ctx.zeta_pow(u)) for u in range(1, n))]
+        at = [None, *(entry(zeta_pow(ctx, u)) for u in range(1, n))]
         for size in (n - 1, n):
             want = CMatrix(ctx, [[diagonal if j == k else at[(j - k) % n]
                                   for k in range(size)] for j in range(size)])
@@ -110,9 +110,10 @@ def test_inverted_ratio_kind_undefined_for_even_n():
 
 
 def test_inv_one_plus_zeta():
+    # the vector of n/(1 + zeta^u) over n, reduced once, is the inverse,
+    # periodic in u, and refused exactly where 1 + zeta^u = 0 or u = 0
     for n in range(2, 41):
         ctx = shared_context(n)
-        one = ctx.one()
         for u in range(n):
             if (2 * u) % n == 0:  # u = 0, or u = n/2 where 1 + zeta^u = 0
                 for v in (u, u - n, u + n):
@@ -120,7 +121,7 @@ def test_inv_one_plus_zeta():
                         inv_one_plus_zeta(ctx, v)
                 continue
             closed = inv_one_plus_zeta(ctx, u)
-            assert closed == (one + ctx.zeta_pow(u)).inverse(), (n, u)
+            assert closed == (1 + zeta_pow(ctx, u)).inverse(), (n, u)
             assert inv_one_plus_zeta(ctx, u - n) == closed == inv_one_plus_zeta(ctx, u + n)
 
 
@@ -138,7 +139,7 @@ def test_tables_and_linear_factors_make_no_field_product(monkeypatch):
 
     monkeypatch.setattr(CycloElem, "__mul__", counting_mul)
     ctx = shared_context(5)
-    assert ctx.zeta() * ctx.zeta() * 2 == ctx.zeta_pow(2) * 2 and products == 1
+    assert zeta_pow(ctx, 1) * zeta_pow(ctx, 1) * 2 == zeta_pow(ctx, 2) * 2 and products == 1
     products = 0
     for n in range(2, 14):
         ctx = shared_context(n)
@@ -158,7 +159,7 @@ def test_spectrum_poly_matches_the_field_expansion():
                   [0, 0, Fraction(-7, 6)], [Fraction(3, 10), Fraction(-1, 15), 2, 2],
                   [Fraction(-1, 2)] * 5, [7]):
         assert spectrum_poly(ctx, roots) == reference_spectrum_poly(ctx, roots), roots
-    assert spectrum_poly(ctx, []) == CPoly.one(ctx) == reference_spectrum_poly(ctx, [])
+    assert spectrum_poly(ctx, []) == CPoly(ctx, [1]) == reference_spectrum_poly(ctx, [])
     with pytest.raises(TypeError):
         spectrum_poly(ctx, [0.5])
 
@@ -298,7 +299,7 @@ def test_two_c_spectrum_labels_are_eigenpairs():
         ctx = shared_context(n)
         matrix = build_matrix(MatrixKind.TWO_C, ctx, n)
         for s, lam in zip(range(1, n + 1), spectrum(MatrixKind.TWO_C, n)):
-            v = [ctx.zeta_pow(-k * s) for k in range(1, n + 1)]
+            v = [zeta_pow(ctx, -k * s) for k in range(1, n + 1)]
             assert matrix.matvec(v) == [vk * lam for vk in v]
 
 
@@ -343,13 +344,13 @@ def test_root_sums_spot_values():
     ctx = shared_context(3)
     from cyclodet.cyclotomic import inv_one_minus_zeta
 
-    minus_s0 = sum((inv_one_minus_zeta(ctx, r) for r in (1, 2)), ctx.zero())
+    minus_s0 = sum((inv_one_minus_zeta(ctx, r) for r in (1, 2)), zero(ctx))
     assert minus_s0 == 1
     minus_s1 = sum((inv_one_minus_zeta(ctx, r).mul_zeta_pow(-r) for r in (1, 2)),
-                   ctx.zero())
+                   zero(ctx))
     assert minus_s1 == 0
     plus_s1 = sum((inv_one_plus_zeta(ctx, r).mul_zeta_pow(-r) for r in (1, 2)),
-                  ctx.zero())
+                  zero(ctx))
     assert plus_s1 == -2
     assert run_identity("root-sums", 3).passed
     assert run_identity("root-sums", 6).passed  # even n runs the minus half only
@@ -396,7 +397,7 @@ def test_row_sums_spot_values():
     # ratio(zeta^(j-k)) is the entry at row j, col k; weighted column sum
     # at k=1, s=2 equals n - 2s = 1
     k, s = 1, 2
-    acc = ctx.zero()
+    acc = zero(ctx)
     for j in range(1, 6):
         if j != k:
             acc = acc + a[j - 1, k - 1].mul_zeta_pow(s * (k - j))
@@ -580,7 +581,7 @@ def test_circulant_block_det_of_galois_equivariant_tables():
             g = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(rng.randint(1, n))]
             table = (ctx.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
-                     *(sum((ctx.zeta_pow(i * u) * c for i, c in enumerate(g)), ctx.zero())
+                     *(sum((zeta_pow(ctx, i * u) * c for i, c in enumerate(g)), zero(ctx))
                        for u in range(1, n)))
             assert circulant_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
                 (n, g)
@@ -624,11 +625,11 @@ def test_block_det_matches_the_fraction_recurrence():
 
 def test_circulant_block_det_rejects_an_irrational_eigenvalue():
     ctx = shared_context(5)
-    table = (ctx.zero(), ctx.zeta(), ctx.zero(), ctx.zero(), ctx.zero())
+    table = (zero(ctx), zeta_pow(ctx, 1), zero(ctx), zero(ctx), zero(ctx))
     with pytest.raises(ArithmeticError):
         circulant_block_det(table)
     with pytest.raises(ArithmeticError):  # the eigenvalues sum to 5 zeta
-        circulant_block_det((ctx.zeta(), *table[1:]))
+        circulant_block_det((zeta_pow(ctx, 1), *table[1:]))
 
 
 def test_wrong_residue_entries_fail_the_det_report(monkeypatch):
@@ -670,7 +671,7 @@ def _non_circulant(n):
 
 def _products_by_matvec(m):
     ctx, n = m.ctx, m.cols
-    return [m.matvec([ctx.zeta_pow(-k * s) for k in range(1, n + 1)]) for s in range(1, n + 1)]
+    return [m.matvec([zeta_pow(ctx, -k * s) for k in range(1, n + 1)]) for s in range(1, n + 1)]
 
 
 def test_twisted_products_match_matvec():
@@ -696,7 +697,7 @@ def test_twisted_products_match_matvec():
 
 def test_twisted_sums_of_a_short_table_and_products_of_the_empty_matrix_are_refused():
     ctx = shared_context(3)
-    for table in ([ctx.one()], []):
+    for table in ([one(ctx)], []):
         with pytest.raises(ValueError):
             polynomials.twisted_sums(table)
     with pytest.raises(ValueError):
@@ -711,7 +712,7 @@ def test_twisted_products_at_the_slot_width():
         ctx = shared_context(n)
         rng = random.Random(n)
         for signs in ([edge], [-edge], [edge, -edge]):
-            m = CMatrix(ctx, [[ctx.from_coeffs([rng.choice(signs) for _ in range(ctx.degree)])
+            m = CMatrix(ctx, [[from_coeffs(ctx, [rng.choice(signs) for _ in range(ctx.degree)])
                                for _ in range(n)] for _ in range(n)])
             assert twisted_products(m) == _products_by_matvec(m), (n, signs)
 
@@ -731,8 +732,8 @@ def test_eigenpairs_read_a_non_circulant_matrix(monkeypatch):
     n, t = 5, 2
     ctx = shared_context(n)
     a = build_matrix(MatrixKind.A, ctx, n)
-    rows = a.row_lists()
-    rows[0] = [e + ctx.zeta_pow((c + 1) * t) for c, e in enumerate(rows[0])]
+    rows = [[a[r, c] for c in range(n)] for r in range(n)]
+    rows[0] = [e + zeta_pow(ctx, (c + 1) * t) for c, e in enumerate(rows[0])]
     m = CMatrix(ctx, rows)
     assert m != a and m[0, 1] != m[1, 2]
     monkeypatch.setattr(identities, "build_matrix", lambda kind, ctx, size: m)
@@ -789,14 +790,14 @@ def test_eigen_report_reads_eigenvalues_off_the_matrix():
 def test_render_of_a_field_element():
     ctx = shared_context(3)
     assert render(ctx.from_rational(Fraction(-1, 3))) == "-1/3"
-    assert render(ctx.zeta()) == "z"
+    assert render(zeta_pow(ctx, 1)) == "z"
 
 
 def _with_wrong_term(build):
     """The kernel ``build`` of the sums S[s] = sum_r zeta^(-sr) Q_r with Q_2
     off by 1: zeta^(-2s) more in the x^0 coefficient of every S[s]."""
     def wrong(ctx):
-        return [[c + ctx.zeta_pow(-2 * s), *rest] for s, (c, *rest) in enumerate(build(ctx))]
+        return [[c + zeta_pow(ctx, -2 * s), *rest] for s, (c, *rest) in enumerate(build(ctx))]
     return wrong
 
 
