@@ -9,14 +9,32 @@ library path eliminates: it reads circulant truncations off their spectrum
 (``identities.circulant_block_det``), and elimination is the direct API and
 the tests' reference for that route.  The characteristic polynomial uses
 Berkowitz's algorithm, which is division-free, so it runs on plain ints:
-each entry is lifted over one common denominator and packed into one int of
-the ring Z/(2^(kn) - 1), with x -> 2^k.  The matrix-vector product is a
-plain loop of field operations.
+each entry is lifted over one common denominator D and packed into one int
+of a ring of ints.  The matrix-vector product is a plain loop of field
+operations.
+
+Which ring depends on a property of the input that ``_equivariant`` proves.
+Label the rows and columns of a d x d matrix M by i (d = n) or i + 1
+(d = n - 1), so that t*label mod n permutes the labels for every t coprime
+to n.  If sigma_t(M[a][b]) = M[ta][tb] for each t of a generating set of
+(Z/n)^x, then sigma_t(M) = P_t M P_t^T for the permutation matrix P_t, so
+sigma_t fixes every coefficient of det(x*I - M); fixed by the whole Galois
+group, they are rational.  The lift L = D*M has entries in Z[zeta], so each
+c_i(L) = D^i c_i(M) is then an integer N_i, and the Hadamard bound of
+``charpoly`` gives |N_i| <= P < 2^(k-1).  zeta -> 2^j is a ring map
+Z[zeta] -> Z/Phi_n(2^j), as Phi_n(zeta) = 0, so with the least j for which
+m = Phi_n(2^j) > 2^k the loop runs mod m, one small int per entry, and N_i
+is the residue of c_i(L) in (-m/2, m/2).  Every kind's circulant and its
+cyclic minors pass the check (sigma_t of the entry at u is the entry at
+t*u); any other matrix runs in Z/(2^(kn) - 1), with x -> 2^k, and each
+coefficient is unpacked into its n coordinates.
 """
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt, prod
 from operator import mul
 
 from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _unpack
@@ -78,40 +96,55 @@ class CMatrix:
         For each trailing submatrix [[a, R], [C, A]], of dimension d, the
         charpoly is the lower-triangular Toeplitz matrix with first column
         1, -a, -R*C, -R*A*C, ..., -R*A^(d-2)*C times the charpoly of A:
-        products and sums only, so it runs in any commutative ring.  It runs
-        in Z/(2^(kn) - 1), one int per entry: each entry is lifted over the
-        common denominator D to L_jk = D*m_jk in Z[x]/(x^n - 1) and packed
-        by x -> 2^k, a ring map since x^n -> 2^(kn) = 1.  Coefficient i
-        (from the top) is then c_i(L) = D^i c_i(M), reduced once per dot
-        product and unpacked once, then reduced mod Phi_n and divided by D^i.
+        products and sums only, so it runs in any commutative ring.  Each
+        entry is lifted over the common denominator D to L_jk = D*m_jk, an
+        int vector over 1, zeta, ..., and coefficient i (from the top) is
+        c_i(L) = D^i c_i(M), reduced once per dot product.
 
-        Only c_i(L) must fit in the slots: the packing is a ring map, so the
-        intermediate values may wrap.  A coordinate of f in Z[x]/(x^n - 1)
-        is (1/n) sum_w f(w) w^(-j) over the n-th roots w, so it is at most
+        The bound.  A coordinate of f in Z[x]/(x^n - 1) is
+        (1/n) sum_w f(w) w^(-j) over the n-th roots w, so it is at most
         max_w |c_i(L(w))|.  c_i is a signed sum of principal i x i minors,
         and Hadamard bounds each by the product of its rows' 2-norms, at
         most r_j = sqrt(sum_k ||L_jk||_1^2) for row j, as |w| = 1.  So
         |c_i(L(w))| <= e_i(r) <= prod_j (1 + r_j) <= prod_j (2 + isqrt(r_j^2))
-        = P < 2^bitlen(P), and k - 1 = bitlen(P) makes every |coordinate|
-        < 2^(k-1), as ``_unpack`` needs.
+        = P < 2^bitlen(P), and k - 1 = bitlen(P).  For the full c1 matrix at
+        n = 13 that is 100 bits for 85-bit coordinates; the l1 row-sum bound
+        would take 123.
 
-        The slots are padded to the worst case.  For the full c1 matrix at
-        n = 13 they are 100 bits for 85-bit coordinates (the l1 row-sum
-        bound would take 123 bits and 0.033 s against 0.023 s, and the field
-        Berkowitz took 0.17 s).  At n = 29 they are 307 bits for 272, and
-        this runs at about 0.75x the speed of the field Berkowitz; every
-        charpoly that the identities take is at n <= 13.
+        The rational ring, when ``_equivariant`` holds.  sigma_t(M) is then
+        P_t M P_t^T for a permutation P_t, so sigma_t(c_i(M)) = c_i(M) for
+        each generator t, and c_i(M) is rational; c_i(L) is a rational
+        algebraic integer N_i, with |N_i| <= P < 2^(k-1).  zeta -> 2^j is
+        a ring map Z[zeta] -> Z/m for m = Phi_n(2^j), so the loop runs mod
+        the least such m > 2^k on ``_pack(lift, j)`` and reads N_i as the
+        residue of c_i(L) in (-m/2, m/2), which holds every |N| < 2^(k-1).
+        For the full a matrix, best of 10-20 runs, this takes 0.8-1.3 ms
+        against 3.4-3.8 ms in the cyclic ring at n = 11, and 21-32 ms
+        against 1.6 s at n = 25.
+
+        Otherwise the loop runs in Z/(2^(kn) - 1), packing by x -> 2^k, a
+        ring map from Z[x]/(x^n - 1) since x^n -> 2^(kn) = 1, and each
+        c_i(L) is unpacked once, reduced mod Phi_n and divided by D^i.  Only
+        c_i(L) must fit in the slots, as the packing is a ring map, and the
+        bound makes every |coordinate| < 2^(k-1), as ``_unpack`` needs.
         """
         if not self.is_square():
             raise ValueError("characteristic polynomial requires a square matrix")
         ctx, dim, n = self.ctx, self.rows, self.ctx.n
         den, lifts = _lift(self.data)
         norms = [sum(map(abs, v)) for v in lifts]
-        k = prod(2 + isqrt(sum(x * x for x in norms[j * dim:(j + 1) * dim]))
-                 for j in range(dim)).bit_length() + 1
-        modulus = (1 << (k * n)) - 1
-        packed = [_pack(v, k) for v in lifts]
-        m = [packed[j * dim:(j + 1) * dim] for j in range(dim)]
+        k = prod(2 + isqrt(sum(x * x for x in norms[r * dim:(r + 1) * dim]))
+                 for r in range(dim)).bit_length() + 1
+        rational = _equivariant(self)
+        if rational:
+            j = max(1, k // ctx.degree)  # below it, Phi_n(2^j) < 2^((j+1)*degree) <= 2^k
+            while (modulus := _pack(ctx.phi, j)) <= 1 << k:
+                j += 1
+            packed = [_pack(v, j) for v in lifts]
+        else:
+            modulus = (1 << (k * n)) - 1
+            packed = [_pack(v, k) for v in lifts]
+        m = [packed[r * dim:(r + 1) * dim] for r in range(dim)]
         poly = [1]  # charpoly of the empty trailing submatrix, highest first
         for c in range(dim - 1, -1, -1):
             sub = [r[c + 1:] for r in m[c + 1:]]  # A
@@ -122,6 +155,10 @@ class CMatrix:
                     col = [sum(map(mul, r, col)) % modulus for r in sub]
                 toeplitz.append(-sum(map(mul, row, col)) % modulus)
             poly = [sum(map(mul, toeplitz[i::-1], poly)) % modulus for i in range(len(poly) + 1)]
+        if rational:
+            half = modulus >> 1
+            return CPoly(ctx, [Fraction(p - modulus if p > half else p, den ** i)
+                               for i, p in enumerate(poly)][::-1])
         return CPoly(ctx, [CycloElem(ctx, _reduce(ctx, _unpack(p, k, n)), den ** i)
                            for i, p in enumerate(poly)][::-1])
 
@@ -163,6 +200,51 @@ class CMatrix:
                             + [mj0 - m00])
         bordered.append([self[0, k] - m00 for k in range(1, dim)] + [m00])
         return _eliminate(bordered, self.ctx)
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[int, ...]:
+    """A generating set of (Z/n)^x: each t coprime to n, in increasing
+    order, that the ones before it do not generate."""
+    group, gens = {1}, []
+    for t in range(2, n):
+        if gcd(t, n) == 1 and t not in group:
+            gens.append(t)
+            while True:  # close the group under products by the generators
+                grown = group | {g * h % n for g in gens for h in group}
+                if grown == group:
+                    break
+                group = grown
+    return tuple(gens)
+
+
+def _equivariant(matrix: CMatrix) -> bool:
+    """Whether sigma_t(M[a][b]) = M[ta][tb] for each t of ``_generators(n)``,
+    with the labels of the module docstring (i, or i + 1 at dimension
+    n - 1), so that the charpoly is rational.  sigma_t of an entry is
+    computed as ``CycloElem.galois`` does, by the slot permutation
+    k -> kt mod n of its integer numerator and one reduction, and once per
+    distinct entry object; sigma_t keeps the content of the numerator, so
+    the image has the same denominator."""
+    ctx, dim, n = matrix.ctx, matrix.rows, matrix.ctx.n
+    if not matrix.is_square() or dim not in (n, n - 1):
+        return False
+    shift, data = n - dim, matrix.data
+    for t in _generators(n):
+        index = [t * (i + shift) % n - shift for i in range(dim)]  # the index of label t*label
+        images = {}  # id(entry) -> numerator of sigma_t(entry)
+        for a, ta in enumerate(index):
+            for b, tb in enumerate(index):
+                e, target = data[a * dim + b], data[ta * dim + tb]
+                image = images.get(id(e))
+                if image is None:
+                    v = [0] * n
+                    for s, c in enumerate(e.num):
+                        v[s * t % n] = c
+                    image = images[id(e)] = tuple(_reduce(ctx, v))
+                if image != target.num or e.den != target.den:
+                    return False
+    return True
 
 
 def _eliminate(a: list[list[CycloElem]], ctx: CycloContext) -> tuple[CycloElem, CycloElem]:

@@ -4,6 +4,7 @@ Horner evaluation, and the slow reference constructions the fast paths are
 checked against, among them the Leibniz expansion over permutations and
 derangements and the Fraction recurrence of the spectral determinant."""
 
+import random
 from fractions import Fraction
 from itertools import permutations, zip_longest
 from math import lcm
@@ -90,6 +91,13 @@ def reference_mul(a: CycloElem, b: CycloElem) -> CycloElem:
 def random_matrix(ctx: CycloContext, rng, dim: int, span: int = 3) -> CMatrix:
     return CMatrix(ctx, [[random_element(ctx, rng, span) for _ in range(dim)]
                          for _ in range(dim)])
+
+
+def non_circulant(n: int) -> CMatrix:
+    """A random n x n matrix over Q(zeta_n) that is not circulant."""
+    m = random_matrix(cyclotomic.shared_context(n), random.Random(n), n)
+    assert m != CMatrix(m.ctx, [[m[0, (c - r) % n] for c in range(n)] for r in range(n)])
+    return m
 
 
 def is_hermitian(m: CMatrix) -> bool:

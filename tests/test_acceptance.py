@@ -9,7 +9,8 @@ points (``run_identity``, ``kind_block_det``, ``signed_derangement_sum`` and
 The determinant criteria eliminate, and each also asserts that the spectral
 value of ``kind_block_det``, which ``verify`` reports, equals its
 elimination result; criterion 14 runs the spectral route alone on odd n up
-to 101.
+to 101, and criterion 15 the eigenpair, EEI and spectrum rows, whose
+charpoly runs in the rational ring, on odd n 15..25.
 """
 
 import random
@@ -343,3 +344,17 @@ def test_criterion_14_spectral_dets_to_101():
     _line(14, "every determinant row from its spectrum, odd n 27..101", ok)
     assert all(results.values()), [key for key, passed in results.items() if not passed]
     assert ELAPSED[14] < 30, f"criterion 14 took {ELAPSED[14]:.1f}s"
+
+
+def test_criterion_15_spectra_and_eei_to_25():
+    names = ("eigen-a", "eigen-b", "eigen-c1", "eei-a", "eei-b", "eei-c1",
+             "c1-spectrum", "two-c-spectrum")
+    results = {}
+    with _timed(15):
+        for name in names:
+            for n in range(15, 26, 2):
+                results[(name, n)] = run_identity(name, n).passed
+    ok = all(results.values())
+    _line(15, "eigenpair, EEI and spectrum rows by the rational charpoly, odd n 15..25", ok)
+    assert all(results.values()), [key for key, passed in results.items() if not passed]
+    assert ELAPSED[15] < 30, f"criterion 15 took {ELAPSED[15]:.1f}s"

@@ -38,8 +38,8 @@ from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
 
 from helpers import (add_scalar, fraction_block_det, from_coeffs, inv_one_plus_zeta, is_hermitian,
-                     minor_delete, one, random_element, random_matrix, reference_spectrum_poly,
-                     zero, zeta_pow)
+                     minor_delete, non_circulant, one, random_element, random_matrix,
+                     reference_spectrum_poly, zero, zeta_pow)
 
 
 def test_build_ratio_matrix_entries():
@@ -663,12 +663,6 @@ def test_det_rows_run_without_elimination(monkeypatch):
             assert main(["det", "--matrix", kind, "--n", str(n)]) == code, (kind, n)
 
 
-def _non_circulant(n):
-    m = random_matrix(shared_context(n), random.Random(n), n)
-    assert m != CMatrix(m.ctx, [[m[0, (c - r) % n] for c in range(n)] for r in range(n)])
-    return m
-
-
 def _products_by_matvec(m):
     ctx, n = m.ctx, m.cols
     return [m.matvec([zeta_pow(ctx, -k * s) for k in range(1, n + 1)]) for s in range(1, n + 1)]
@@ -679,7 +673,7 @@ def test_twisted_products_match_matvec():
     # nonzero diagonals
     for n in range(2, 10):
         ctx = shared_context(n)
-        for m in (_non_circulant(n), random_matrix(ctx, random.Random(100 + n), n, span=9)):
+        for m in (non_circulant(n), random_matrix(ctx, random.Random(100 + n), n, span=9)):
             assert len({e.den for e in m.data}) > 1 and any(m[j, j] for j in range(n))
             assert twisted_products(m) == _products_by_matvec(m), n
         # n columns and any number of rows; another column count is refused
@@ -751,7 +745,7 @@ def test_eigenpairs_read_a_non_circulant_matrix(monkeypatch):
 
 
 def test_cyclic_minor_has_the_charpoly_of_the_deleted_minor():
-    m = _non_circulant(5)
+    m = non_circulant(5)
     for j in range(1, 6):
         assert identities._cyclic_minor(m, j).charpoly() == minor_delete(m, j).charpoly()
 
@@ -763,7 +757,7 @@ def test_cyclic_minors_of_a_circulant_are_equal():
 
 def test_eei_computes_every_minor_of_a_non_circulant_matrix(monkeypatch):
     # the charpoly cache must never merge distinct minors
-    m = _non_circulant(5)
+    m = non_circulant(5)
     monkeypatch.setattr(identities, "build_matrix", lambda kind, ctx, size: m)
     _, _, computed = identities._eei(MatrixKind.A, 5)
     assert computed == [minor_delete(m, j).charpoly().coeffs[0] for j in range(1, 6)]

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from cyclodet import linalg
 from cyclodet.cyclotomic import CycloElem, _pack, _unpack, shared_context
-from cyclodet.identities import MatrixKind, _cyclic_minor, build_matrix
-from cyclodet.linalg import CMatrix
+from cyclodet.identities import (MatrixKind, _cyclic_minor, build_matrix, circulant,
+                                 coprime_residues, residue_table)
+from cyclodet.linalg import CMatrix, _equivariant, _generators
 from cyclodet.polynomials import CPoly
 
 from helpers import (
@@ -15,6 +18,7 @@ from helpers import (
     is_hermitian,
     minor_delete,
     mm_prime,
+    non_circulant,
     one,
     perm_expansion_det,
     random_element,
@@ -154,10 +158,77 @@ def _kind_matrices(n):
         yield _cyclic_minor(full, 1)
 
 
+def _no_unpack(*args):
+    raise AssertionError("the cyclic ring was taken")
+
+
 @pytest.mark.parametrize("n", range(2, 16))
-def test_charpoly_matches_field_berkowitz_on_every_kind(n):
-    for m in _kind_matrices(n):
-        assert m.charpoly() == reference_charpoly(m)
+def test_charpoly_matches_field_berkowitz_on_every_kind(n, monkeypatch):
+    # every kind's matrix and minor is Galois-equivariant, so its charpoly
+    # runs in the rational ring Z/Phi_n(2^j) and never unpacks a slot
+    matrices = list(_kind_matrices(n))
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_unpack", _no_unpack)
+        polys = [m.charpoly() for m in matrices]
+    for m, p in zip(matrices, polys):
+        assert _equivariant(m)
+        assert p == reference_charpoly(m)
+
+
+def test_generators_generate_the_unit_group():
+    for n in range(2, 61):
+        group = {1}
+        while True:
+            grown = group | {g * t % n for g in group for t in _generators(n)}
+            if grown == group:
+                break
+            group = grown
+        assert sorted(group) == coprime_residues(n), n
+
+
+def test_equivariance_refuses_a_table_that_is_not_equivariant():
+    # t[1] = zeta: sigma_t(t[1]) = zeta^t, not t[t]
+    for n in (5, 8, 9):
+        ctx = shared_context(n)
+        table = list(residue_table(MatrixKind.C_PLUS_I, ctx))
+        table[1] = zeta_pow(ctx, 1)
+        for size in (n - 1, n):
+            m = circulant(ctx, table, size)
+            assert not _equivariant(m)
+            assert m.charpoly() == reference_charpoly(m)
+
+
+def test_equivariance_checks_every_generator():
+    # alpha = zeta + zeta^3 at n = 8 is fixed by sigma_3 but sent to -alpha
+    # by sigma_5, so alpha*I is refused only by the second generator
+    ctx = shared_context(8)
+    assert _generators(8) == (3, 5)
+    alpha = zeta_pow(ctx, 1) + zeta_pow(ctx, 3)
+    assert alpha.galois(3) == alpha and alpha.galois(5) != alpha
+    m = CMatrix(ctx, [[alpha if r == c else 0 for c in range(8)] for r in range(8)])
+    assert not _equivariant(m)
+    assert m.charpoly() == reference_charpoly(m)
+
+
+def test_equivariance_refuses_a_non_circulant_matrix_and_other_sizes():
+    m = non_circulant(5)
+    assert not _equivariant(m)
+    assert not _equivariant(CMatrix(shared_context(7), [[1] * 5 for _ in range(5)]))
+    assert m.charpoly() == reference_charpoly(m)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rational_ring_reads_coefficients_at_the_bound(n, monkeypatch):
+    # c*I with c just below 2^100: the constant coefficient (-c)^d of the
+    # charpoly comes within a factor 1 - 2^-48 of the Hadamard bound
+    # 2^(k-1), so only a modulus above 2^k reads it back
+    c = (1 << 100) - (1 << 50)
+    ctx = shared_context(n)
+    monkeypatch.setattr(linalg, "_unpack", _no_unpack)
+    for dim in (n - 1, n):
+        m = CMatrix(ctx, [[c if r == k else 0 for k in range(dim)] for r in range(dim)])
+        expected = CPoly(ctx, [comb(dim, i) * (-c) ** (dim - i) for i in range(dim + 1)])
+        assert m.charpoly() == expected == reference_charpoly(m)
 
 
 @pytest.mark.parametrize("n", [5, 9, 10, 12])
