@@ -25,7 +25,10 @@ to put the elements over one denominator).  That ring serves
 ``CMatrix.charpoly`` and ``polynomials.twisted_sums``, which takes field
 elements; with w x-slots per power of zeta it also serves the
 partial-fraction sums of ``polynomials._cleared_sums`` and the matrix rows
-of ``identities.twisted_products``.
+of ``identities.twisted_products``.  A Galois-equivariant input (checked on
+the generating set ``_generators(n)`` of (Z/n)^x) has rational results, and
+those are read in Z/Phi_n(2^j) by zeta -> 2^j instead (``_phi_modulus``):
+by ``CMatrix.charpoly`` and ``polynomials._rational_twisted_sums``.
 """
 
 from __future__ import annotations
@@ -142,6 +145,39 @@ def _power_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         if top:
             row = [a - top * c for a, c in zip(row, phi)]
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[int, ...]:
+    """A generating set of (Z/n)^x: the units in order of descending
+    multiplicative order (ties in increasing order), each kept when the ones
+    before it do not generate it.  So a cyclic group gets one primitive root,
+    and the trivial group at n = 2 the empty set."""
+    powers = {}  # unit t -> its powers 1, t, t^2, ... up to the order of t
+    for t in range(2, n):
+        if gcd(t, n) == 1:
+            row, x = [1], t
+            while x != 1:
+                row.append(x)
+                x = x * t % n
+            powers[t] = row
+    group, gens = {1}, []
+    for t in sorted(powers, key=lambda t: -len(powers[t])):
+        if t not in group:
+            gens.append(t)
+            group = {g * p % n for g in group for p in powers[t]}  # the group times <t>
+    return tuple(gens)
+
+
+def _phi_modulus(ctx: CycloContext, limit: int) -> tuple[int, int]:
+    """(j, m): the least j >= 1 with m = Phi_n(2^j) > limit >= 0.  No smaller
+    j needs testing below the start: Phi_n(x) = prod |x - w| <= (x + 1)^d
+    over the d primitive roots w, so Phi_n(2^j) < 2^((j+1)d) <= limit
+    whenever (j + 1) d <= bitlen(limit) - 1."""
+    j = max(1, (limit.bit_length() - 1) // ctx.degree)
+    while (m := _pack(ctx.phi, j)) <= limit:
+        j += 1
+    return j, m
 
 
 def _reduce(ctx: CycloContext, v: list[int]) -> list[int]:

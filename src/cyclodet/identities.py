@@ -7,7 +7,9 @@ off-diagonal entries are first int vectors in Z[x]/(x^n - 1), never reduced
 element.  ``circulant`` expands a table, ``twisted_sums`` sums it twisted by
 every v(s), and ``circulant_block_det`` reads the determinant of the leading
 block off those sums, the eigenvalues of the circulant; ``kind_block_det``
-does the same from a kind's vectors, reducing only the n sums.  Each
+does the same from a kind's vectors, which are Galois-equivariant, so each
+sum is read as one integer mod Phi_n(2^j), with nothing reduced mod Phi_n
+(``polynomials._rational_twisted_sums``).  Each
 identity is one row of ``IDENTITIES``; its check computes both sides in
 exact arithmetic and only returns them as two exact values, the claim
 (``expected``) and what it actually computed (``computed``).
@@ -39,7 +41,7 @@ from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
                          _inv_one_plus_zeta_vector, _lift, _reduce, shared_context)
 from .linalg import CMatrix
 from . import polynomials
-from .polynomials import CPoly, _twisted_vector_sums, twisted_sums
+from .polynomials import CPoly, _rational_twisted_sums, _twisted_vector_sums, twisted_sums
 from .rationals import exact, format_rational
 
 
@@ -106,18 +108,18 @@ def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
     return CMatrix(ctx, [[table[(j - k) % n] for k in range(size)] for j in range(size)])
 
 
-def _block_det(diagonal: Fraction, sums) -> tuple[Fraction, Fraction]:
+def _block_det(diagonal: Fraction, sums: list[Fraction]) -> tuple[Fraction, Fraction]:
     """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, m being the
     leading (n-1) x (n-1) block of the circulant C of a residue table t with
-    the rational diagonal t[0] and the n twisted sums ``sums`` of t, read
-    off the spectrum of C with no matrix and no elimination.
+    the rational diagonal t[0] and the n rational twisted sums ``sums`` of
+    t, read off the spectrum of C with no matrix and no elimination.
 
     C is circulant by construction: row j, column k holds t[(j - k) mod n].
     So the vector w(s) = (zeta^(sk))_k is an eigenvector with eigenvalue
     lambda_s = sum_u t[u] zeta^(-su) = t[0] + sums[s], for s = 0..n-1;
-    lambda_0, the row sum, belongs to the all-ones vector.  Every lambda_s
-    must be rational, else this raises ArithmeticError: the values are
-    exact or absent, never rounded.
+    lambda_0, the row sum, belongs to the all-ones vector.  The callers
+    raise ArithmeticError for a lambda_s that is not rational
+    (``_rationals``): the values are exact or absent, never rounded.
 
     The adjugate of C is a polynomial in C (Cayley-Hamilton), so it is
     circulant too and its diagonal entries are equal.  Their sum is the sum
@@ -138,16 +140,37 @@ def _block_det(diagonal: Fraction, sums) -> tuple[Fraction, Fraction]:
     d0 = (a_0 E + P)/(n D^(n-1)), d1 = E/D^(n-2): two divisions in all.
     """
     n = len(sums)
-    for s, twisted in enumerate(sums):
-        if any(twisted.num[1:]):
-            raise ArithmeticError(f"eigenvalue lambda_{s} of the circulant is not rational")
-    den = lcm(diagonal.denominator, *(t.den for t in sums))
+    den = lcm(diagonal.denominator, *(t.denominator for t in sums))
     base = diagonal.numerator * (den // diagonal.denominator)
-    a = [base + t.num[0] * (den // t.den) for t in sums]
+    a = [base + t.numerator * (den // t.denominator) for t in sums]
     p, e = 1, 0  # z^0 and z^1 coefficients of the product, scaled
     for a_s in a[1:]:
         p, e = p * a_s, e * a_s + p
     return Fraction(a[0] * e + p, n * den ** (n - 1)), Fraction(e, den ** (n - 2))
+
+
+def _rationals(sums) -> list[Fraction]:
+    """The twisted sums of field elements ``sums`` as Fractions; one that
+    is not rational raises ArithmeticError."""
+    values = [t.as_rational() for t in sums]
+    for s, value in enumerate(values):
+        if value is None:
+            raise ArithmeticError(f"eigenvalue lambda_{s} of the circulant is not rational")
+    return values
+
+
+def _vector_sums(n: int, vectors) -> list:
+    """The n twisted sums of the unreduced int vectors ``vectors`` over the
+    denominator n, as ``residue_vectors`` gives them: Fractions from
+    ``_rational_twisted_sums`` when the table is Galois-equivariant, as
+    every kind's is; else field elements from ``_twisted_vector_sums``, so
+    a table that is not (a patched vector) is still summed exactly and
+    fails its report."""
+    ctx = shared_context(n)
+    sums = _rational_twisted_sums(ctx, vectors, n)
+    if sums is None:
+        sums = [coeffs[0] for coeffs in _twisted_vector_sums(ctx, vectors, 1, n)]
+    return sums
 
 
 def circulant_block_det(table) -> tuple[Fraction, Fraction]:
@@ -159,17 +182,22 @@ def circulant_block_det(table) -> tuple[Fraction, Fraction]:
     diagonal = table[0].as_rational()
     if diagonal is None:
         raise ArithmeticError("the diagonal is not rational, so some eigenvalue is not")
-    return _block_det(diagonal, twisted_sums(table))
+    return _block_det(diagonal, _rationals(twisted_sums(table)))
 
 
 def kind_block_det(kind: MatrixKind, n: int) -> tuple[Fraction, Fraction]:
     """``circulant_block_det`` of the ``kind`` table at n, taken of the
-    unreduced ``residue_vectors``: the reduction mod Phi_n is a ring map
-    from Z[x]/(x^n - 1), so it commutes with the twists, and each of the n
-    sums is reduced once while no entry is."""
+    unreduced ``residue_vectors``.  A kind's vectors are Galois-equivariant
+    (sigma_t of the entry at u is the entry at t*u), so each of the n sums
+    is read as one integer mod Phi_n(2^j) by ``_rational_twisted_sums``,
+    and neither an entry nor a sum is reduced mod Phi_n.  Any other table
+    (a patched vector) is summed in the field by ``_vector_sums``, and an
+    eigenvalue that is not rational raises ArithmeticError."""
     diagonal, vectors = residue_vectors(kind, n)
-    sums = _twisted_vector_sums(shared_context(n), vectors, 1, n)
-    return _block_det(diagonal, [coeffs[0] for coeffs in sums])
+    sums = _vector_sums(n, vectors)
+    if not isinstance(sums[0], Fraction):  # the field route
+        sums = _rationals(sums)
+    return _block_det(diagonal, sums)
 
 
 def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
@@ -494,30 +522,28 @@ def _root_sums(n: int):
     sum_{0<r<n} zeta^(-rs)/(1 - zeta^r) = (n-1)/2 - s for every s, and for
     odd n also sum_{0<r<n} zeta^(-rs)/(1 + zeta^r) = ((-1)^s n - 1)/2.
     Each table entry stays the int vector of n/(1 -+ zeta^r) in
-    Z[x]/(x^n - 1), so only the n sums of each half are reduced mod Phi_n;
-    the vector builders are module globals looked up at each call, so a
-    patched one is seen."""
-    ctx = shared_context(n)
+    Z[x]/(x^n - 1), which is Galois-equivariant, so ``_vector_sums`` reads
+    each of the n sums of a half as one integer mod Phi_n(2^j) and reduces
+    nothing mod Phi_n; the vector builders are module globals looked up at
+    each call, so a patched one is seen."""
     halves = [(_inv_one_minus_zeta_vector, lambda s: Fraction(n - 1, 2) - s)]
     if n % 2 == 1:
         halves.append((_inv_one_plus_zeta_vector, lambda s: Fraction((-1) ** s * n - 1, 2)))
     expected, computed = [], []
     for vector, closed in halves:
-        sums = _twisted_vector_sums(ctx, [vector(n, r) for r in range(1, n)], 1, n)
         expected.extend(closed(s) for s in range(n))
-        computed.extend(coeffs[0] for coeffs in sums)
+        computed.extend(_vector_sums(n, [vector(n, r) for r in range(1, n)]))
     return {"checks": len(computed)}, expected, computed
 
 
 def _row_sums(n: int):
     """For every k and s: sum_{j != k} ratio(zeta^(j-k)) zeta^(s(k-j))
     equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k).  The
-    table stays the unreduced ``residue_vectors``, so only the n sums are
-    reduced mod Phi_n."""
+    table stays the unreduced ``residue_vectors``, and ``_vector_sums``
+    reads each of the n sums as one integer mod Phi_n(2^j)."""
     _, vectors = residue_vectors(MatrixKind.A, n)
-    sums = _twisted_vector_sums(shared_context(n), vectors, 1, n)
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
-    computed = [[coeffs[0] for coeffs in sums]] * n  # every row k is the k-free sum
+    computed = [_vector_sums(n, vectors)] * n  # every row k is the k-free sum
     return {"checks": n * n}, expected, computed
 
 

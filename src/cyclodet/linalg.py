@@ -33,11 +33,11 @@ coefficient is unpacked into its n coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 from operator import mul
 
-from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _unpack
+from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _lift, _pack, _phi_modulus,
+                         _reduce, _unpack)
 from .polynomials import CPoly
 
 
@@ -137,9 +137,7 @@ class CMatrix:
                  for r in range(dim)).bit_length() + 1
         rational = _equivariant(self)
         if rational:
-            j = max(1, k // ctx.degree)  # below it, Phi_n(2^j) < 2^((j+1)*degree) <= 2^k
-            while (modulus := _pack(ctx.phi, j)) <= 1 << k:
-                j += 1
+            j, modulus = _phi_modulus(ctx, 1 << k)
             packed = [_pack(v, j) for v in lifts]
         else:
             modulus = (1 << (k * n)) - 1
@@ -200,22 +198,6 @@ class CMatrix:
                             + [mj0 - m00])
         bordered.append([self[0, k] - m00 for k in range(1, dim)] + [m00])
         return _eliminate(bordered, self.ctx)
-
-
-@lru_cache(maxsize=None)
-def _generators(n: int) -> tuple[int, ...]:
-    """A generating set of (Z/n)^x: each t coprime to n, in increasing
-    order, that the ones before it do not generate."""
-    group, gens = {1}, []
-    for t in range(2, n):
-        if gcd(t, n) == 1 and t not in group:
-            gens.append(t)
-            while True:  # close the group under products by the generators
-                grown = group | {g * h % n for g in gens for h in group}
-                if grown == group:
-                    break
-                group = grown
-    return tuple(gens)
 
 
 def _equivariant(matrix: CMatrix) -> bool:

@@ -22,15 +22,23 @@ uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m is a rotation by
 k*w*m bits (``cyclotomic._rotate``) and a linear factor (1 - x*zeta^r) is
 one rotate-and-subtract, with no field operation.  Only ``_cleared_sums``
 and ``identities.twisted_products`` use w > 1 x-slots.  Both kernels end
-in the one shift-and-sum loop, ``_rotated_sums``.
+in the one shift-and-sum loop, ``_rotated_sums``, which unpacks each sum
+and reduces it mod Phi_n once.
+
+A table of unreduced vectors that is Galois-equivariant (every kind's
+table in ``identities``, and both halves of ``root-sums``) has rational
+sums, and ``_rational_twisted_sums`` reads each as one small integer mod
+Phi_n(2^j), with no unpack, no reduction and no field element; any other
+table, and the w > 1 kernels, keep the cyclic ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import lshift
+from operator import itemgetter, lshift, mod
 
-from .cyclotomic import CycloContext, CycloElem, _entry, _lift, _pack, _reduce, _rotate, _unpack
+from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _lift, _pack, _phi_modulus,
+                         _reduce, _rotate, _unpack)
 
 
 class CPoly:
@@ -152,6 +160,46 @@ def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[l
     k = bound.bit_length() + (n - 1).bit_length() + 1
     packed = [(r, _pack(v, k)) for r, v in enumerate(vectors, 1) if any(v)]
     return _rotated_sums(ctx, packed, k, w, den)
+
+
+def _rational_twisted_sums(ctx: CycloContext, vectors, den: int) -> list[Fraction] | None:
+    """The twisted sums lambda_s = sum_{r=1..n-1} zeta^(-sr) V_r / den for
+    s = 0..n-1, as Fractions, of the n - 1 int vectors V_r = vectors[r - 1]
+    of length n in Z[x]/(x^n - 1), never reduced mod Phi_n, when the table
+    is Galois-equivariant; None when it is not.
+
+    Equivariant means sigma_t(V_r) = V_(tr mod n) as vectors, for each t of
+    ``_generators(n)``, where sigma_t is the slot permutation x^i -> x^(ti):
+    a ring map that commutes with the reduction mod Phi_n.  The check is one
+    ``itemgetter`` per vector and generator.  When it holds:
+    - Substituting r' = tr, sigma_t(N_s) = sum_r zeta^(-tsr) V_(tr)(zeta) =
+      N_s for N_s = den * lambda_s.  Fixed by a generating set, N_s is fixed
+      by the Galois group, so it is rational; it lies in Z[zeta], so it is
+      an integer.
+    - Under every embedding |zeta| = 1, so |N_s| <= bound = sum_r ||V_r||_1.
+    - zeta -> 2^j is a ring map Z[zeta] -> Z/m for m = Phi_n(2^j), and
+      x -> 2^j from Z[x]/(x^n - 1) factors through it, as Phi_n divides
+      x^n - 1.  So with the least j >= 1 for which m > 2 * bound, V_r is
+      packed as ``_pack(v, j) % m``, each s sums the packed V_r shifted by
+      j*(-sr mod n) bits, and N_s is the residue of that total in
+      (-m/2, m/2).  No sum is unpacked, reduced mod Phi_n or made a
+      ``CycloElem``.
+    """
+    n = ctx.n
+    rows = list(map(tuple, vectors))
+    for t in _generators(n):
+        image = itemgetter(*[t * i % n for i in range(n)])  # V -> sigma_t^-1(V)
+        if any(image(rows[t * r % n - 1]) != row for r, row in enumerate(rows, 1)):
+            return None
+    bound = sum(sum(map(abs, v)) for v in vectors)
+    j, m = _phi_modulus(ctx, 2 * bound)
+    packed = [_pack(v, j) % m for v in vectors]
+    moduli, half, sums = [j * n] * (n - 1), m >> 1, []
+    for s in range(n):
+        step = j * (n - s)  # j*(-sr mod n) = step*r mod j*n, for r = 1..n-1
+        total = sum(map(lshift, packed, map(mod, range(step, step * n, step), moduli))) % m
+        sums.append(Fraction(total - m if total > half else total, den))
+    return sums
 
 
 def _rotated_sums(ctx: CycloContext, packed, k: int, w: int, den: int) -> list[list[CycloElem]]:

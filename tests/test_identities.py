@@ -377,18 +377,69 @@ def test_wrong_root_sums_vector_keeps_expected(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9, 16, 25])
 def test_root_sums_reduce_once_per_sum(monkeypatch, n):
-    # the tables stay unreduced: n reductions per half, one per sum
+    # a table that is not Galois-equivariant (t[1] off by zeta/n) falls back
+    # to the field route, which still reduces each of the n sums of the
+    # minus half once and no entry; the plus half keeps the rational route.
+    # (Z/2)^x is trivial, so at n = 2 every table is equivariant
     calls = []
-    real = cyclotomic._reduce
+    real, vector = cyclotomic._reduce, identities._inv_one_minus_zeta_vector
 
     def counting(ctx, v):
         calls.append(len(v))
         return real(ctx, v)
 
+    def wrong(n, r):
+        v = vector(n, r)
+        if r == 1:
+            v[1] += 1
+        return v
+
     monkeypatch.setattr(cyclotomic, "_reduce", counting)
     monkeypatch.setattr(polynomials, "_reduce", counting)
-    assert run_identity("root-sums", n).passed
-    assert calls == [n] * (n * (2 if n % 2 else 1))
+    monkeypatch.setattr(identities, "_inv_one_minus_zeta_vector", wrong)
+    assert not run_identity("root-sums", n).passed
+    assert calls == ([n] * n if n > 2 else [])
+
+
+def _refuse(*args):
+    raise AssertionError("reduced mod Phi_n or unpacked")
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9, 16, 25])
+def test_equivariant_sums_neither_reduce_nor_unpack(monkeypatch, n):
+    # every kind's table and both root-sums halves are Galois-equivariant,
+    # so each sum is read as one integer mod Phi_n(2^j)
+    for module in (cyclotomic, polynomials, identities):
+        for name in ("_reduce", "_unpack"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    for name in ("root-sums", "row-sums", *DETS):
+        if IDENTITIES[name].admits(n):
+            assert run_identity(name, n).passed, name
+    for kind in DET_KINDS.values():
+        if kind is not MatrixKind.S19 or n % 2:  # 1 + zeta^(n/2) = 0 at even n
+            d0, d1 = kind_block_det(kind, n)
+            assert isinstance(d0, Fraction) and isinstance(d1, Fraction)
+
+
+def _equivariant_tables(n):
+    """The unreduced tables the rational read-out serves at n: every DETS
+    kind's (kind a's is also the row-sums table) and both root-sums halves."""
+    for kind in dict.fromkeys(det.kind for det in DETS.values()):
+        if kind is not MatrixKind.S19 or n % 2:
+            yield residue_vectors(kind, n)[1]
+    yield [cyclotomic._inv_one_minus_zeta_vector(n, r) for r in range(1, n)]
+    if n % 2:
+        yield [cyclotomic._inv_one_plus_zeta_vector(n, r) for r in range(1, n)]
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 195, 225])
+def test_rational_sums_equal_the_reduced_sums_on_every_table(n):
+    ctx = shared_context(n)
+    for vectors in _equivariant_tables(n):
+        got = polynomials._rational_twisted_sums(ctx, vectors, n)
+        want = polynomials._twisted_vector_sums(ctx, vectors, 1, n)
+        assert got == [coeffs[0].as_rational() for coeffs in want], n
 
 
 def test_row_sums_spot_values():
@@ -613,13 +664,12 @@ def test_block_det_matches_the_fraction_recurrence():
     # rational spectra with mixed denominators, zeros and n = 2 included
     rng = random.Random(30)
     for n in (2, 2, 3, 4, 5, 6, 7, 9, 12, 16):
-        ctx = shared_context(n)
         for _ in range(6):
             diagonal = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
             sums = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 7, 10, 12)))
                     for _ in range(n)]
             lams = [diagonal + t for t in sums]
-            got = identities._block_det(diagonal, [ctx.from_rational(t) for t in sums])
+            got = identities._block_det(diagonal, sums)
             assert got == fraction_block_det(lams), (n, diagonal, sums)
 
 
@@ -645,6 +695,30 @@ def test_wrong_residue_entries_fail_the_det_report(monkeypatch):
     for name in DETS:
         report = run_identity(name, 5)
         assert not report.passed and report.computed != report.expected, name
+
+
+def test_kind_block_det_falls_back_on_a_table_that_is_not_equivariant(monkeypatch):
+    # Phi_n added to the vector of t[1] changes no field entry, but the
+    # unreduced table is no longer equivariant, so the field route runs and
+    # finds the same value; zeta added instead makes an eigenvalue irrational
+    real = identities.residue_vectors
+    extra = []
+
+    def patched(kind, n):
+        diagonal, vectors = real(kind, n)
+        vectors[0] = [a + b for a, b in zip(vectors[0], extra)]
+        return diagonal, vectors
+
+    monkeypatch.setattr(identities, "residue_vectors", patched)
+    for name, det in DETS.items():
+        for n in (3, 5, 9, 15):
+            ctx = shared_context(n)
+            extra[:] = [*ctx.phi, *[0] * (n - len(ctx.phi))]
+            assert polynomials._rational_twisted_sums(ctx, patched(det.kind, n)[1], n) is None
+            assert run_identity(name, n).passed, (name, n)
+            extra[:] = [0, 1] + [0] * (n - 2)
+            with pytest.raises(ArithmeticError):
+                kind_block_det(det.kind, n)
 
 
 def test_det_rows_run_without_elimination(monkeypatch):

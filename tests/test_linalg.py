@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from cyclodet import linalg
-from cyclodet.cyclotomic import CycloElem, _pack, _unpack, shared_context
+from cyclodet.cyclotomic import CycloElem, _generators, _pack, _unpack, shared_context
 from cyclodet.identities import (MatrixKind, _cyclic_minor, build_matrix, circulant,
                                  coprime_residues, residue_table)
-from cyclodet.linalg import CMatrix, _equivariant, _generators
+from cyclodet.linalg import CMatrix, _equivariant
 from cyclodet.polynomials import CPoly
 
 from helpers import (
@@ -176,14 +176,19 @@ def test_charpoly_matches_field_berkowitz_on_every_kind(n, monkeypatch):
 
 
 def test_generators_generate_the_unit_group():
-    for n in range(2, 61):
+    # and a cyclic group gets one primitive root; the trivial one at n = 2 none
+    for n in range(2, 101):
+        gens = _generators(n)
         group = {1}
         while True:
-            grown = group | {g * t % n for g in group for t in _generators(n)}
+            grown = group | {g * t % n for g in group for t in gens}
             if grown == group:
                 break
             group = grown
-        assert sorted(group) == coprime_residues(n), n
+        units = coprime_residues(n)
+        assert sorted(group) == units, n
+        cyclic = any(len({pow(t, e, n) for e in range(len(units))}) == len(units) for t in units)
+        assert len(gens) == (n > 2) if cyclic else len(gens) >= 2, n
 
 
 def test_equivariance_refuses_a_table_that_is_not_equivariant():

@@ -6,7 +6,9 @@ from itertools import combinations
 import pytest
 
 from cyclodet import polynomials
-from cyclodet.cyclotomic import CycloContext, CycloElem, shared_context
+from cyclodet.cyclotomic import (CycloContext, CycloElem, _generators, _pack, _phi_modulus,
+                                 shared_context)
+from cyclodet.identities import MatrixKind, residue_vectors
 from cyclodet.polynomials import CPoly, partial_fraction_check, row_sum_x_check, twisted_sums
 
 from helpers import from_coeffs, one, poly_add, poly_shift, random_element, zero, zeta_pow
@@ -279,6 +281,42 @@ def test_products_equal_their_multiplied_factors(n):
             expanded = [sum((zeta_pow(ctx, sum(rs)) for rs in combinations(kept, j)),
                             zero(ctx)) * (-1) ** j for j in range(len(kept) + 1)]
             assert _direct_product(ctx, exclude=set(exclude)) == CPoly(ctx, expanded)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_rational_sums_read_the_bound_exactly(n):
+    # n - 1 equal vectors b*e_0: S_0 = (n - 1) b is the bound itself and
+    # S_s = -b for s > 0, for b across several jumps of the modulus
+    ctx = shared_context(n)
+    for b in (*range(1, 70), 2 ** 20 + 1, 3 ** 40):
+        vectors = [[b] + [0] * (n - 1) for _ in range(n - 1)]
+        sums = polynomials._rational_twisted_sums(ctx, vectors, 1)
+        assert sums == [(n - 1) * b] + [-b] * (n - 1), b
+
+
+def test_rational_sums_refuse_a_table_fixed_by_one_generator_only():
+    # zeta + zeta^3 at n = 8 is fixed by sigma_3 but not by sigma_5, so the
+    # table of 7 copies passes the first generator and fails the second;
+    # its sums are not rational
+    ctx = shared_context(8)
+    assert _generators(8) == (3, 5)
+    vectors = [[0, 1, 0, 1, 0, 0, 0, 0] for _ in range(7)]
+    assert polynomials._rational_twisted_sums(ctx, vectors, 1) is None
+    sums = polynomials._twisted_vector_sums(ctx, vectors, 1, 1)
+    assert sums[0][0].as_rational() is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 30, 105])
+def test_phi_modulus_is_the_least_above_twice_the_bound(n):
+    # the modulus the read-out takes for each kind's table, and for limits
+    # of every size: m = Phi_n(2^j) > limit, and Phi_n(2^(j-1)) is not
+    ctx = shared_context(n)
+    kinds = [kind for kind in MatrixKind if kind is not MatrixKind.S19 or n % 2]
+    bounds = [sum(sum(map(abs, v)) for v in residue_vectors(kind, n)[1]) for kind in kinds]
+    for limit in (*(2 * b for b in bounds), 0, 1, 2, 3, 100, 2 ** 64, 2 ** 64 + 1, 3 ** 200):
+        j, m = _phi_modulus(ctx, limit)
+        assert m == _pack(ctx.phi, j) > limit, limit
+        assert j == 1 or _pack(ctx.phi, j - 1) <= limit, limit
 
 
 def test_kernels_make_no_field_operation(monkeypatch):
