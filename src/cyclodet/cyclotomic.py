@@ -22,10 +22,10 @@ Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
 ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
 a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
 to put the elements over one denominator).  That ring serves
-``CMatrix.charpoly`` and ``polynomials.twisted_sums``, which takes field
-elements; with w x-slots per power of zeta it also serves the
-partial-fraction sums of ``polynomials._cleared_sums`` and the matrix rows
-of ``identities.twisted_products``.  A Galois-equivariant input (checked on
+``CMatrix.charpoly`` and the twisted sums of ``identities._vector_sums``;
+with w x-slots per power of zeta it also serves the partial-fraction sums
+of ``polynomials._cleared_sums`` and the matrix rows of
+``identities.twisted_products``.  A Galois-equivariant input (checked on
 the generating set ``_generators(n)`` of (Z/n)^x) has rational results, and
 those are read in Z/Phi_n(2^j) by zeta -> 2^j instead (``_phi_modulus``):
 by ``CMatrix.charpoly`` and ``polynomials._rational_twisted_sums``.
@@ -250,12 +250,8 @@ class CycloElem:
 
     __slots__ = ("ctx", "num", "den")
 
-    def __init__(self, ctx: CycloContext, num, den: int = 1, _raw: bool = False):
+    def __init__(self, ctx: CycloContext, num, den: int = 1):
         self.ctx = ctx
-        if _raw:
-            self.num = num
-            self.den = den
-            return
         if den < 0:
             den = -den
             num = [-v for v in num]
@@ -360,7 +356,7 @@ class CycloElem:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
         n = ctx.n
-        x = CycloElem(ctx, self.num, 1, _raw=True)
+        x = CycloElem(ctx, self.num)
         conjugates = [x.galois(t) for t in range(2, n) if gcd(t, n) == 1]
         conj = reduce(mul, conjugates) if conjugates else ctx.from_rational(1)
         norm = (x * conj).as_rational()

@@ -4,12 +4,11 @@ Every matrix here is circulant, so a kind at n is its residue table t:
 t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  A kind's
 off-diagonal entries are first int vectors in Z[x]/(x^n - 1), never reduced
 (``residue_vectors``); ``residue_table`` reduces each once into a field
-element.  ``circulant`` expands a table, ``twisted_sums`` sums it twisted by
-every v(s), and ``circulant_block_det`` reads the determinant of the leading
-block off those sums, the eigenvalues of the circulant; ``kind_block_det``
-does the same from a kind's vectors, which are Galois-equivariant, so each
-sum is read as one integer mod Phi_n(2^j), with nothing reduced mod Phi_n
-(``polynomials._rational_twisted_sums``).  Each
+element.  ``circulant`` expands a table, and ``_spectral_det`` reads the
+determinant of the leading block off the twisted sums of a table of int
+vectors, the eigenvalues of the circulant: a kind's (``kind_block_det``),
+each sum one integer mod Phi_n(2^j) (``polynomials._rational_twisted_sums``),
+or the lifted conjugate tables of the ``galois-*`` rows.  Each
 identity is one row of ``IDENTITIES``; its check computes both sides in
 exact arithmetic and only returns them as two exact values, the claim
 (``expected``) and what it actually computed (``computed``).
@@ -41,7 +40,7 @@ from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
                          _inv_one_plus_zeta_vector, _lift, _reduce, shared_context)
 from .linalg import CMatrix
 from . import polynomials
-from .polynomials import CPoly, _rational_twisted_sums, _twisted_vector_sums, twisted_sums
+from .polynomials import CPoly, _rational_twisted_sums, _twisted_vector_sums
 from .rationals import exact, format_rational
 
 
@@ -117,9 +116,9 @@ def _block_det(diagonal: Fraction, sums: list[Fraction]) -> tuple[Fraction, Frac
     C is circulant by construction: row j, column k holds t[(j - k) mod n].
     So the vector w(s) = (zeta^(sk))_k is an eigenvector with eigenvalue
     lambda_s = sum_u t[u] zeta^(-su) = t[0] + sums[s], for s = 0..n-1;
-    lambda_0, the row sum, belongs to the all-ones vector.  The callers
-    raise ArithmeticError for a lambda_s that is not rational
-    (``_rationals``): the values are exact or absent, never rounded.
+    lambda_0, the row sum, belongs to the all-ones vector.  The caller
+    raises ArithmeticError for a lambda_s that is not rational
+    (``_spectral_det``): the values are exact or absent, never rounded.
 
     The adjugate of C is a polynomial in C (Cayley-Hamilton), so it is
     circulant too and its diagonal entries are equal.  Their sum is the sum
@@ -149,55 +148,39 @@ def _block_det(diagonal: Fraction, sums: list[Fraction]) -> tuple[Fraction, Frac
     return Fraction(a[0] * e + p, n * den ** (n - 1)), Fraction(e, den ** (n - 2))
 
 
-def _rationals(sums) -> list[Fraction]:
-    """The twisted sums of field elements ``sums`` as Fractions; one that
-    is not rational raises ArithmeticError."""
-    values = [t.as_rational() for t in sums]
-    for s, value in enumerate(values):
-        if value is None:
-            raise ArithmeticError(f"eigenvalue lambda_{s} of the circulant is not rational")
-    return values
-
-
-def _vector_sums(n: int, vectors) -> list:
-    """The n twisted sums of the unreduced int vectors ``vectors`` over the
-    denominator n, as ``residue_vectors`` gives them: Fractions from
-    ``_rational_twisted_sums`` when the table is Galois-equivariant, as
-    every kind's is; else field elements from ``_twisted_vector_sums``, so
-    a table that is not (a patched vector) is still summed exactly and
-    fails its report."""
-    ctx = shared_context(n)
-    sums = _rational_twisted_sums(ctx, vectors, n)
+def _vector_sums(ctx: CycloContext, vectors, den: int) -> list:
+    """The n twisted sums of the int vectors ``vectors`` of length n over
+    ``den``: Fractions from ``_rational_twisted_sums`` when the table is
+    Galois-equivariant, as every kind's is; else the sums of
+    ``_twisted_vector_sums``, each a Fraction when it is rational and a
+    field element when it is not, so any other table (a patched vector, a
+    ``galois-*`` row's conjugate lifts) is still summed exactly."""
+    sums = _rational_twisted_sums(ctx, vectors, den)
     if sums is None:
-        sums = [coeffs[0] for coeffs in _twisted_vector_sums(ctx, vectors, 1, n)]
+        sums = [e if (q := e.as_rational()) is None else q
+                for [e] in _twisted_vector_sums(ctx, vectors, 1, den)]
     return sums
 
 
-def circulant_block_det(table) -> tuple[Fraction, Fraction]:
+def _spectral_det(ctx: CycloContext, diagonal, vectors, den: int) -> tuple[Fraction, Fraction]:
     """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, m being the
-    leading (n-1) x (n-1) block of the circulant of any residue table t of
-    n field elements: ``_block_det`` after one ``twisted_sums`` pass.  The
-    n eigenvalues sum to n*t[0], as the twisted sums of each t[r] cancel
-    over s, so a t[0] that is not rational raises ArithmeticError too."""
-    diagonal = table[0].as_rational()
-    if diagonal is None:
-        raise ArithmeticError("the diagonal is not rational, so some eigenvalue is not")
-    return _block_det(diagonal, _rationals(twisted_sums(table)))
+    leading (n-1) x (n-1) block of the circulant of the residue table with
+    t[0] = ``diagonal`` and t[u] = vectors[u - 1] / den: ``_block_det``
+    after one ``_vector_sums`` pass.  The n eigenvalues sum to n*t[0], as
+    the twisted sums of each t[r] cancel over s, so a diagonal that is not
+    rational (None) raises ArithmeticError, as any irrational sum does."""
+    sums = _vector_sums(ctx, vectors, den)
+    if diagonal is None or not all(isinstance(t, Fraction) for t in sums):
+        raise ArithmeticError("an eigenvalue of the circulant is not rational")
+    return _block_det(diagonal, sums)
 
 
 def kind_block_det(kind: MatrixKind, n: int) -> tuple[Fraction, Fraction]:
-    """``circulant_block_det`` of the ``kind`` table at n, taken of the
-    unreduced ``residue_vectors``.  A kind's vectors are Galois-equivariant
-    (sigma_t of the entry at u is the entry at t*u), so each of the n sums
-    is read as one integer mod Phi_n(2^j) by ``_rational_twisted_sums``,
-    and neither an entry nor a sum is reduced mod Phi_n.  Any other table
-    (a patched vector) is summed in the field by ``_vector_sums``, and an
-    eigenvalue that is not rational raises ArithmeticError."""
+    """``_spectral_det`` of the unreduced ``residue_vectors`` of ``kind`` at
+    n.  They are Galois-equivariant (sigma_t of the entry at u is the entry
+    at t*u), so neither an entry nor a sum is reduced mod Phi_n."""
     diagonal, vectors = residue_vectors(kind, n)
-    sums = _vector_sums(n, vectors)
-    if not isinstance(sums[0], Fraction):  # the field route
-        sums = _rationals(sums)
-    return _block_det(diagonal, sums)
+    return _spectral_det(shared_context(n), diagonal, vectors, n)
 
 
 def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
@@ -370,11 +353,6 @@ class DetIdentity(namedtuple("DetIdentity", "kind value slope grid oracle galois
         (d0, d1) on an affine row."""
         return d0 if self.slope is None else (d0, d1)
 
-    def of(self, table):
-        """What ``claim`` states, read off the spectrum of the circulant of
-        the residue table by ``circulant_block_det``."""
-        return self.split(*circulant_block_det(table))
-
     def text(self, values) -> str:
         """Renders [det] or [det, derangement sum] as a det report line."""
         head = render(values[0]) if self.slope is None else f"(d0, d1) = {render(values[0])}"
@@ -529,21 +507,23 @@ def _root_sums(n: int):
     halves = [(_inv_one_minus_zeta_vector, lambda s: Fraction(n - 1, 2) - s)]
     if n % 2 == 1:
         halves.append((_inv_one_plus_zeta_vector, lambda s: Fraction((-1) ** s * n - 1, 2)))
-    expected, computed = [], []
+    ctx, expected, computed = shared_context(n), [], []
     for vector, closed in halves:
         expected.extend(closed(s) for s in range(n))
-        computed.extend(_vector_sums(n, [vector(n, r) for r in range(1, n)]))
+        computed.extend(_vector_sums(ctx, [vector(n, r) for r in range(1, n)], n))
     return {"checks": len(computed)}, expected, computed
 
 
 def _row_sums(n: int):
     """For every k and s: sum_{j != k} ratio(zeta^(j-k)) zeta^(s(k-j))
-    equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k).  The
-    table stays the unreduced ``residue_vectors``, and ``_vector_sums``
-    reads each of the n sums as one integer mod Phi_n(2^j)."""
+    equals n - 2s for 0 < s < n and 0 for s = 0 (independently of k): as j
+    runs over j != k, r = (j - k) mod n runs over 1..n-1 once each, so every
+    row's sum is twisted sum s of the table.  The table stays the unreduced
+    ``residue_vectors``, and ``_vector_sums`` reads each of the n sums as
+    one integer mod Phi_n(2^j)."""
     _, vectors = residue_vectors(MatrixKind.A, n)
     expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
-    computed = [_vector_sums(n, vectors)] * n  # every row k is the k-free sum
+    computed = [_vector_sums(shared_context(n), vectors, n)] * n  # every row k is the k-free sum
     return {"checks": n * n}, expected, computed
 
 
@@ -568,11 +548,19 @@ def _galois(name: str, n: int):
     n); all primitive-root choices must yield the identical value.  The map
     takes lambda_s to the eigenvalue of index s*t of the conjugate table, so
     the row checks ``galois`` on every entry, and the spectrum of each
-    conjugate, against the one claim."""
+    conjugate, against the one claim.  Lifts of reduced entries, padded to
+    length n, are in general not equivariant, so they sum in the cyclic ring."""
     det = DETS[name]
+    ctx = shared_context(n)
     ts = coprime_residues(n)
-    table = residue_table(det.kind, shared_context(n))
-    computed = [det.of([e.galois(t) for e in table]) for t in ts]
+    table = residue_table(det.kind, ctx)
+    pad = [0] * (n - ctx.degree)
+    computed = []
+    for t in ts:
+        diagonal, *entries = [e.galois(t) for e in table]
+        den, lifts = _lift(entries)
+        d0, d1 = _spectral_det(ctx, diagonal.as_rational(), [v + pad for v in lifts], den)
+        computed.append(det.split(d0, d1))
     return {"automorphisms": len(ts)}, [det.claim(n)] * len(ts), computed
 
 

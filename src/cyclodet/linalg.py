@@ -6,7 +6,7 @@ yields the determinant of the leading (d-1)x(d-1) block.  The affine split
 det[x + m_jk] = d0 + d1*x is one elimination of a bordered matrix whose
 leading block is the difference matrix m_jk - m_j0 - m_0k + m_00.  No
 library path eliminates: it reads circulant truncations off their spectrum
-(``identities.circulant_block_det``), and elimination is the direct API and
+(``identities._spectral_det``), and elimination is the direct API and
 the tests' reference for that route.  The characteristic polynomial uses
 Berkowitz's algorithm, which is division-free, so it runs on plain ints:
 each entry is lifted over one common denominator D and packed into one int

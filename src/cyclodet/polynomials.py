@@ -16,20 +16,21 @@ linear factors and never by dividing 1 - x^n (that would assume the
 factorisation under test).  One pass covers every s, or every (k, s), of
 one n: ``row-sum-x`` reads its left side as S[s] + x*S[s - 1].
 
-``twisted_sums``, over a table of field elements, and ``_cleared_sums``
-run on plain ints, in the ring Z/(2^(k*w*n) - 1) that ``charpoly`` also
-uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m is a rotation by
-k*w*m bits (``cyclotomic._rotate``) and a linear factor (1 - x*zeta^r) is
-one rotate-and-subtract, with no field operation.  Only ``_cleared_sums``
-and ``identities.twisted_products`` use w > 1 x-slots.  Both kernels end
-in the one shift-and-sum loop, ``_rotated_sums``, which unpacks each sum
-and reduces it mod Phi_n once.
+The twisted sums of a table of int vectors (``_twisted_vector_sums``) and
+``_cleared_sums`` run on plain ints, in the ring Z/(2^(k*w*n) - 1) that
+``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
+is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
+(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  Only
+``_cleared_sums`` and ``identities.twisted_products`` use w > 1 x-slots.
+Both kernels end in the one shift-and-sum loop, ``_rotated_sums``, which
+unpacks each sum and reduces it mod Phi_n once.
 
 A table of unreduced vectors that is Galois-equivariant (every kind's
 table in ``identities``, and both halves of ``root-sums``) has rational
 sums, and ``_rational_twisted_sums`` reads each as one small integer mod
 Phi_n(2^j), with no unpack, no reduction and no field element; any other
-table, and the w > 1 kernels, keep the cyclic ring.
+table (the lifted conjugate tables of the ``galois-*`` rows), and the
+w > 1 kernels, keep the cyclic ring.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import itemgetter, lshift, mod
 
-from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _lift, _pack, _phi_modulus,
+from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _pack, _phi_modulus,
                          _reduce, _rotate, _unpack)
 
 
@@ -112,39 +113,15 @@ class CPoly:
         return f"CPoly({self.render()!r}, n={self.ctx.n})"
 
 
-def twisted_sums(table) -> list[CycloElem]:
-    """The n twisted sums [sum_{r=1..n-1} t[r] * zeta^(-sr) for s = 0..n-1]
-    of a residue table t of n >= 2 field elements; t[0] is skipped, and a
-    shorter table or an entry from a context of another order than
-    n = len(t) raises ValueError.
-
-    Every row sum sum_{j=1..n, j != k} t[(j - k) mod n] * zeta^(-s(j - k))
-    equals entry s: as j runs over j != k, r = (j - k) mod n runs over
-    1..n-1 once each, and zeta^(-s(j - k)) = zeta^(-sr) as zeta^n = 1.
-
-    The front end lifts each t[r] once over the common denominator D, and
-    ``_twisted_vector_sums`` does the rest with one x-slot (w = 1).
-    """
-    n = len(table)
-    terms = table[1:]
-    if not terms:
-        raise ValueError(f"twisted sums need a table of n >= 2 entries, got {n}")
-    if any(t.ctx.n != n for t in terms):
-        raise ValueError("table entry from a context of another order")
-    den, lifts = _lift(terms)
-    return [coeffs[0] for coeffs in _twisted_vector_sums(terms[0].ctx, lifts, 1, den)]
-
-
 def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[list[CycloElem]]:
     """The twisted sums sum_{r=1..n-1} zeta^(-sr) t_r for s = 0..n-1, of
     t_r = vectors[r - 1] / den of x-degree < w, as ``_rotated_sums``
     returns them.  Each vector holds the int coordinates of den * t_r in
     Z[x, zeta]/(zeta^n - 1), slot u*w + j for zeta^u * x^j, and may have
     any length up to n*w: the d*w slots of w lifted field elements
-    (``twisted_sums`` with w = 1, and ``identities.twisted_products``,
-    whose x-slot j is row j of a matrix), or all n*w of an element never
-    reduced mod Phi_n (``identities.residue_vectors`` and
-    ``identities._root_sums``).  Each is packed once by
+    (``identities.twisted_products``, whose x-slot j is row j of a matrix),
+    or all n*w of an element never reduced mod Phi_n or of a lift padded
+    with zeros (w = 1, from ``identities._vector_sums``).  Each is packed once by
     x -> 2^k, zeta -> 2^(k*w): a ring map, since zeta^n -> 2^(k*w*n) = 1.
 
     Only the final digits must fit in the slots: the packing is a ring map,

@@ -1,15 +1,16 @@
 """Constructors and polynomial sums that the library does not need,
 random elements and matrices for the property tests, a Hermitian test, a
-Horner evaluation, and the slow reference constructions the fast paths are
-checked against, among them the Leibniz expansion over permutations and
-derangements and the Fraction recurrence of the spectral determinant."""
+Horner evaluation, a lift of residue tables onto the twisted-sum kernels,
+and the slow reference constructions the fast paths are checked against,
+among them the Leibniz expansion over permutations and derangements and the
+Fraction recurrence of the spectral determinant."""
 
 import random
 from fractions import Fraction
 from itertools import permutations, zip_longest
 from math import lcm
 
-from cyclodet import cyclotomic
+from cyclodet import cyclotomic, identities, polynomials
 from cyclodet.cyclotomic import CycloContext, CycloElem
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
@@ -50,6 +51,30 @@ def inv_one_plus_zeta(ctx: CycloContext, u: int) -> CycloElem:
     once, as ``identities.residue_table`` reduces it."""
     n = ctx.n
     return CycloElem(ctx, cyclotomic._reduce(ctx, cyclotomic._inv_one_plus_zeta_vector(n, u)), n)
+
+
+def lift_table(table) -> tuple:
+    """(ctx, diagonal, vectors, den) of a residue table t of n field
+    elements, as the ``galois-*`` rows pass a conjugate table: t[0] as a
+    Fraction (None when it is not rational), and t[1..n-1] lifted over one
+    denominator, each lift padded with zeros to length n."""
+    ctx = table[0].ctx
+    den, lifts = cyclotomic._lift(table[1:])
+    pad = [0] * (ctx.n - ctx.degree)
+    return ctx, table[0].as_rational(), [v + pad for v in lifts], den
+
+
+def table_block_det(table) -> tuple[Fraction, Fraction]:
+    """``identities._spectral_det`` of a residue table of field elements."""
+    return identities._spectral_det(*lift_table(table))
+
+
+def table_twisted_sums(table) -> list[CycloElem]:
+    """[sum_{r=1..n-1} t[r] * zeta^(-sr) for s = 0..n-1] of a residue table
+    of field elements, t[0] skipped: ``polynomials._twisted_vector_sums`` of
+    its lifts, one field element per sum."""
+    ctx, _, vectors, den = lift_table(table)
+    return [e for [e] in polynomials._twisted_vector_sums(ctx, vectors, 1, den)]
 
 
 def poly_add(p: CPoly, q: CPoly) -> CPoly:

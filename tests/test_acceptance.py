@@ -3,7 +3,8 @@
 Each criterion runs over its full grid with exact (zero-tolerance)
 comparisons and prints one pass/fail line; run with ``pytest -s`` to see the
 lines as they complete.  Criterion 13 aggregates the measured wall-clock of
-criteria 1-11 and splits it in two: the time inside the product's entry
+criteria 1-11, first running any of them that has not run in the session,
+and splits it in two: the time inside the product's entry
 points (``run_identity``, ``kind_block_det``, ``signed_derangement_sum`` and
 ``charpoly``) and the rest, the reference the product is checked against.
 The determinant criteria eliminate, and each also asserts that the spectral
@@ -305,8 +306,12 @@ def test_criterion_12_property_suites():
 
 
 def test_criterion_13_performance():
-    missing = [k for k in range(1, 12) if k not in ELAPSED]
-    assert not missing, f"criteria {missing} did not record timings"
+    # a criterion of 1-11 that has not run in this session (under -k 13, say)
+    # runs here first, so the sum always covers the same grid
+    for k in range(1, 12):
+        if k not in ELAPSED:
+            prefix = f"test_criterion_{k:02d}_"
+            next(f for name, f in globals().items() if name.startswith(prefix))()
     total = sum(ELAPSED[k] for k in range(1, 12))
     product = sum(PRODUCT[k] for k in range(1, 12))
 

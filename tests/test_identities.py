@@ -21,7 +21,6 @@ from cyclodet.identities import (
     c1_det_value,
     c_det_value,
     circulant,
-    circulant_block_det,
     first_difference,
     kind_block_det,
     render,
@@ -38,8 +37,8 @@ from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
 
 from helpers import (add_scalar, fraction_block_det, from_coeffs, inv_one_plus_zeta, is_hermitian,
-                     minor_delete, non_circulant, one, random_element, random_matrix,
-                     reference_spectrum_poly, zero, zeta_pow)
+                     minor_delete, non_circulant, random_element, random_matrix,
+                     reference_spectrum_poly, table_block_det, zero, zeta_pow)
 
 
 def test_build_ratio_matrix_entries():
@@ -405,6 +404,18 @@ def _refuse(*args):
     raise AssertionError("reduced mod Phi_n or unpacked")
 
 
+def _recording_read_out(monkeypatch):
+    """What each ``_rational_twisted_sums`` call returns, in call order."""
+    returns, real = [], identities._rational_twisted_sums
+
+    def record(*args):
+        returns.append(real(*args))
+        return returns[-1]
+
+    monkeypatch.setattr(identities, "_rational_twisted_sums", record)
+    return returns
+
+
 @pytest.mark.parametrize("n", [2, 3, 6, 9, 16, 25])
 def test_equivariant_sums_neither_reduce_nor_unpack(monkeypatch, n):
     # every kind's table and both root-sums halves are Galois-equivariant,
@@ -413,9 +424,13 @@ def test_equivariant_sums_neither_reduce_nor_unpack(monkeypatch, n):
         for name in ("_reduce", "_unpack"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
+    returns = _recording_read_out(monkeypatch)
     for name in ("root-sums", "row-sums", *DETS):
         if IDENTITIES[name].admits(n):
+            returns.clear()
             assert run_identity(name, n).passed, name
+            assert returns and all(len(sums) == n and all(isinstance(t, Fraction) for t in sums)
+                                   for sums in returns), name
     for kind in DET_KINDS.values():
         if kind is not MatrixKind.S19 or n % 2:  # 1 + zeta^(n/2) = 0 at even n
             d0, d1 = kind_block_det(kind, n)
@@ -476,10 +491,18 @@ def test_galois_invariance_rejects_unknown():
 
 @pytest.mark.parametrize("name", ["galois-a-det", "galois-b-det", "galois-c-det"])
 def test_galois_dets_are_taken_of_entrywise_images(monkeypatch, name):
+    # the table each _spectral_det call was given, rebuilt from its lifts:
+    # every padding slot is zero, so the first phi(n) slots over den are
+    # the entry
     seen = []
-    of = identities.DetIdentity.of
-    monkeypatch.setattr(identities.DetIdentity, "of",
-                        lambda self, table: seen.append(table) or of(self, table))
+    real = identities._spectral_det
+
+    def spy(ctx, diagonal, vectors, den):
+        assert all(not any(v[ctx.degree:]) and len(v) == ctx.n for v in vectors)
+        seen.append([diagonal, *(CycloElem(ctx, v[:ctx.degree], den) for v in vectors)])
+        return real(ctx, diagonal, vectors, den)
+
+    monkeypatch.setattr(identities, "_spectral_det", spy)
     kind = DETS[name.removeprefix("galois-")].kind
     for n in (3, 5, 7, 9):
         seen.clear()
@@ -487,6 +510,22 @@ def test_galois_dets_are_taken_of_entrywise_images(monkeypatch, name):
         table = residue_table(kind, shared_context(n))
         # every residue mapped on its own, one conjugate table per coprime t
         assert seen == [[e.galois(t) for e in table] for t in identities.coprime_residues(n)]
+
+
+@pytest.mark.parametrize("name", ["galois-a-det", "galois-b-det", "galois-c-det"])
+def test_galois_rows_never_get_a_rational_read_out(monkeypatch, name):
+    # the zero-padded lifts of the reduced conjugate tables fail the
+    # equivariance check, so every galois-* row sums in the cyclic ring, and
+    # it still maps every entry of the table by CycloElem.galois
+    returns, images, real = _recording_read_out(monkeypatch), [], CycloElem.galois
+    monkeypatch.setattr(CycloElem, "galois", lambda e, t: images.append(t) or real(e, t))
+    for n in sorted({*IDENTITIES[name].default_grid, *range(3, 40, 2)}):
+        returns.clear()
+        images.clear()
+        assert run_identity(name, n).passed, n
+        ts = identities.coprime_residues(n)
+        assert returns == [None] * len(ts), n
+        assert images == [t for t in ts for _ in range(n)], n
 
 
 ODD_3_9, ODD_3_13, ODD_3_25 = (tuple(range(3, hi + 1, 2)) for hi in (9, 13, 25))
@@ -613,12 +652,14 @@ def test_registry_rows_keep_their_fields_and_defaults():
     assert DETS["a-det"]._replace(grid=(3,)).grid == (3,) and DETS["a-det"].grid != (3,)
 
 
+# circulant_block_det: the spectral determinant of a residue table of field
+# elements, lifted onto identities._spectral_det by helpers.table_block_det
 def test_circulant_block_det_equals_elimination_on_every_det_row():
     for name, det in DETS.items():
         for n in range(3, 16, 2):
             ctx = shared_context(n)
             table = residue_table(det.kind, ctx)
-            assert circulant_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
+            assert table_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
                 (name, n)
 
 
@@ -634,7 +675,7 @@ def test_circulant_block_det_of_galois_equivariant_tables():
             table = (ctx.from_rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
                      *(sum((zeta_pow(ctx, i * u) * c for i, c in enumerate(g)), zero(ctx))
                        for u in range(1, n)))
-            assert circulant_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
+            assert table_block_det(table) == circulant(ctx, table, n - 1).det_affine(), \
                 (n, g)
 
 
@@ -643,7 +684,7 @@ def test_kind_block_det_equals_circulant_block_det_of_the_table(name):
     # 99 and 105 have the largest power-row growth under 150
     kind = DETS[name].kind
     for n in (*range(3, 62, 2), 99, 105):
-        assert kind_block_det(kind, n) == circulant_block_det(residue_table(kind, shared_context(n))), n
+        assert kind_block_det(kind, n) == table_block_det(residue_table(kind, shared_context(n))), n
 
 
 def test_residue_table_is_the_scaled_closed_form_inverse():
@@ -677,9 +718,9 @@ def test_circulant_block_det_rejects_an_irrational_eigenvalue():
     ctx = shared_context(5)
     table = (zero(ctx), zeta_pow(ctx, 1), zero(ctx), zero(ctx), zero(ctx))
     with pytest.raises(ArithmeticError):
-        circulant_block_det(table)
+        table_block_det(table)
     with pytest.raises(ArithmeticError):  # the eigenvalues sum to 5 zeta
-        circulant_block_det((zeta_pow(ctx, 1), *table[1:]))
+        table_block_det((zeta_pow(ctx, 1), *table[1:]))
 
 
 def test_wrong_residue_entries_fail_the_det_report(monkeypatch):
@@ -763,13 +804,9 @@ def test_twisted_products_match_matvec():
             twisted_products(random_matrix(ctx, rng, n + 1))
 
 
-def test_twisted_sums_of_a_short_table_and_products_of_the_empty_matrix_are_refused():
-    ctx = shared_context(3)
-    for table in ([one(ctx)], []):
-        with pytest.raises(ValueError):
-            polynomials.twisted_sums(table)
+def test_twisted_products_of_the_empty_matrix_are_refused():
     with pytest.raises(ValueError):
-        twisted_products(CMatrix(ctx, []))
+        twisted_products(CMatrix(shared_context(3), []))
 
 
 def test_twisted_products_at_the_slot_width():
