@@ -24,8 +24,8 @@ a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
 to put the elements over one denominator).  That ring serves
 ``CMatrix.charpoly`` and the twisted sums of ``identities._vector_sums``;
 with w x-slots per power of zeta it also serves the partial-fraction sums
-of ``polynomials._cleared_sums`` and the matrix rows of
-``identities.twisted_products``.  A Galois-equivariant input (checked on
+of ``polynomials._cleared_sums`` and the row tables of
+``identities._twist_eigenvalues``.  A Galois-equivariant input (checked on
 the generating set ``_generators(n)`` of (Z/n)^x) has rational results, and
 those are read in Z/Phi_n(2^j) by zeta -> 2^j instead (``_phi_modulus``):
 by ``CMatrix.charpoly`` and ``polynomials._rational_twisted_sums``.

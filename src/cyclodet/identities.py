@@ -416,46 +416,60 @@ def _charpoly(kind: MatrixKind, n: int):
 # -- eigenpairs and the eigenvector-eigenvalue identity ----------------------
 
 
-def twisted_products(matrix: CMatrix) -> list[list[CycloElem]]:
-    """[M v(s) for s = 1..n], v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns), for
-    any matrix M over Q(zeta_n) with n columns, from one packed twisted-sum
-    pass; another column count raises ValueError.
+def _twist_eigenvalues(matrix: CMatrix) -> list[CycloElem | None]:
+    """[mu_s for s = 1..n]: mu_s is the eigenvalue of
+    v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns) when M v(s) = mu_s v(s), and
+    None when v(s) is not an eigenvector, for any n x n matrix M over
+    Q(zeta_n); another shape raises ValueError.
 
-    (M v(s))_j = sum_c m_jc zeta^(-(c+1)s), so with T[r] = column r - 1 of
-    M for r = 1..n-1 and T[0] = column n - 1 (zeta^(-ns) = 1), M v(s) is
-    T[0] plus the twisted sums of T at s mod n.  Each T[r] is one vector
-    for ``_twisted_vector_sums`` with w the row count: slot u*w + j holds
-    the zeta^u coordinate of the lifted m_jc, so the x-slot indexes the
-    row.  Each entry is lifted and packed once, and the n products take
-    n^2 rotations; nothing assumes M circulant."""
-    ctx, n, w = matrix.ctx, matrix.cols, matrix.rows
-    if n != ctx.n:
-        raise ValueError(f"twisted products need {ctx.n} columns, got {n}")
-    den, lifts = _lift(matrix.data)
-    vectors = [[0] * (ctx.degree * w) for _ in range(n)]  # column c is T[c + 1]
-    for i, lift in enumerate(lifts):
-        vectors[i % n][i // n::w] = lift  # row i // n, column i mod n
-    sums = _twisted_vector_sums(ctx, vectors[:-1], w, den)
-    last = matrix.data[n - 1::n]  # T[0]
-    return [[a + b for a, b in zip(last, sums[s % n])] for s in range(1, n + 1)]
+    With 0-based indices, let r_k[u] = m_(k, (k+u) mod n), row k read from
+    its diagonal.  Then (M v(s))_k = sum_c m_kc zeta^(-(c+1)s), and with
+    c = (k + u) mod n that is zeta^(-(k+1)s) U_k(s) = v(s)_k U_k(s) for
+    U_k(s) = sum_(u=0..n-1) r_k[u] zeta^(-us).  Every v(s)_k is a unit, so
+    v(s) is an eigenvector exactly when U_k(s) = U_0(s) for every k, and
+    then mu_s = U_0(s).
+
+    Only the rows whose table differs from row 0's can break that.  One
+    ``_twisted_vector_sums`` pass takes, for r = 1..n, the lift of
+    r_0[r mod n] in x-slot 0 and the difference r_k[r mod n] - r_0[r mod n]
+    of the lifts in x-slot j for the j-th such row k: at r = n the twist is
+    zeta^(-sn) = 1, so x-slot j of sum s is U_k(s) - U_0(s) and x-slot 0 is
+    U_0(s).  The pass reads its slot width off these vectors, so
+    differences up to twice a lifted coordinate fit.  A circulant keeps no
+    difference row: one pass with w = 1 and n reductions, and no field
+    element is twisted.
+    """
+    ctx, n = matrix.ctx, matrix.ctx.n
+    if matrix.rows != n or matrix.cols != n:
+        raise ValueError(f"eigenvalues need {n} x {n} entries, got {matrix.rows} x {matrix.cols}")
+    data = matrix.data
+    tables = [[data[k * n + (k + r) % n] for r in range(1, n + 1)] for k in range(n)]
+    kept = [tables[0], *(t for t in tables[1:] if t != tables[0])]
+    w = len(kept)
+    den, lifts = _lift([e for t in kept for e in t])
+    first = lifts[:n]
+    vectors = [[0] * (ctx.degree * w) for _ in range(n)]
+    for v, a in zip(vectors, first):
+        v[::w] = a
+    for j in range(1, w):
+        for v, a, b in zip(vectors, lifts[j * n:(j + 1) * n], first):
+            v[j::w] = [x - y for x, y in zip(a, b)]
+    sums = _twisted_vector_sums(ctx, vectors, w, den)
+    return [None if any(total[1:]) else total[0] for total in sums[1:] + sums[:1]]
 
 
 def _eigenpairs(kind: MatrixKind, n: int):
-    """For every s = 1..n reads mu_s off M v(s) and compares it with the
-    label of ``spectrum`` (mu_s is None when v(s) is not an eigenvector),
-    and compares charpoly(M) with the product over the spectrum (the
-    multiset cross-check).  All n products M v(s) come from one
-    ``twisted_products`` pass, which holds for any matrix, so a matrix
+    """For every s = 1..n reads mu_s, the eigenvalue of v(s) or None when
+    v(s) is not an eigenvector, and compares the list with the labels of
+    ``spectrum``, and compares charpoly(M) with the product over the
+    spectrum (the multiset cross-check).  ``_twist_eigenvalues`` reads every
+    mu_s off one twisted-sum pass and holds for any matrix, so a matrix
     that is not circulant fails the check rather than being assumed away."""
     lams = spectrum(kind, n)
     ctx = shared_context(n)
     matrix = build_matrix(kind, ctx, n)
-    mus = []
-    for s, w in enumerate(twisted_products(matrix), 1):
-        mu = w[0].mul_zeta_pow(s)  # v(s) starts with zeta^-s
-        eigen = all(wk == mu.mul_zeta_pow(-k * s) for k, wk in enumerate(w, 1))
-        mus.append(mu if eigen else None)
-    return {"size": n}, (lams, spectrum_poly(ctx, lams)), (mus, matrix.charpoly())
+    return ({"size": n}, (lams, spectrum_poly(ctx, lams)),
+            (_twist_eigenvalues(matrix), matrix.charpoly()))
 
 
 def _cyclic_minor(matrix: CMatrix, j: int) -> CMatrix:

@@ -99,7 +99,9 @@ class CMatrix:
         products and sums only, so it runs in any commutative ring.  Each
         entry is lifted over the common denominator D to L_jk = D*m_jk, an
         int vector over 1, zeta, ..., and coefficient i (from the top) is
-        c_i(L) = D^i c_i(M), reduced once per dot product.
+        c_i(L) = D^i c_i(M), reduced once per dot product.  Each distinct
+        entry object is lifted, measured and packed once (a circulant holds
+        n of them), and the d^2 slots index those results.
 
         The bound.  A coordinate of f in Z[x]/(x^n - 1) is
         (1/n) sum_w f(w) w^(-j) over the n-th roots w, so it is at most
@@ -131,9 +133,12 @@ class CMatrix:
         if not self.is_square():
             raise ValueError("characteristic polynomial requires a square matrix")
         ctx, dim, n = self.ctx, self.rows, self.ctx.n
-        den, lifts = _lift(self.data)
-        norms = [sum(map(abs, v)) for v in lifts]
-        k = prod(2 + isqrt(sum(x * x for x in norms[r * dim:(r + 1) * dim]))
+        distinct = {id(e): e for e in self.data}  # each entry object once
+        slot = {key: i for i, key in enumerate(distinct)}
+        where = [slot[id(e)] for e in self.data]
+        den, lifts = _lift(list(distinct.values()))
+        norms = [sum(map(abs, v)) ** 2 for v in lifts]
+        k = prod(2 + isqrt(sum(norms[i] for i in where[r * dim:(r + 1) * dim]))
                  for r in range(dim)).bit_length() + 1
         rational = _equivariant(self)
         if rational:
@@ -142,7 +147,7 @@ class CMatrix:
         else:
             modulus = (1 << (k * n)) - 1
             packed = [_pack(v, k) for v in lifts]
-        m = [packed[r * dim:(r + 1) * dim] for r in range(dim)]
+        m = [[packed[i] for i in where[r * dim:(r + 1) * dim]] for r in range(dim)]
         poly = [1]  # charpoly of the empty trailing submatrix, highest first
         for c in range(dim - 1, -1, -1):
             sub = [r[c + 1:] for r in m[c + 1:]]  # A
@@ -162,7 +167,8 @@ class CMatrix:
 
     def matvec(self, vec) -> list[CycloElem]:
         """M v by field products and sums, sharing no packed-ring code with
-        ``identities.twisted_products``, which the tests check against it."""
+        ``identities._twist_eigenvalues``, which the tests check against the
+        eigenvalues read off the products M v(s)."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match columns")
         ctx, cols = self.ctx, self.cols

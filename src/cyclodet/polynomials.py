@@ -21,7 +21,8 @@ The twisted sums of a table of int vectors (``_twisted_vector_sums``) and
 ``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
 is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
 (1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  Only
-``_cleared_sums`` and ``identities.twisted_products`` use w > 1 x-slots.
+``_cleared_sums`` and ``identities._twist_eigenvalues`` on a matrix that is
+not circulant use w > 1 x-slots.
 Both kernels end in the one shift-and-sum loop, ``_rotated_sums``, which
 unpacks each sum and reduces it mod Phi_n once.
 
@@ -114,23 +115,26 @@ class CPoly:
 
 
 def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[list[CycloElem]]:
-    """The twisted sums sum_{r=1..n-1} zeta^(-sr) t_r for s = 0..n-1, of
-    t_r = vectors[r - 1] / den of x-degree < w, as ``_rotated_sums``
-    returns them.  Each vector holds the int coordinates of den * t_r in
-    Z[x, zeta]/(zeta^n - 1), slot u*w + j for zeta^u * x^j, and may have
-    any length up to n*w: the d*w slots of w lifted field elements
-    (``identities.twisted_products``, whose x-slot j is row j of a matrix),
-    or all n*w of an element never reduced mod Phi_n or of a lift padded
-    with zeros (w = 1, from ``identities._vector_sums``).  Each is packed once by
-    x -> 2^k, zeta -> 2^(k*w): a ring map, since zeta^n -> 2^(k*w*n) = 1.
+    """The twisted sums sum_r zeta^(-sr) t_r for s = 0..n-1, of
+    t_r = vectors[r - 1] / den of x-degree < w for r = 1..n - 1, or 1..n,
+    as ``_rotated_sums`` returns them: zeta^(-sn) = 1, so a vector at
+    r = n adds the same term to every sum.  Each vector holds the int
+    coordinates of den * t_r in Z[x, zeta]/(zeta^n - 1), slot u*w + j for
+    zeta^u * x^j, and may have any length up to n*w: the d*w slots of w
+    lifted field elements (``identities._twist_eigenvalues``, whose x-slot
+    0 holds row 0 of a matrix and x-slot j > 0 the difference of a row from
+    it), or all n*w of an element never reduced mod Phi_n or of a lift
+    padded with zeros (w = 1, from ``identities._vector_sums``).  Each is
+    packed once by x -> 2^k, zeta -> 2^(k*w): a ring map, since
+    zeta^n -> 2^(k*w*n) = 1.
 
     Only the final digits must fit in the slots: the packing is a ring map,
     so intermediate values may wrap, and ``_unpack`` reads back every digit
     vector with all |digits| < 2^(k-1).  A rotation permutes the slots of
-    one x-power, so each digit of a sum is a sum of at most n - 1
-    coordinates, each at most B in absolute value: |digit| <= (n - 1) B <
+    one x-power, so each digit of a sum is a sum of at most n coordinates,
+    each at most B in absolute value: |digit| <= n B <
     2^(bitlen(B) + bitlen(n - 1)) = 2^(k-1) for
-    k = bitlen(B) + bitlen(n - 1) + 1.
+    k = bitlen(B) + bitlen(n - 1) + 1, as n <= 2^bitlen(n - 1) for n >= 2.
     """
     n = ctx.n
     bound = max((max(max(v), -min(v)) for v in vectors), default=0)
@@ -147,8 +151,10 @@ def _rational_twisted_sums(ctx: CycloContext, vectors, den: int) -> list[Fractio
 
     Equivariant means sigma_t(V_r) = V_(tr mod n) as vectors, for each t of
     ``_generators(n)``, where sigma_t is the slot permutation x^i -> x^(ti):
-    a ring map that commutes with the reduction mod Phi_n.  The check is one
-    ``itemgetter`` per vector and generator.  When it holds:
+    a ring map that commutes with the reduction mod Phi_n.  The check first
+    compares one slot per t, x^t of V_t with x^1 of V_1, which refuses the
+    padded lifts of the ``galois-*`` rows before any tuple is built; then
+    it takes one ``itemgetter`` per vector and generator.  When it holds:
     - Substituting r' = tr, sigma_t(N_s) = sum_r zeta^(-tsr) V_(tr)(zeta) =
       N_s for N_s = den * lambda_s.  Fixed by a generating set, N_s is fixed
       by the Galois group, so it is rational; it lies in Z[zeta], so it is
@@ -163,8 +169,12 @@ def _rational_twisted_sums(ctx: CycloContext, vectors, den: int) -> list[Fractio
       ``CycloElem``.
     """
     n = ctx.n
+    gens = _generators(n)
+    for t in gens:
+        if vectors[t - 1][t] != vectors[0][1]:  # sigma_t(V_1) and V_t differ at x^t
+            return None
     rows = list(map(tuple, vectors))
-    for t in _generators(n):
+    for t in gens:
         image = itemgetter(*[t * i % n for i in range(n)])  # V -> sigma_t^-1(V)
         if any(image(rows[t * r % n - 1]) != row for r, row in enumerate(rows, 1)):
             return None

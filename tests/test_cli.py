@@ -492,13 +492,14 @@ def test_verify_default_grid(capsys):
 
 
 def test_no_cli_path_runs_the_tests_references(capsys, monkeypatch):
-    # the field product, difference and inverse, elimination, matvec, the
-    # CPoly product and the closed-form inverse are references the tests
+    # the field product, difference, twist and inverse, elimination, matvec,
+    # the CPoly product and the closed-form inverse are references the tests
     # check the packed routes against: every CLI path runs with them refused
     def refuse(*args):
         raise AssertionError("a CLI path ran a test reference")
 
-    for owner, names in ((CycloElem, ("__mul__", "__rmul__", "__sub__", "__rsub__", "inverse")),
+    for owner, names in ((CycloElem, ("__mul__", "__rmul__", "__sub__", "__rsub__",
+                                      "mul_zeta_pow", "inverse")),
                          (CMatrix, ("det", "det_affine", "matvec")),
                          (CPoly, ("__mul__", "__rmul__")),
                          (linalg, ("_eliminate",)),

@@ -31,7 +31,6 @@ from cyclodet.identities import (
     spectrum,
     spectrum_poly,
     tilde_a_det_value,
-    twisted_products,
 )
 from cyclodet.linalg import CMatrix
 from cyclodet.polynomials import CPoly
@@ -528,6 +527,21 @@ def test_galois_rows_never_get_a_rational_read_out(monkeypatch, name):
         assert images == [t for t in ts for _ in range(n)], n
 
 
+def test_galois_tables_are_refused_at_one_slot(monkeypatch):
+    # on the default grids the one-slot comparison of sigma_t(V_1) with V_t
+    # refuses every conjugate table before the read-out builds an
+    # itemgetter (at n = 21, 33, 35 and 39 some tables agree there and are
+    # refused by the full check)
+    def refuse(*args):
+        raise AssertionError("the full equivariance check ran")
+
+    monkeypatch.setattr(polynomials, "itemgetter", refuse)
+    for name in IDENTITIES:
+        if name.startswith("galois-"):
+            for n in IDENTITIES[name].default_grid:
+                assert run_identity(name, n).passed, (name, n)
+
+
 ODD_3_9, ODD_3_13, ODD_3_25 = (tuple(range(3, hi + 1, 2)) for hi in (9, 13, 25))
 TO_12 = tuple(range(2, 13))
 
@@ -783,35 +797,64 @@ def _products_by_matvec(m):
     return [m.matvec([zeta_pow(ctx, -k * s) for k in range(1, n + 1)]) for s in range(1, n + 1)]
 
 
-def test_twisted_products_match_matvec():
+def _mus_by_matvec(m):
+    """mu_s for s = 1..n read off the n products M v(s) of ``matvec``."""
+    mus = []
+    for s, w in enumerate(_products_by_matvec(m), 1):
+        mu = w[0].mul_zeta_pow(s)  # v(s) starts with zeta^-s
+        mus.append(mu if all(wk == mu.mul_zeta_pow(-k * s) for k, wk in enumerate(w, 1))
+                   else None)
+    return mus
+
+
+def _perturbed_circulant(ctx, rng, row, t):
+    """A random circulant with mixed denominators plus zeta^((c+1)t) on
+    ``row``, column c: v(s) stays an eigenvector exactly for s != t, as
+    sum_c zeta^((c+1)(t-s)) = 0.  With row 0 perturbed, every other row's
+    table differs from row 0's; with another row, only that one does."""
+    n = ctx.n
+    table = [random_element(ctx, rng, 9) for _ in range(n)]
+    rows = [[table[(j - c) % n] for c in range(n)] for j in range(n)]
+    rows[row] = [e + zeta_pow(ctx, (c + 1) * t) for c, e in enumerate(rows[row])]
+    return CMatrix(ctx, rows)
+
+
+def test_twist_eigenvalues_match_matvec():
     # square matrices, circulant or not, with mixed denominators and
     # nonzero diagonals
     for n in range(2, 10):
         ctx = shared_context(n)
         for m in (non_circulant(n), random_matrix(ctx, random.Random(100 + n), n, span=9)):
             assert len({e.den for e in m.data}) > 1 and any(m[j, j] for j in range(n))
-            assert twisted_products(m) == _products_by_matvec(m), n
-        # n columns and any number of rows; another column count is refused
+            assert identities._twist_eigenvalues(m) == _mus_by_matvec(m), n
         rng = random.Random(n)
-        tall = CMatrix(ctx, [[random_element(ctx, rng) for _ in range(n)] for _ in range(n + 2)])
-        assert twisted_products(tall) == _products_by_matvec(tall), n
+        for row in (0, n - 1):
+            m = _perturbed_circulant(ctx, rng, row, n // 2)
+            mus = identities._twist_eigenvalues(m)
+            assert mus == _mus_by_matvec(m), (n, row)
+            assert [mu is None for mu in mus] == [s == n // 2 for s in range(1, n + 1)], (n, row)
         # all-zero trailing rows and an all-zero column n // 2
         top = [[0 if c == n // 2 else random_element(ctx, rng) for c in range(n)]
                for _ in range(n - 2)]
         sparse = CMatrix(ctx, top + [[0] * n] * 2)
-        assert twisted_products(sparse) == _products_by_matvec(sparse), n
-        with pytest.raises(ValueError):
-            twisted_products(random_matrix(ctx, rng, n + 1))
+        assert identities._twist_eigenvalues(sparse) == _mus_by_matvec(sparse), n
+        # another shape is refused
+        tall = CMatrix(ctx, [[random_element(ctx, rng) for _ in range(n)] for _ in range(n + 2)])
+        for m in (tall, random_matrix(ctx, rng, n + 1), random_matrix(ctx, rng, n - 1)):
+            with pytest.raises(ValueError):
+                identities._twist_eigenvalues(m)
 
 
-def test_twisted_products_of_the_empty_matrix_are_refused():
+def test_twist_eigenvalues_of_the_empty_matrix_are_refused():
     with pytest.raises(ValueError):
-        twisted_products(CMatrix(shared_context(3), []))
+        identities._twist_eigenvalues(CMatrix(shared_context(3), []))
 
 
-def test_twisted_products_at_the_slot_width():
-    # every lifted coordinate is +-(2^b - 1), so the digits of the twisted
-    # sums reach (n - 1)(2^b - 1), the bound the slot width is set by
+def test_twist_eigenvalues_at_the_slot_width():
+    # every lifted coordinate is +-(2^b - 1), so the digits of row 0's sums
+    # (the diagonal is their n-th term) reach n(2^b - 1), and those of the
+    # difference rows, whose coordinates reach 2(2^b - 1) with mixed signs,
+    # twice that: the bounds the slot width is set by
     edge = (1 << 40) - 1
     for n in range(2, 10):
         ctx = shared_context(n)
@@ -819,7 +862,26 @@ def test_twisted_products_at_the_slot_width():
         for signs in ([edge], [-edge], [edge, -edge]):
             m = CMatrix(ctx, [[from_coeffs(ctx, [rng.choice(signs) for _ in range(ctx.degree)])
                                for _ in range(n)] for _ in range(n)])
-            assert twisted_products(m) == _products_by_matvec(m), (n, signs)
+            assert identities._twist_eigenvalues(m) == _mus_by_matvec(m), (n, signs)
+
+
+def test_circulant_eigenvalues_take_one_pass_with_one_slot(monkeypatch):
+    calls = []
+
+    def spy(ctx, vectors, w, den):
+        calls.append(w)
+        return polynomials._twisted_vector_sums(ctx, vectors, w, den)
+
+    monkeypatch.setattr(identities, "_twisted_vector_sums", spy)
+    for kind in MatrixKind:
+        for n in range(2, 14):
+            if kind is MatrixKind.S19 and n % 2 == 0:
+                continue  # 1 + zeta^(n/2) = 0
+            m = build_matrix(kind, shared_context(n), n)
+            calls.clear()
+            mus = identities._twist_eigenvalues(m)
+            assert calls == [1], (kind, n)
+            assert None not in mus, (kind, n)
 
 
 def test_eigenpairs_make_no_matvec_call(monkeypatch):

@@ -301,6 +301,20 @@ def test_rational_sums_refuse_a_table_fixed_by_one_generator_only():
     assert sums[0][0].as_rational() is None
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16])
+def test_rational_sums_refuse_a_table_broken_at_any_vector(n):
+    # the a table is equivariant; zeta added to any one V_r breaks
+    # sigma_t(V_r) = V_(tr) for every generator t, whether the check meets
+    # it at V_1 or in the later vectors
+    ctx = shared_context(n)
+    _, vectors = residue_vectors(MatrixKind.A, n)
+    assert polynomials._rational_twisted_sums(ctx, vectors, n) is not None
+    for r in range(1, n):
+        broken = [list(v) for v in vectors]
+        broken[r - 1][1] += 1
+        assert polynomials._rational_twisted_sums(ctx, broken, n) is None, r
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 30, 105])
 def test_phi_modulus_is_the_least_above_twice_the_bound(n):
     # the modulus the read-out takes for each kind's table, and for limits
