@@ -22,10 +22,10 @@ Packing k-bit slots into one int, x -> 2^k, maps Z[x]/(x^n - 1) into the
 ring of ints Z/(2^(kn) - 1), where x^n -> 2^(kn) = 1 and a twist by x^m is
 a rotation by km bits (``_pack``, ``_rotate``, ``_unpack``, and ``_lift``
 to put the elements over one denominator).  That ring serves
-``CMatrix.charpoly`` and the twisted sums of ``identities._vector_sums``;
-with w x-slots per power of zeta it also serves the partial-fraction sums
-of ``polynomials._cleared_sums`` and the row tables of
-``identities._twist_eigenvalues``.  A Galois-equivariant input (checked on
+``CMatrix.charpoly`` and the twisted sums of ``identities._vector_sums``
+and of the row tables of ``identities._twist_eigenvalues``; with w = n
+x-slots per power of zeta it also serves the partial-fraction sums of
+``polynomials._cleared_sums``.  A Galois-equivariant input (checked on
 the generating set ``_generators(n)`` of (Z/n)^x) has rational results, and
 those are read in Z/Phi_n(2^j) by zeta -> 2^j instead (``_phi_modulus``):
 by ``CMatrix.charpoly`` and ``polynomials._rational_twisted_sums``.
@@ -411,7 +411,7 @@ class CycloElem:
         q = self.as_rational()
         return hash(q) if q is not None else hash((self.ctx.n, self.num, self.den))
 
-    def render(self, symbol: str = "z") -> str:
+    def render(self) -> str:
         """Human-readable "c0 + c1*z + ..." with zero terms dropped."""
         if not any(self.num[1:]):  # rational, and already in lowest terms
             return str(self.num[0]) if self.den == 1 else f"{self.num[0]}/{self.den}"
@@ -423,7 +423,7 @@ class CycloElem:
             if k == 0:
                 body = format_rational(mag)
             else:
-                var = symbol if k == 1 else f"{symbol}^{k}"
+                var = "z" if k == 1 else f"z^{k}"
                 body = var if mag == 1 else f"{format_rational(mag)}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

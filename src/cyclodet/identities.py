@@ -158,7 +158,7 @@ def _vector_sums(ctx: CycloContext, vectors, den: int) -> list:
     sums = _rational_twisted_sums(ctx, vectors, den)
     if sums is None:
         sums = [e if (q := e.as_rational()) is None else q
-                for [e] in _twisted_vector_sums(ctx, vectors, 1, den)]
+                for e in _twisted_vector_sums(ctx, vectors, den)]
     return sums
 
 
@@ -416,46 +416,46 @@ def _charpoly(kind: MatrixKind, n: int):
 # -- eigenpairs and the eigenvector-eigenvalue identity ----------------------
 
 
+def _row_tables(matrix: CMatrix) -> list[list[CycloElem]]:
+    """The distinct row-relative tables of an n x n matrix M over Q(zeta_n),
+    row 0's first: r_k = [m_(k, (k+u) mod n) for u = 1..n], row k read from
+    the entry after its diagonal round to the diagonal.  A circulant has
+    exactly one; another shape raises ValueError."""
+    n = matrix.ctx.n
+    if matrix.rows != n or matrix.cols != n:
+        raise ValueError(f"row tables need {n} x {n} entries, got {matrix.rows} x {matrix.cols}")
+    data, tables = matrix.data, []
+    for k in range(n):
+        table = [data[k * n + (k + u) % n] for u in range(1, n + 1)]
+        if table not in tables:
+            tables.append(table)
+    return tables
+
+
 def _twist_eigenvalues(matrix: CMatrix) -> list[CycloElem | None]:
     """[mu_s for s = 1..n]: mu_s is the eigenvalue of
     v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns) when M v(s) = mu_s v(s), and
     None when v(s) is not an eigenvector, for any n x n matrix M over
     Q(zeta_n); another shape raises ValueError.
 
-    With 0-based indices, let r_k[u] = m_(k, (k+u) mod n), row k read from
-    its diagonal.  Then (M v(s))_k = sum_c m_kc zeta^(-(c+1)s), and with
+    With 0-based indices and r_k[u] = m_(k, (k+u) mod n), row k read from
+    its diagonal, (M v(s))_k = sum_c m_kc zeta^(-(c+1)s), and with
     c = (k + u) mod n that is zeta^(-(k+1)s) U_k(s) = v(s)_k U_k(s) for
     U_k(s) = sum_(u=0..n-1) r_k[u] zeta^(-us).  Every v(s)_k is a unit, so
     v(s) is an eigenvector exactly when U_k(s) = U_0(s) for every k, and
     then mu_s = U_0(s).
 
-    Only the rows whose table differs from row 0's can break that.  One
-    ``_twisted_vector_sums`` pass takes, for r = 1..n, the lift of
-    r_0[r mod n] in x-slot 0 and the difference r_k[r mod n] - r_0[r mod n]
-    of the lifts in x-slot j for the j-th such row k: at r = n the twist is
-    zeta^(-sn) = 1, so x-slot j of sum s is U_k(s) - U_0(s) and x-slot 0 is
-    U_0(s).  The pass reads its slot width off these vectors, so
-    differences up to twice a lifted coordinate fit.  A circulant keeps no
-    difference row: one pass with w = 1 and n reductions, and no field
-    element is twisted.
+    Rows with the same table have the same U_k, so each distinct table of
+    ``_row_tables`` takes one ``_twisted_vector_sums`` pass over its lifts,
+    the diagonal at r = n, where the twist is zeta^(-sn) = 1.  A circulant
+    has one table: one pass and n reductions, and no field element is
+    twisted.
     """
     ctx, n = matrix.ctx, matrix.ctx.n
-    if matrix.rows != n or matrix.cols != n:
-        raise ValueError(f"eigenvalues need {n} x {n} entries, got {matrix.rows} x {matrix.cols}")
-    data = matrix.data
-    tables = [[data[k * n + (k + r) % n] for r in range(1, n + 1)] for k in range(n)]
-    kept = [tables[0], *(t for t in tables[1:] if t != tables[0])]
-    w = len(kept)
-    den, lifts = _lift([e for t in kept for e in t])
-    first = lifts[:n]
-    vectors = [[0] * (ctx.degree * w) for _ in range(n)]
-    for v, a in zip(vectors, first):
-        v[::w] = a
-    for j in range(1, w):
-        for v, a, b in zip(vectors, lifts[j * n:(j + 1) * n], first):
-            v[j::w] = [x - y for x, y in zip(a, b)]
-    sums = _twisted_vector_sums(ctx, vectors, w, den)
-    return [None if any(total[1:]) else total[0] for total in sums[1:] + sums[:1]]
+    first, *others = [_twisted_vector_sums(ctx, lifts, den)
+                      for den, lifts in map(_lift, _row_tables(matrix))]
+    return [first[s] if all(u[s] == first[s] for u in others) else None
+            for s in (*range(1, n), 0)]
 
 
 def _eigenpairs(kind: MatrixKind, n: int):
@@ -487,23 +487,19 @@ def _eei(kind: MatrixKind, n: int):
     j = 1..n, charpoly of the j-th principal minor evaluated at 0 equals
     (1/n) prod (0 - lambda) over the nonzero eigenvalues, 1/n being the
     squared modulus of every component of the zero-eigenvalue eigenvector.
-    The minor is ``_cyclic_minor(M, j)`` = P M_j P^T, and the first minor's
-    charpoly is reused for every minor equal to it entry for entry, so a
-    circulant matrix costs one charpoly and any other matrix n."""
+    The minor is ``_cyclic_minor(M, j)`` = P M_j P^T.  Every cyclic minor of
+    a circulant (one table in ``_row_tables``) is the first, so it costs one
+    minor and one charpoly, and any other matrix n of each."""
     others = spectrum(kind, n)
     others.remove(Fraction(0))  # exactly one zero eigenvalue for odd n
     target = Fraction(1, n)
     for lam in others:
         target *= -lam
     matrix = build_matrix(kind, shared_context(n), n)
-    first = _cyclic_minor(matrix, 1)
-    first_charpoly = first.charpoly()
-    computed = []
-    for j in range(1, n + 1):
-        minor = _cyclic_minor(matrix, j)
-        charpoly = first_charpoly if minor == first else minor.charpoly()
-        computed.append(charpoly.coeffs[0])  # p_{M_j}(0); a monic charpoly keeps it
-    return {"size": n}, [target] * n, computed
+    minors = 1 if len(_row_tables(matrix)) == 1 else n
+    # p_{M_j}(0), which a monic charpoly keeps as its x^0 coefficient
+    computed = [_cyclic_minor(matrix, j).charpoly().coeffs[0] for j in range(1, minors + 1)]
+    return {"size": n}, [target] * n, computed * (n // minors)
 
 
 # -- root sums and row sums ---------------------------------------------------

@@ -20,9 +20,8 @@ The twisted sums of a table of int vectors (``_twisted_vector_sums``) and
 ``_cleared_sums`` run on plain ints, in the ring Z/(2^(k*w*n) - 1) that
 ``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
 is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
-(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  Only
-``_cleared_sums`` and ``identities._twist_eigenvalues`` on a matrix that is
-not circulant use w > 1 x-slots.
+(1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  A
+table has w = 1; only ``_cleared_sums`` uses w = n x-slots.
 Both kernels end in the one shift-and-sum loop, ``_rotated_sums``, which
 unpacks each sum and reduces it mod Phi_n once.
 
@@ -30,8 +29,9 @@ A table of unreduced vectors that is Galois-equivariant (every kind's
 table in ``identities``, and both halves of ``root-sums``) has rational
 sums, and ``_rational_twisted_sums`` reads each as one small integer mod
 Phi_n(2^j), with no unpack, no reduction and no field element; any other
-table (the lifted conjugate tables of the ``galois-*`` rows), and the
-w > 1 kernels, keep the cyclic ring.
+table (the lifted conjugate tables of the ``galois-*`` rows, the row
+tables of ``identities._twist_eigenvalues``), and ``_cleared_sums``, keep
+the cyclic ring.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class CPoly:
     def __hash__(self):
         return hash((self.ctx.n, self.coeffs))
 
-    def render(self, var: str = "x") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -93,7 +93,7 @@ class CPoly:
             c = self.coeffs[k]
             if not c:
                 continue
-            xpart = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+            xpart = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
             if any(c.num[1:]):
                 body = f"({c.render()})"
                 body = body + ("*" + xpart if xpart else "")
@@ -114,33 +114,30 @@ class CPoly:
         return f"CPoly({self.render()!r}, n={self.ctx.n})"
 
 
-def _twisted_vector_sums(ctx: CycloContext, vectors, w: int, den: int) -> list[list[CycloElem]]:
+def _twisted_vector_sums(ctx: CycloContext, vectors, den: int) -> list[CycloElem]:
     """The twisted sums sum_r zeta^(-sr) t_r for s = 0..n-1, of
-    t_r = vectors[r - 1] / den of x-degree < w for r = 1..n - 1, or 1..n,
-    as ``_rotated_sums`` returns them: zeta^(-sn) = 1, so a vector at
-    r = n adds the same term to every sum.  Each vector holds the int
-    coordinates of den * t_r in Z[x, zeta]/(zeta^n - 1), slot u*w + j for
-    zeta^u * x^j, and may have any length up to n*w: the d*w slots of w
-    lifted field elements (``identities._twist_eigenvalues``, whose x-slot
-    0 holds row 0 of a matrix and x-slot j > 0 the difference of a row from
-    it), or all n*w of an element never reduced mod Phi_n or of a lift
-    padded with zeros (w = 1, from ``identities._vector_sums``).  Each is
-    packed once by x -> 2^k, zeta -> 2^(k*w): a ring map, since
-    zeta^n -> 2^(k*w*n) = 1.
+    t_r = vectors[r - 1] / den for r = 1..n - 1, or 1..n: zeta^(-sn) = 1,
+    so a vector at r = n adds the same term to every sum.  Each vector
+    holds the int coordinates of den * t_r in Z[zeta]/(zeta^n - 1), slot u
+    for zeta^u, and may have any length up to n: the d coordinates of a
+    lifted field element (``identities._twist_eigenvalues``), or all n of
+    an element never reduced mod Phi_n or of a lift padded with zeros
+    (``identities._vector_sums``).  Each is packed once by zeta -> 2^k: a
+    ring map, since zeta^n -> 2^(k*n) = 1.
 
     Only the final digits must fit in the slots: the packing is a ring map,
     so intermediate values may wrap, and ``_unpack`` reads back every digit
-    vector with all |digits| < 2^(k-1).  A rotation permutes the slots of
-    one x-power, so each digit of a sum is a sum of at most n coordinates,
-    each at most B in absolute value: |digit| <= n B <
-    2^(bitlen(B) + bitlen(n - 1)) = 2^(k-1) for
-    k = bitlen(B) + bitlen(n - 1) + 1, as n <= 2^bitlen(n - 1) for n >= 2.
+    vector with all |digits| < 2^(k-1).  A rotation permutes the slots, so
+    each digit of a sum is a sum of at most n coordinates, each at most B
+    in absolute value: |digit| <= n B < 2^(bitlen(B) + bitlen(n - 1)) =
+    2^(k-1) for k = bitlen(B) + bitlen(n - 1) + 1, as n <= 2^bitlen(n - 1)
+    for n >= 2.
     """
     n = ctx.n
     bound = max((max(max(v), -min(v)) for v in vectors), default=0)
     k = bound.bit_length() + (n - 1).bit_length() + 1
     packed = [(r, _pack(v, k)) for r, v in enumerate(vectors, 1) if any(v)]
-    return _rotated_sums(ctx, packed, k, w, den)
+    return [total for [total] in _rotated_sums(ctx, packed, k, 1, den)]
 
 
 def _rational_twisted_sums(ctx: CycloContext, vectors, den: int) -> list[Fraction] | None:
@@ -192,11 +189,13 @@ def _rational_twisted_sums(ctx: CycloContext, vectors, den: int) -> list[Fractio
 def _rotated_sums(ctx: CycloContext, packed, k: int, w: int, den: int) -> list[list[CycloElem]]:
     """For s = 0..n-1, the x-coefficients c_0..c_(w-1) over ``den`` of
     sum_r zeta^(-sr) t_r, for the pairs (r, t_r) of ``packed`` with t_r
-    packed as in ``_twisted_vector_sums``.  Each s shifts every t_r once,
-    by k*w*(-sr mod n) bits, and sums the shifted ints: a shift is the
-    twist by zeta^(-sr) mod 2^(k*w*n) - 1, and ``_unpack`` takes any
-    representative, so neither a t_r nor a sum is reduced before it.  Each
-    sum is unpacked once and each x-coefficient reduced mod Phi_n once.
+    packed by x -> 2^k and zeta -> 2^(k*w), slot u*w + j holding the
+    coordinate of zeta^u * x^j (w = 1 for ``_twisted_vector_sums``, n for
+    ``_cleared_sums``).  Each s shifts every t_r once, by k*w*(-sr mod n)
+    bits, and sums the shifted ints: a shift is the twist by zeta^(-sr)
+    mod 2^(k*w*n) - 1, and ``_unpack`` takes any representative, so
+    neither a t_r nor a sum is reduced before it.  Each sum is unpacked
+    once and each x-coefficient reduced mod Phi_n once.
     Phi_n divides zeta^n - 1, so that reduction is a ring map too, and it
     must stay, as the identities hold only at a primitive zeta.  The callers
     prove that every digit of a sum fits its slot.

@@ -74,7 +74,7 @@ def table_twisted_sums(table) -> list[CycloElem]:
     of field elements, t[0] skipped: ``polynomials._twisted_vector_sums`` of
     its lifts, one field element per sum."""
     ctx, _, vectors, den = lift_table(table)
-    return [e for [e] in polynomials._twisted_vector_sums(ctx, vectors, 1, den)]
+    return polynomials._twisted_vector_sums(ctx, vectors, den)
 
 
 def poly_add(p: CPoly, q: CPoly) -> CPoly:

@@ -452,8 +452,8 @@ def test_rational_sums_equal_the_reduced_sums_on_every_table(n):
     ctx = shared_context(n)
     for vectors in _equivariant_tables(n):
         got = polynomials._rational_twisted_sums(ctx, vectors, n)
-        want = polynomials._twisted_vector_sums(ctx, vectors, 1, n)
-        assert got == [coeffs[0].as_rational() for coeffs in want], n
+        want = polynomials._twisted_vector_sums(ctx, vectors, n)
+        assert got == [e.as_rational() for e in want], n
 
 
 def test_row_sums_spot_values():
@@ -851,10 +851,10 @@ def test_twist_eigenvalues_of_the_empty_matrix_are_refused():
 
 
 def test_twist_eigenvalues_at_the_slot_width():
-    # every lifted coordinate is +-(2^b - 1), so the digits of row 0's sums
-    # (the diagonal is their n-th term) reach n(2^b - 1), and those of the
-    # difference rows, whose coordinates reach 2(2^b - 1) with mixed signs,
-    # twice that: the bounds the slot width is set by
+    # every lifted coordinate is +-(2^b - 1), so the digits of each row
+    # table's sums (the diagonal is their n-th term) reach n(2^b - 1), the
+    # bound the slot width is set by; with mixed signs every row has its
+    # own table
     edge = (1 << 40) - 1
     for n in range(2, 10):
         ctx = shared_context(n)
@@ -868,9 +868,9 @@ def test_twist_eigenvalues_at_the_slot_width():
 def test_circulant_eigenvalues_take_one_pass_with_one_slot(monkeypatch):
     calls = []
 
-    def spy(ctx, vectors, w, den):
-        calls.append(w)
-        return polynomials._twisted_vector_sums(ctx, vectors, w, den)
+    def spy(ctx, vectors, den):
+        calls.append(len(vectors))
+        return polynomials._twisted_vector_sums(ctx, vectors, den)
 
     monkeypatch.setattr(identities, "_twisted_vector_sums", spy)
     for kind in MatrixKind:
@@ -880,7 +880,7 @@ def test_circulant_eigenvalues_take_one_pass_with_one_slot(monkeypatch):
             m = build_matrix(kind, shared_context(n), n)
             calls.clear()
             mus = identities._twist_eigenvalues(m)
-            assert calls == [1], (kind, n)
+            assert calls == [n], (kind, n)  # one pass over the one table
             assert None not in mus, (kind, n)
 
 
@@ -936,6 +936,74 @@ def test_eei_computes_every_minor_of_a_non_circulant_matrix(monkeypatch):
     assert computed == [minor_delete(m, j).charpoly().coeffs[0] for j in range(1, 6)]
     assert len(set(computed)) == 5
     assert not run_identity("eei-a", 5).passed
+
+
+def _spy_eei(monkeypatch, m):
+    """Runs ``_eei`` on the n x n matrix m in place of the a matrix, and
+    returns (computed, number of ``_cyclic_minor`` builds, number of
+    ``charpoly`` calls)."""
+    minors, charpolys = [], []
+
+    def cyclic_minor(matrix, j):
+        minors.append(j)
+        return real_minor(matrix, j)
+
+    def charpoly(matrix):
+        charpolys.append(matrix)
+        return real_charpoly(matrix)
+
+    real_minor, real_charpoly = identities._cyclic_minor, CMatrix.charpoly
+    monkeypatch.setattr(identities, "_cyclic_minor", cyclic_minor)
+    monkeypatch.setattr(CMatrix, "charpoly", charpoly)
+    monkeypatch.setattr(identities, "build_matrix", lambda kind, ctx, size: m)
+    _, _, computed = identities._eei(MatrixKind.A, m.ctx.n)
+    monkeypatch.undo()
+    return computed, len(minors), len(charpolys)
+
+
+def test_eei_of_a_circulant_builds_one_minor(monkeypatch):
+    for kind in MatrixKind:
+        for n in range(3, 14):
+            if kind is MatrixKind.S19 and n % 2 == 0:
+                continue  # 1 + zeta^(n/2) = 0
+            m = build_matrix(kind, shared_context(n), n)
+            computed, minors, charpolys = _spy_eei(monkeypatch, m)
+            assert (minors, charpolys) == (1, 1), (kind, n)
+            assert computed == [minor_delete(m, 1).charpoly().coeffs[0]] * n, (kind, n)
+
+
+def test_eei_of_a_circulant_with_one_row_perturbed_builds_every_minor(monkeypatch):
+    for n in (3, 5, 8):
+        ctx = shared_context(n)
+        for row in (0, n - 1):
+            m = _perturbed_circulant(ctx, random.Random(n), row, 1)
+            computed, minors, charpolys = _spy_eei(monkeypatch, m)
+            assert (minors, charpolys) == (n, n), (n, row)
+            assert computed == [minor_delete(m, j).charpoly().coeffs[0]
+                                for j in range(1, n + 1)], (n, row)
+
+
+def test_row_tables_of_a_circulant_and_of_a_perturbed_one():
+    for n in range(2, 9):
+        ctx = shared_context(n)
+        a = build_matrix(MatrixKind.C_PLUS_I, ctx, n)
+        assert identities._row_tables(a) == [[a[0, u % n] for u in range(1, n + 1)]]
+        for row in (0, n - 1):  # two distinct tables either way
+            m = _perturbed_circulant(ctx, random.Random(n), row, 1)
+            tables = identities._row_tables(m)
+            assert len(tables) == 2, (n, row)
+            assert tables[0] == [m[0, u % n] for u in range(1, n + 1)], (n, row)
+
+
+def test_row_tables_refuse_a_matrix_that_is_not_n_by_n():
+    rng = random.Random(0)
+    for n in range(2, 7):
+        ctx = shared_context(n)
+        tall = CMatrix(ctx, [[random_element(ctx, rng) for _ in range(n)] for _ in range(n + 1)])
+        for m in (CMatrix(ctx, []), tall, random_matrix(ctx, rng, n + 1),
+                  random_matrix(ctx, rng, n - 1)):
+            with pytest.raises(ValueError):
+                identities._row_tables(m)
 
 
 @pytest.mark.parametrize("name", ["eigen-a", "eei-a"])

@@ -297,8 +297,8 @@ def test_rational_sums_refuse_a_table_fixed_by_one_generator_only():
     assert _generators(8) == (3, 5)
     vectors = [[0, 1, 0, 1, 0, 0, 0, 0] for _ in range(7)]
     assert polynomials._rational_twisted_sums(ctx, vectors, 1) is None
-    sums = polynomials._twisted_vector_sums(ctx, vectors, 1, 1)
-    assert sums[0][0].as_rational() is None
+    sums = polynomials._twisted_vector_sums(ctx, vectors, 1)
+    assert sums[0].as_rational() is None
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16])
