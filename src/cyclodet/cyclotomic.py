@@ -429,8 +429,6 @@ class CycloElem:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        if not parts:
-            return "0"
         return " ".join(parts)
 
     def __repr__(self):

@@ -7,14 +7,17 @@ off-diagonal entries are first int vectors in Z[x]/(x^n - 1), never reduced
 element.  ``circulant`` expands a table, and ``_spectral_det`` reads the
 determinant of the leading block off the twisted sums of a table of int
 vectors, the eigenvalues of the circulant: a kind's (``kind_block_det``),
-each sum one integer mod Phi_n(2^j) (``polynomials._rational_twisted_sums``),
-or the lifted conjugate tables of the ``galois-*`` rows.  Each
-identity is one row of ``IDENTITIES``; its check computes both sides in
-exact arithmetic and only returns them as two exact values, the claim
-(``expected``) and what it actually computed (``computed``).
-``run_identity`` is the one entry point: it rejects an n the row does not
-admit, times the check and builds the report, which passes exactly when
-the two values are equal and renders both for output.
+each sum one int mod Phi_n(2^j) (``polynomials._rational_twisted_sums``),
+or the lifted conjugate tables of the ``galois-*`` rows.  A sum stays the
+int den * lambda_s up to the comparison: ``_block_det`` takes the ints
+over one denominator, and ``root-sums`` and ``row-sums`` compare them
+with closed forms times n and read them over n only in the report text.
+Each identity is one row of ``IDENTITIES``; its check returns both sides
+as two exact values, the claim (``expected``) and what it actually
+computed (``computed``).  ``run_identity`` is the one entry point: it
+rejects an n the row does not admit, times the check and builds the
+report, which passes exactly when the two values are equal and renders
+both for output.
 
 A note on eigenvalue labels: with entries keyed on row minus column, the
 vector v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns) pairs with eigenvalue 2s-n
@@ -107,15 +110,15 @@ def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
     return CMatrix(ctx, [[table[(j - k) % n] for k in range(size)] for j in range(size)])
 
 
-def _block_det(diagonal: Fraction, sums: list[Fraction]) -> tuple[Fraction, Fraction]:
+def _block_det(diagonal: Fraction, sums: list[int], den: int) -> tuple[Fraction, Fraction]:
     """(d0, d1) with det[x + m_jk] = d0 + d1*x for every x, m being the
     leading (n-1) x (n-1) block of the circulant C of a residue table t with
-    the rational diagonal t[0] and the n rational twisted sums ``sums`` of
-    t, read off the spectrum of C with no matrix and no elimination.
+    the rational diagonal t[0] and rational twisted sums N_s/den, given as
+    the n ints N_s: read off the spectrum of C, with no matrix.
 
     C is circulant by construction: row j, column k holds t[(j - k) mod n].
     So the vector w(s) = (zeta^(sk))_k is an eigenvector with eigenvalue
-    lambda_s = sum_u t[u] zeta^(-su) = t[0] + sums[s], for s = 0..n-1;
+    lambda_s = sum_u t[u] zeta^(-su) = t[0] + N_s/den, for s = 0..n-1;
     lambda_0, the row sum, belongs to the all-ones vector.  The caller
     raises ArithmeticError for a lambda_s that is not rational
     (``_spectral_det``): the values are exact or absent, never rounded.
@@ -131,35 +134,31 @@ def _block_det(diagonal: Fraction, sums: list[Fraction]) -> tuple[Fraction, Frac
     so d1 = e and d0 = (lambda_0 e + p)/n.  e and p are the two lowest
     coefficients of prod_{s>=1} (z + lambda_s), the only ones kept.
 
-    The product runs on ints: with D the lcm of the denominators,
-    lambda_s = a_s/D.  After k factors, P_k = D^k p_k and
+    The product runs on ints: with t[0] = b/q in lowest terms and D = q*den,
+    lambda_s = (b*den + q*N_s)/D = a_s/D.  After k factors, P_k = D^k p_k and
     E_k = D^(k-1) e_k satisfy P_(k+1) = P_k a and E_(k+1) = E_k a + P_k,
     since D^k (e_k lambda + p_k) = D^(k-1) e_k * D lambda + D^k p_k.  So
     after the n - 1 factors p = P/D^(n-1) and e = E/D^(n-2), and
     d0 = (a_0 E + P)/(n D^(n-1)), d1 = E/D^(n-2): two divisions in all.
     """
-    n = len(sums)
-    den = lcm(diagonal.denominator, *(t.denominator for t in sums))
-    base = diagonal.numerator * (den // diagonal.denominator)
-    a = [base + t.numerator * (den // t.denominator) for t in sums]
+    n, q = len(sums), diagonal.denominator
+    base, den = diagonal.numerator * den, q * den
+    a = [base + q * t for t in sums]
     p, e = 1, 0  # z^0 and z^1 coefficients of the product, scaled
     for a_s in a[1:]:
         p, e = p * a_s, e * a_s + p
     return Fraction(a[0] * e + p, n * den ** (n - 1)), Fraction(e, den ** (n - 2))
 
 
-def _vector_sums(ctx: CycloContext, vectors, den: int) -> list:
-    """The n twisted sums of the int vectors ``vectors`` of length n over
-    ``den``: Fractions from ``_rational_twisted_sums`` when the table is
-    Galois-equivariant, as every kind's is; else the sums of
-    ``_twisted_vector_sums``, each a Fraction when it is rational and a
-    field element when it is not, so any other table (a patched vector, a
-    ``galois-*`` row's conjugate lifts) is still summed exactly."""
-    sums = _rational_twisted_sums(ctx, vectors, den)
-    if sums is None:
-        sums = [e if (q := e.as_rational()) is None else q
-                for e in _twisted_vector_sums(ctx, vectors, den)]
-    return sums
+def _vector_sums(ctx: CycloContext, vectors) -> list:
+    """The n twisted sums N_s = den * lambda_s of the int vectors ``vectors``
+    of length n, den times the entries: ints from ``_rational_twisted_sums``
+    when the table is Galois-equivariant, as every kind's is; else each sum
+    of ``_twisted_vector_sums`` over 1 as its int coordinate 0 when it is
+    rational and as a field element when it is not, so any other table (a
+    patched vector, a ``galois-*`` row's conjugate lifts) is summed exactly."""
+    return _rational_twisted_sums(ctx, vectors) or \
+        [e if any(e.num[1:]) else e.num[0] for e in _twisted_vector_sums(ctx, vectors, 1)]
 
 
 def _spectral_det(ctx: CycloContext, diagonal, vectors, den: int) -> tuple[Fraction, Fraction]:
@@ -168,11 +167,11 @@ def _spectral_det(ctx: CycloContext, diagonal, vectors, den: int) -> tuple[Fract
     t[0] = ``diagonal`` and t[u] = vectors[u - 1] / den: ``_block_det``
     after one ``_vector_sums`` pass.  The n eigenvalues sum to n*t[0], as
     the twisted sums of each t[r] cancel over s, so a diagonal that is not
-    rational (None) raises ArithmeticError, as any irrational sum does."""
-    sums = _vector_sums(ctx, vectors, den)
-    if diagonal is None or not all(isinstance(t, Fraction) for t in sums):
+    rational (None) raises ArithmeticError, as a field element sum does."""
+    sums = _vector_sums(ctx, vectors)
+    if diagonal is None or CycloElem in map(type, sums):
         raise ArithmeticError("an eigenvalue of the circulant is not rational")
-    return _block_det(diagonal, sums)
+    return _block_det(diagonal, sums, den)
 
 
 def kind_block_det(kind: MatrixKind, n: int) -> tuple[Fraction, Fraction]:
@@ -314,16 +313,22 @@ def first_difference(expected, computed) -> str:
     return path
 
 
-def render(value) -> str:
+def render(value, den: int = 1) -> str:
     """Exact text of a report value: a rational as p/q, a field element or a
-    polynomial in canonical form, a tuple as (...) and a list as [...]."""
+    polynomial in canonical form, a tuple as (...) and a list as [...].  An
+    int or a field element is read over ``den``, an int by one gcd."""
     if isinstance(value, (tuple, list)):
-        inner = ", ".join(map(render, value))
+        inner = ", ".join([render(v, den) for v in value])
         return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+    if isinstance(value, CycloElem) and den != 1:
+        value = CycloElem(value.ctx, value.num, value.den * den)
     if isinstance(value, (CPoly, CycloElem)):
         return value.render()
     if value is None or isinstance(value, bool):
         return str(value)
+    if type(value) is int:
+        g = gcd(value, den)
+        return str(value // g) if g == den else f"{value // g}/{den // g}"
     return format_rational(value)
 
 
@@ -353,7 +358,7 @@ class DetIdentity(namedtuple("DetIdentity", "kind value slope grid oracle galois
         (d0, d1) on an affine row."""
         return d0 if self.slope is None else (d0, d1)
 
-    def text(self, values) -> str:
+    def text(self, values, n: int) -> str:
         """Renders [det] or [det, derangement sum] as a det report line."""
         head = render(values[0]) if self.slope is None else f"(d0, d1) = {render(values[0])}"
         return head if len(values) == 1 else f"{head}; derangement sum {render(values[1])}"
@@ -509,18 +514,18 @@ def _root_sums(n: int):
     """Weighted sums over the nontrivial n-th roots:
     sum_{0<r<n} zeta^(-rs)/(1 - zeta^r) = (n-1)/2 - s for every s, and for
     odd n also sum_{0<r<n} zeta^(-rs)/(1 + zeta^r) = ((-1)^s n - 1)/2.
-    Each table entry stays the int vector of n/(1 -+ zeta^r) in
-    Z[x]/(x^n - 1), which is Galois-equivariant, so ``_vector_sums`` reads
-    each of the n sums of a half as one integer mod Phi_n(2^j) and reduces
-    nothing mod Phi_n; the vector builders are module globals looked up at
-    each call, so a patched one is seen."""
-    halves = [(_inv_one_minus_zeta_vector, lambda s: Fraction(n - 1, 2) - s)]
+    Each table entry stays the Galois-equivariant int vector of
+    n/(1 -+ zeta^r) in Z[x]/(x^n - 1), so ``_vector_sums`` reads each sum of
+    a half, times n, as one int mod Phi_n(2^j), compared with n times the
+    closed form and read over n in the report.  The vector builders are
+    module globals looked up at each call, so a patched one is seen."""
+    ctx = shared_context(n)
+    expected = [n * (n - 1) // 2 - n * s for s in range(n)]
+    computed = _vector_sums(ctx, [_inv_one_minus_zeta_vector(n, r) for r in range(1, n)])
     if n % 2 == 1:
-        halves.append((_inv_one_plus_zeta_vector, lambda s: Fraction((-1) ** s * n - 1, 2)))
-    ctx, expected, computed = shared_context(n), [], []
-    for vector, closed in halves:
-        expected.extend(closed(s) for s in range(n))
-        computed.extend(_vector_sums(ctx, [vector(n, r) for r in range(1, n)], n))
+        expected += [n * ((-1) ** s * n - 1) // 2 for s in range(n)]
+        computed = computed + _vector_sums(ctx, [_inv_one_plus_zeta_vector(n, r)
+                                                 for r in range(1, n)])
     return {"checks": len(computed)}, expected, computed
 
 
@@ -530,10 +535,11 @@ def _row_sums(n: int):
     runs over j != k, r = (j - k) mod n runs over 1..n-1 once each, so every
     row's sum is twisted sum s of the table.  The table stays the unreduced
     ``residue_vectors``, and ``_vector_sums`` reads each of the n sums as
-    one integer mod Phi_n(2^j)."""
+    one integer mod Phi_n(2^j), n times the sum, compared with n(n - 2s)
+    and read over n in the report."""
     _, vectors = residue_vectors(MatrixKind.A, n)
-    expected = [[0 if s == 0 else n - 2 * s for s in range(n)]] * n
-    computed = [_vector_sums(shared_context(n), vectors, n)] * n  # every row k is the k-free sum
+    expected = [[0 if s == 0 else n * (n - 2 * s) for s in range(n)]] * n
+    computed = [_vector_sums(shared_context(n), vectors)] * n  # every row k is the k-free sum
     return {"checks": n * n}, expected, computed
 
 
@@ -560,29 +566,31 @@ def _galois(name: str, n: int):
     the row checks ``galois`` on every entry, and the spectrum of each
     conjugate, against the one claim.  Lifts of reduced entries, padded to
     length n, are in general not equivariant, so they sum in the cyclic ring."""
-    det = DETS[name]
-    ctx = shared_context(n)
-    ts = coprime_residues(n)
-    table = residue_table(det.kind, ctx)
+    det, ctx, ts = DETS[name], shared_context(n), coprime_residues(n)
+    table, computed = residue_table(det.kind, ctx), []
     pad = [0] * (n - ctx.degree)
-    computed = []
     for t in ts:
         diagonal, *entries = [e.galois(t) for e in table]
         den, lifts = _lift(entries)
-        d0, d1 = _spectral_det(ctx, diagonal.as_rational(), [v + pad for v in lifts], den)
-        computed.append(det.split(d0, d1))
+        computed.append(det.split(*_spectral_det(ctx, diagonal.as_rational(),
+                                                 [v + pad for v in lifts], den)))
     return {"automorphisms": len(ts)}, [det.claim(n)] * len(ts), computed
 
 
 # -- registry -----------------------------------------------------------------
 
 
+def _text(values, n: int) -> str:
+    return render(values)  # values exact as they stand
+
+
 class IdentityInfo(namedtuple("IdentityInfo",
                               "check default_grid odd_only supports_oracle text",
-                              defaults=(False, render))):
+                              defaults=(False, _text))):
     """One identity: ``check(n)``, or ``check(n, oracle, force)`` on an
     oracle row, returns (params, expected, computed) with the two sides as
-    exact values, and ``text`` renders them for the report."""
+    exact values, and ``text(values, n)`` renders them for the report:
+    ``render`` over n on the sums rows, whose values are n times the sums."""
 
     __slots__ = ()
 
@@ -604,8 +612,8 @@ IDENTITIES: dict[str, IdentityInfo] = {
     "eei-a": IdentityInfo(partial(_eei, MatrixKind.A), _ODD_3_13, True),
     "eei-b": IdentityInfo(partial(_eei, MatrixKind.B), _ODD_3_13, True),
     "eei-c1": IdentityInfo(partial(_eei, MatrixKind.C_PLUS_I), _ODD_3_13, True),
-    "root-sums": IdentityInfo(_root_sums, tuple(range(2, 51)), False),
-    "row-sums": IdentityInfo(_row_sums, _TO_12, False),
+    "root-sums": IdentityInfo(_root_sums, tuple(range(2, 51)), False, text=render),
+    "row-sums": IdentityInfo(_row_sums, _TO_12, False, text=render),
     "partial-fraction": IdentityInfo(_partial_fraction, _TO_12, False),
     "row-sum-x": IdentityInfo(_row_sum_x, _TO_12, False),
     **{f"galois-{name}": IdentityInfo(partial(_galois, name), _odd_range(3, 9), True)
@@ -627,7 +635,7 @@ def run_identity(name: str, n: int, oracle: bool = False, force: bool = False) -
     passed = expected == computed
     return IdentityReport(
         identity=name, n=n, params=params,
-        expected=info.text(expected), computed=info.text(computed),
+        expected=info.text(expected, n), computed=info.text(computed, n),
         passed=passed,
         elapsed_seconds=time.perf_counter() - t0,
         first_difference=None if passed else first_difference(expected, computed),

@@ -69,6 +69,12 @@ def table_block_det(table) -> tuple[Fraction, Fraction]:
     return identities._spectral_det(*lift_table(table))
 
 
+def cleared_sums(ctx: CycloContext) -> list[list[CycloElem]]:
+    """``polynomials._cleared_sums`` with each coordinate list wrapped as the
+    field element it holds: S[s] as its n x-coefficients."""
+    return [[CycloElem(ctx, c) for c in total] for total in polynomials._cleared_sums(ctx)]
+
+
 def table_twisted_sums(table) -> list[CycloElem]:
     """[sum_{r=1..n-1} t[r] * zeta^(-sr) for s = 0..n-1] of a residue table
     of field elements, t[0] skipped: ``polynomials._twisted_vector_sums`` of

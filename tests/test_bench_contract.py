@@ -20,8 +20,8 @@ def test_benchmark_tracer_installs():
 
 
 def test_traced_rows_record_the_layer_spans():
-    # the per-layer rows of spectrum-eei and det-grid read these spans; a
-    # rename or an unwrapped call path would silently zero them
+    # the per-layer rows of spectrum-eei, det-grid and sums-poly read these
+    # spans; a rename or an unwrapped call path would silently zero them
     code = """
 import json, sys
 sys.path[:0] = ['bench', 'src']
@@ -29,7 +29,7 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 from cyclodet import identities
-for name in ('eigen-a', 'eei-a', 'a-det'):
+for name in ('eigen-a', 'eei-a', 'a-det', 'partial-fraction', 'row-sum-x', 'root-sums'):
     assert identities.run_identity(name, 5, oracle=True).passed, name
 print(json.dumps(tracer.snapshot()['spans']))
 """
@@ -37,5 +37,6 @@ print(json.dumps(tracer.snapshot()['spans']))
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     spans = json.loads(result.stdout)
-    for name in ("linalg.charpoly", "identities.build_matrix", "combinatorics.derangement_sum"):
+    for name in ("linalg.charpoly", "identities.build_matrix", "combinatorics.derangement_sum",
+                 "polynomials.check"):
         assert spans.get(name, [0])[0] > 0, name

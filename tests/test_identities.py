@@ -368,8 +368,12 @@ def test_wrong_root_sums_vector_keeps_expected(monkeypatch):
     monkeypatch.setattr(identities, "_inv_one_minus_zeta_vector", wrong)
     bad = run_identity("root-sums", 7)
     assert good.passed and not bad.passed
-    assert bad.expected == good.expected
-    assert bad.computed != good.computed
+    assert bad.expected == good.expected == "[3, 2, 1, 0, -1, -2, -3, 3, -4, 3, -4, 3, -4, 3]"
+    # the minus half falls back to the cyclic ring: an irrational sum is read
+    # over n as a field element, and the one rational sum (s = 5) as -13/7
+    assert bad.computed == (
+        "[3 + 1/7*z^3, 2 + 1/7*z, 6/7 - 1/7*z - 1/7*z^2 - 1/7*z^3 - 1/7*z^4 - 1/7*z^5, "
+        "1/7*z^4, -1 + 1/7*z^2, -13/7, -3 + 1/7*z^5, 3, -4, 3, -4, 3, -4, 3]")
     assert bad.first_difference == "[0]"
 
 
@@ -428,7 +432,7 @@ def test_equivariant_sums_neither_reduce_nor_unpack(monkeypatch, n):
         if IDENTITIES[name].admits(n):
             returns.clear()
             assert run_identity(name, n).passed, name
-            assert returns and all(len(sums) == n and all(isinstance(t, Fraction) for t in sums)
+            assert returns and all(len(sums) == n and all(type(t) is int for t in sums)
                                    for sums in returns), name
     for kind in DET_KINDS.values():
         if kind is not MatrixKind.S19 or n % 2:  # 1 + zeta^(n/2) = 0 at even n
@@ -451,9 +455,11 @@ def _equivariant_tables(n):
 def test_rational_sums_equal_the_reduced_sums_on_every_table(n):
     ctx = shared_context(n)
     for vectors in _equivariant_tables(n):
-        got = polynomials._rational_twisted_sums(ctx, vectors, n)
+        # each N_s is den * lambda_s, for the den = n the vectors are scaled by
+        got = polynomials._rational_twisted_sums(ctx, vectors)
         want = polynomials._twisted_vector_sums(ctx, vectors, n)
-        assert got == [e.as_rational() for e in want], n
+        assert all(type(t) is int for t in got), n
+        assert got == [n * e.as_rational() for e in want], n
 
 
 def test_row_sums_spot_values():
@@ -525,6 +531,20 @@ def test_galois_rows_never_get_a_rational_read_out(monkeypatch, name):
         ts = identities.coprime_residues(n)
         assert returns == [None] * len(ts), n
         assert images == [t for t in ts for _ in range(n)], n
+
+
+@pytest.mark.parametrize("name", ["galois-a-det", "galois-b-det", "galois-c-det"])
+def test_galois_rows_read_rational_sums_off_coordinate_zero(monkeypatch, name):
+    # the cyclic-ring fallback hands each rational sum over as its int
+    # coordinate 0: one as_rational per unit t, for the conjugate diagonal
+    calls, real = [], CycloElem.as_rational
+    monkeypatch.setattr(CycloElem, "as_rational", lambda e: calls.append(e) or real(e))
+    kind = DETS[name.removeprefix("galois-")].kind
+    for n in IDENTITIES[name].default_grid:
+        calls.clear()
+        assert run_identity(name, n).passed, n
+        diagonal = residue_table(kind, shared_context(n))[0]
+        assert calls == [diagonal.galois(t) for t in identities.coprime_residues(n)], n
 
 
 def test_galois_tables_are_refused_at_one_slot(monkeypatch):
@@ -658,7 +678,11 @@ def test_registry_rows_keep_their_fields_and_defaults():
     assert IdentityInfo._fields == ("check", "default_grid", "odd_only", "supports_oracle",
                                     "text")
     info = IdentityInfo(len, (2,), False)
-    assert info.supports_oracle is False and info.text is render
+    assert info.supports_oracle is False and info.text is identities._text
+    assert info.text([Fraction(3, 5), 4], 5) == render([Fraction(3, 5), 4]) == "[3/5, 4]"
+    # the sums rows keep n times each sum and read it over n
+    assert IDENTITIES["root-sums"].text is IDENTITIES["row-sums"].text is render
+    assert render([[6, -15, 0, 4]], 6) == "[[1, -5/2, 0, 2/3]]"
     with pytest.raises(AttributeError):
         DETS["a-det"].value = c_det_value
     with pytest.raises(AttributeError):
@@ -716,16 +740,17 @@ def test_residue_table_is_the_scaled_closed_form_inverse():
 
 
 def test_block_det_matches_the_fraction_recurrence():
-    # rational spectra with mixed denominators, zeros and n = 2 included
+    # rational spectra as int sums over one den, with the diagonal's own
+    # denominator, zeros and n = 2 included
     rng = random.Random(30)
     for n in (2, 2, 3, 4, 5, 6, 7, 9, 12, 16):
         for _ in range(6):
             diagonal = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-            sums = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 7, 10, 12)))
-                    for _ in range(n)]
-            lams = [diagonal + t for t in sums]
-            got = identities._block_det(diagonal, sums)
-            assert got == fraction_block_det(lams), (n, diagonal, sums)
+            den = rng.choice((1, 2, 3, 4, 6, 7, 10, 12))
+            sums = [rng.randint(-20, 20) for _ in range(n)]
+            lams = [diagonal + Fraction(t, den) for t in sums]
+            got = identities._block_det(diagonal, sums, den)
+            assert got == fraction_block_det(lams), (n, diagonal, den, sums)
 
 
 def test_circulant_block_det_rejects_an_irrational_eigenvalue():
@@ -769,7 +794,7 @@ def test_kind_block_det_falls_back_on_a_table_that_is_not_equivariant(monkeypatc
         for n in (3, 5, 9, 15):
             ctx = shared_context(n)
             extra[:] = [*ctx.phi, *[0] * (n - len(ctx.phi))]
-            assert polynomials._rational_twisted_sums(ctx, patched(det.kind, n)[1], n) is None
+            assert polynomials._rational_twisted_sums(ctx, patched(det.kind, n)[1]) is None
             assert run_identity(name, n).passed, (name, n)
             extra[:] = [0, 1] + [0] * (n - 2)
             with pytest.raises(ArithmeticError):
@@ -1029,10 +1054,12 @@ def test_render_of_a_field_element():
 
 
 def _with_wrong_term(build):
-    """The kernel ``build`` of the sums S[s] = sum_r zeta^(-sr) Q_r with Q_2
-    off by 1: zeta^(-2s) more in the x^0 coefficient of every S[s]."""
+    """The kernel ``build`` of the sums S[s] = sum_r zeta^(-sr) Q_r, as
+    coordinate lists, with Q_2 off by 1: zeta^(-2s) more in the x^0
+    coefficient of every S[s]."""
     def wrong(ctx):
-        return [[c + zeta_pow(ctx, -2 * s), *rest] for s, (c, *rest) in enumerate(build(ctx))]
+        return [[list((CycloElem(ctx, c) + zeta_pow(ctx, -2 * s)).num), *rest]
+                for s, (c, *rest) in enumerate(build(ctx))]
     return wrong
 
 

@@ -11,8 +11,8 @@ from cyclodet.cyclotomic import (CycloContext, CycloElem, _generators, _pack, _p
 from cyclodet.identities import MatrixKind, residue_vectors
 from cyclodet.polynomials import CPoly, partial_fraction_check, row_sum_x_check
 
-from helpers import (from_coeffs, one, poly_add, poly_shift, random_element, table_twisted_sums,
-                     zero, zeta_pow)
+from helpers import (cleared_sums, from_coeffs, one, poly_add, poly_shift, random_element,
+                     table_twisted_sums, zero, zeta_pow)
 
 
 def test_mul_difference_of_squares():
@@ -102,7 +102,7 @@ def test_partial_fraction_hand_expansion():
     lhs = lhs * CPoly(ctx, [-1, 1])
     assert lhs == CPoly(ctx, [-2, 1, 1])
     assert lhs == poly_add(CPoly(ctx, [1, 1, 1]), CPoly(ctx, [1]) * -3)
-    assert CPoly(ctx, polynomials._cleared_sums(ctx)[0]) == lhs
+    assert CPoly(ctx, cleared_sums(ctx)[0]) == lhs
     assert partial_fraction_check(ctx)[0]
 
 
@@ -145,7 +145,7 @@ def _assert_cleared_sums_are_direct(ctx):
     # _cleared_sums gives the twisted sums of the directly multiplied Q_r, as
     # n x-coefficients each; and the twisted sums of the directly multiplied
     # row-sum-x summands are S[s] + x*S[s - 1], with S those sums
-    cleared = polynomials._cleared_sums(ctx)
+    cleared = cleared_sums(ctx)
     assert len(cleared) == ctx.n and all(len(c) == ctx.n for c in cleared)
     sums = [CPoly(ctx, coeffs) for coeffs in cleared]
     assert sums == _direct_cleared_sums(ctx)
@@ -189,6 +189,24 @@ def test_twist_by_one_plus_x_zeta_is_a_shift_of_s(n):
     sums, direct = _coefficientwise_sums(table), _coefficientwise_sums(twisted)
     for s in range(n):
         assert direct[s] == poly_add(sums[s], poly_shift(sums[s - 1], 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+def test_checks_compare_every_coordinate_of_a_coefficient(monkeypatch, n):
+    # zeta more in the x^0 coefficient of every S[s] changes coordinate 1
+    # only, and every verdict of both checks must see it
+    real = polynomials._cleared_sums
+
+    def shifted(ctx):
+        sums = real(ctx)
+        for total in sums:
+            total[0][1] += 1
+        return sums
+
+    monkeypatch.setattr(polynomials, "_cleared_sums", shifted)
+    ctx = shared_context(n)
+    assert partial_fraction_check(ctx) == [False] * n
+    assert row_sum_x_check(ctx) == [[False] * n] * n
 
 
 def test_each_check_builds_its_own_products(monkeypatch):
@@ -285,8 +303,9 @@ def test_rational_sums_read_the_bound_exactly(n):
     ctx = shared_context(n)
     for b in (*range(1, 70), 2 ** 20 + 1, 3 ** 40):
         vectors = [[b] + [0] * (n - 1) for _ in range(n - 1)]
-        sums = polynomials._rational_twisted_sums(ctx, vectors, 1)
+        sums = polynomials._rational_twisted_sums(ctx, vectors)
         assert sums == [(n - 1) * b] + [-b] * (n - 1), b
+        assert all(type(t) is int for t in sums), b
 
 
 def test_rational_sums_refuse_a_table_fixed_by_one_generator_only():
@@ -296,7 +315,7 @@ def test_rational_sums_refuse_a_table_fixed_by_one_generator_only():
     ctx = shared_context(8)
     assert _generators(8) == (3, 5)
     vectors = [[0, 1, 0, 1, 0, 0, 0, 0] for _ in range(7)]
-    assert polynomials._rational_twisted_sums(ctx, vectors, 1) is None
+    assert polynomials._rational_twisted_sums(ctx, vectors) is None
     sums = polynomials._twisted_vector_sums(ctx, vectors, 1)
     assert sums[0].as_rational() is None
 
@@ -308,11 +327,11 @@ def test_rational_sums_refuse_a_table_broken_at_any_vector(n):
     # it at V_1 or in the later vectors
     ctx = shared_context(n)
     _, vectors = residue_vectors(MatrixKind.A, n)
-    assert polynomials._rational_twisted_sums(ctx, vectors, n) is not None
+    assert polynomials._rational_twisted_sums(ctx, vectors) is not None
     for r in range(1, n):
         broken = [list(v) for v in vectors]
         broken[r - 1][1] += 1
-        assert polynomials._rational_twisted_sums(ctx, broken, n) is None, r
+        assert polynomials._rational_twisted_sums(ctx, broken) is None, r
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 30, 105])
@@ -341,7 +360,7 @@ def test_kernels_make_no_field_operation(monkeypatch):
     for attr in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                  "mul_zeta_pow"):
         monkeypatch.setattr(CycloElem, attr, refuse)
-    computed = (table_twisted_sums(elements), polynomials._cleared_sums(ctx))
+    computed = (table_twisted_sums(elements), cleared_sums(ctx))
     monkeypatch.undo()
     assert computed[0] == expected[0]
     assert [CPoly(ctx, coeffs) for coeffs in computed[1]] == expected[1]
