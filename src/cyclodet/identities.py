@@ -7,17 +7,17 @@ off-diagonal entries are first int vectors in Z[x]/(x^n - 1), never reduced
 element.  ``circulant`` expands a table, and ``_spectral_det`` reads the
 determinant of the leading block off the twisted sums of a table of int
 vectors, the eigenvalues of the circulant: a kind's (``kind_block_det``),
-each sum one int mod Phi_n(2^j) (``polynomials._rational_twisted_sums``),
+each sum one integer mod Phi_n(2^j) (``polynomials._rational_twisted_sums``),
 or the lifted conjugate tables of the ``galois-*`` rows.  A sum stays the
 int den * lambda_s up to the comparison: ``_block_det`` takes the ints
 over one denominator, and ``root-sums`` and ``row-sums`` compare them
-with closed forms times n and read them over n only in the report text.
-Each identity is one row of ``IDENTITIES``; its check returns both sides
-as two exact values, the claim (``expected``) and what it actually
-computed (``computed``).  ``run_identity`` is the one entry point: it
-rejects an n the row does not admit, times the check and builds the
-report, which passes exactly when the two values are equal and renders
-both for output.
+with closed forms times n, reading them over n only in the report.  Each
+identity is one row of ``IDENTITIES``; its check computes both sides in
+exact arithmetic and only returns them as two exact values, the claim
+(``expected``) and what it actually computed (``computed``).
+``run_identity`` is the one entry point: it rejects an n the row does not
+admit, times the check and builds the report, which passes exactly when
+the two values are equal and renders both for output.
 
 A note on eigenvalue labels: with entries keyed on row minus column, the
 vector v(s) = (zeta^-s, zeta^-2s, ..., zeta^-ns) pairs with eigenvalue 2s-n
@@ -141,9 +141,11 @@ def _block_det(diagonal: Fraction, sums: list[int], den: int) -> tuple[Fraction,
     after the n - 1 factors p = P/D^(n-1) and e = E/D^(n-2), and
     d0 = (a_0 E + P)/(n D^(n-1)), d1 = E/D^(n-2): two divisions in all.
     """
-    n, q = len(sums), diagonal.denominator
-    base, den = diagonal.numerator * den, q * den
+    n = len(sums)
+    q = diagonal.denominator
+    base = diagonal.numerator * den
     a = [base + q * t for t in sums]
+    den *= q
     p, e = 1, 0  # z^0 and z^1 coefficients of the product, scaled
     for a_s in a[1:]:
         p, e = p * a_s, e * a_s + p
@@ -157,8 +159,10 @@ def _vector_sums(ctx: CycloContext, vectors) -> list:
     of ``_twisted_vector_sums`` over 1 as its int coordinate 0 when it is
     rational and as a field element when it is not, so any other table (a
     patched vector, a ``galois-*`` row's conjugate lifts) is summed exactly."""
-    return _rational_twisted_sums(ctx, vectors) or \
-        [e if any(e.num[1:]) else e.num[0] for e in _twisted_vector_sums(ctx, vectors, 1)]
+    sums = _rational_twisted_sums(ctx, vectors)
+    if sums is None:
+        sums = [e if any(e.num[1:]) else e.num[0] for e in _twisted_vector_sums(ctx, vectors, 1)]
+    return sums
 
 
 def _spectral_det(ctx: CycloContext, diagonal, vectors, den: int) -> tuple[Fraction, Fraction]:
@@ -358,7 +362,7 @@ class DetIdentity(namedtuple("DetIdentity", "kind value slope grid oracle galois
         (d0, d1) on an affine row."""
         return d0 if self.slope is None else (d0, d1)
 
-    def text(self, values, n: int) -> str:
+    def text(self, values) -> str:
         """Renders [det] or [det, derangement sum] as a det report line."""
         head = render(values[0]) if self.slope is None else f"(d0, d1) = {render(values[0])}"
         return head if len(values) == 1 else f"{head}; derangement sum {render(values[1])}"
@@ -566,31 +570,30 @@ def _galois(name: str, n: int):
     the row checks ``galois`` on every entry, and the spectrum of each
     conjugate, against the one claim.  Lifts of reduced entries, padded to
     length n, are in general not equivariant, so they sum in the cyclic ring."""
-    det, ctx, ts = DETS[name], shared_context(n), coprime_residues(n)
-    table, computed = residue_table(det.kind, ctx), []
+    det = DETS[name]
+    ctx = shared_context(n)
+    ts = coprime_residues(n)
+    table = residue_table(det.kind, ctx)
     pad = [0] * (n - ctx.degree)
+    computed = []
     for t in ts:
         diagonal, *entries = [e.galois(t) for e in table]
         den, lifts = _lift(entries)
-        computed.append(det.split(*_spectral_det(ctx, diagonal.as_rational(),
-                                                 [v + pad for v in lifts], den)))
+        d0, d1 = _spectral_det(ctx, diagonal.as_rational(), [v + pad for v in lifts], den)
+        computed.append(det.split(d0, d1))
     return {"automorphisms": len(ts)}, [det.claim(n)] * len(ts), computed
 
 
 # -- registry -----------------------------------------------------------------
 
 
-def _text(values, n: int) -> str:
-    return render(values)  # values exact as they stand
-
-
 class IdentityInfo(namedtuple("IdentityInfo",
-                              "check default_grid odd_only supports_oracle text",
-                              defaults=(False, _text))):
+                              "check default_grid odd_only supports_oracle text over_n",
+                              defaults=(False, render, False))):
     """One identity: ``check(n)``, or ``check(n, oracle, force)`` on an
     oracle row, returns (params, expected, computed) with the two sides as
-    exact values, and ``text(values, n)`` renders them for the report:
-    ``render`` over n on the sums rows, whose values are n times the sums."""
+    exact values, and ``text`` renders them for the report.  An ``over_n``
+    row's values are n times the sums it checks, and ``text`` gets den=n."""
 
     __slots__ = ()
 
@@ -612,8 +615,8 @@ IDENTITIES: dict[str, IdentityInfo] = {
     "eei-a": IdentityInfo(partial(_eei, MatrixKind.A), _ODD_3_13, True),
     "eei-b": IdentityInfo(partial(_eei, MatrixKind.B), _ODD_3_13, True),
     "eei-c1": IdentityInfo(partial(_eei, MatrixKind.C_PLUS_I), _ODD_3_13, True),
-    "root-sums": IdentityInfo(_root_sums, tuple(range(2, 51)), False, text=render),
-    "row-sums": IdentityInfo(_row_sums, _TO_12, False, text=render),
+    "root-sums": IdentityInfo(_root_sums, tuple(range(2, 51)), False, over_n=True),
+    "row-sums": IdentityInfo(_row_sums, _TO_12, False, over_n=True),
     "partial-fraction": IdentityInfo(_partial_fraction, _TO_12, False),
     "row-sum-x": IdentityInfo(_row_sum_x, _TO_12, False),
     **{f"galois-{name}": IdentityInfo(partial(_galois, name), _odd_range(3, 9), True)
@@ -633,9 +636,10 @@ def run_identity(name: str, n: int, oracle: bool = False, force: bool = False) -
     params, expected, computed = \
         info.check(n, oracle, force) if info.supports_oracle else info.check(n)
     passed = expected == computed
+    text = partial(info.text, den=n) if info.over_n else info.text
     return IdentityReport(
         identity=name, n=n, params=params,
-        expected=info.text(expected, n), computed=info.text(computed, n),
+        expected=text(expected), computed=text(computed),
         passed=passed,
         elapsed_seconds=time.perf_counter() - t0,
         first_difference=None if passed else first_difference(expected, computed),

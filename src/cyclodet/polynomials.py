@@ -21,20 +21,25 @@ The twisted sums of a table of int vectors (``_twisted_vector_sums``) and
 ``charpoly`` also uses: x -> 2^k and zeta -> 2^(k*w), so a twist by zeta^m
 is a rotation by k*w*m bits (``cyclotomic._rotate``) and a linear factor
 (1 - x*zeta^r) is one rotate-and-subtract, with no field operation.  A
-table has w = 1; only ``_cleared_sums`` uses w = n x-slots.  Both end in
-one shift-and-sum loop, ``_rotated_sums``, which unpacks each sum and
-reduces it mod Phi_n once, into int coordinate lists: the checks compare
-those with [a, 0, ..., 0], and only ``_twisted_vector_sums`` makes field
-elements of them.  A Galois-equivariant table of unreduced vectors (every
-kind's in ``identities``, both halves of ``root-sums``) has integer sums
-N_s = den * lambda_s, and ``_rational_twisted_sums`` returns them as ints
-read mod Phi_n(2^j): no unpack, no reduction and no field element.
+table has w = 1; only ``_cleared_sums`` uses w = n x-slots.
+Both kernels end in the one shift-and-sum loop, ``_rotated_sums``, which
+unpacks each sum and reduces it mod Phi_n once, into int coordinate lists:
+``partial_fraction_check`` compares those with [a, 0, ..., 0], and only
+``_twisted_vector_sums`` and ``row_sum_x_check`` make field elements of them.
+
+A table of unreduced vectors that is Galois-equivariant (every kind's
+table in ``identities``, and both halves of ``root-sums``) has integer
+sums N_s = den * lambda_s, and ``_rational_twisted_sums`` returns each as
+one small integer read mod Phi_n(2^j), with no unpack, no reduction and no
+field element; any other table (the lifted conjugate tables of the
+``galois-*`` rows, the row tables of ``identities._twist_eigenvalues``),
+and ``_cleared_sums``, keep the cyclic ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter, lshift, mod
+from operator import itemgetter, lshift, mod
 
 from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _pack, _phi_modulus,
                          _reduce, _rotate, _unpack)
@@ -116,11 +121,11 @@ def _twisted_vector_sums(ctx: CycloContext, vectors, den: int) -> list[CycloElem
     t_r = vectors[r - 1] / den for r = 1..n - 1, or 1..n: zeta^(-sn) = 1,
     so a vector at r = n adds the same term to every sum.  Each vector
     holds the int coordinates of den * t_r in Z[zeta]/(zeta^n - 1), slot u
-    for zeta^u, up to n of them: a lift (``identities._twist_eigenvalues``),
-    or an element never reduced or a padded lift (``identities._vector_sums``).
-    Each is packed once by zeta -> 2^k: a ring map, as zeta^n -> 2^(k*n) = 1.
-    Only here are the coordinate lists of ``_rotated_sums`` made field
-    elements.
+    for zeta^u, and may have any length up to n: the d coordinates of a
+    lifted field element (``identities._twist_eigenvalues``), or all n of
+    an element never reduced mod Phi_n or of a lift padded with zeros
+    (``identities._vector_sums``).  Each is packed once by zeta -> 2^k: a
+    ring map, since zeta^n -> 2^(k*n) = 1.
 
     Only the final digits must fit in the slots: the packing is a ring map,
     so intermediate values may wrap, and ``_unpack`` reads back every digit
@@ -139,10 +144,10 @@ def _twisted_vector_sums(ctx: CycloContext, vectors, den: int) -> list[CycloElem
 
 def _rational_twisted_sums(ctx: CycloContext, vectors) -> list[int] | None:
     """The twisted sums N_s = sum_{r=1..n-1} zeta^(-sr) V_r for s = 0..n-1,
-    as ints (den * lambda_s for vectors that hold den times the entries),
-    of the n - 1 int vectors V_r = vectors[r - 1] of length n in
-    Z[x]/(x^n - 1), never reduced mod Phi_n, when the table is
-    Galois-equivariant; None when it is not.
+    as ints, of the n - 1 int vectors V_r = vectors[r - 1]
+    of length n in Z[x]/(x^n - 1), never reduced mod Phi_n, when the table
+    is Galois-equivariant; None when it is not.  For vectors that hold den
+    times the entries t_r, N_s = den * lambda_s.
 
     Equivariant means sigma_t(V_r) = V_(tr mod n) as vectors, for each t of
     ``_generators(n)``, where sigma_t is the slot permutation x^i -> x^(ti):
@@ -151,8 +156,9 @@ def _rational_twisted_sums(ctx: CycloContext, vectors) -> list[int] | None:
     padded lifts of the ``galois-*`` rows before any tuple is built; then
     it takes one ``itemgetter`` per vector and generator.  When it holds:
     - Substituting r' = tr, sigma_t(N_s) = sum_r zeta^(-tsr) V_(tr)(zeta) =
-      N_s.  Fixed by a generating set, N_s is fixed by the Galois group, so
-      it is rational; it lies in Z[zeta], so it is an integer.
+      N_s for N_s = den * lambda_s.  Fixed by a generating set, N_s is fixed
+      by the Galois group, so it is rational; it lies in Z[zeta], so it is
+      an integer.
     - Under every embedding |zeta| = 1, so |N_s| <= bound = sum_r ||V_r||_1.
     - zeta -> 2^j is a ring map Z[zeta] -> Z/m for m = Phi_n(2^j), and
       x -> 2^j from Z[x]/(x^n - 1) factors through it, as Phi_n divides
@@ -175,31 +181,35 @@ def _rational_twisted_sums(ctx: CycloContext, vectors) -> list[int] | None:
     bound = sum(sum(map(abs, v)) for v in vectors)
     j, m = _phi_modulus(ctx, 2 * bound)
     packed = [_pack(v, j) % m for v in vectors]
-    moduli, half = [j * n] * (n - 1), m >> 1
-    # step = j*(n - s) for s = 0..n-1: j*(-sr mod n) = step*r mod j*n
-    totals = (sum(map(lshift, packed, map(mod, range(step, step * n, step), moduli))) % m
-              for step in range(j * n, 0, -j))
-    return [total - m if total > half else total for total in totals]
+    moduli, half, sums = [j * n] * (n - 1), m >> 1, []
+    for s in range(n):
+        step = j * (n - s)  # j*(-sr mod n) = step*r mod j*n, for r = 1..n-1
+        total = sum(map(lshift, packed, map(mod, range(step, step * n, step), moduli))) % m
+        sums.append(total - m if total > half else total)
+    return sums
 
 
 def _rotated_sums(ctx: CycloContext, packed, k: int, w: int) -> list[list[list[int]]]:
-    """For s = 0..n-1, the x-coefficients c_0..c_(w-1) of sum_r zeta^(-sr) t_r,
-    each its d int coordinates mod Phi_n, for the pairs (r, t_r) of
-    ``packed`` with t_r packed by x -> 2^k and zeta -> 2^(k*w), slot u*w + j
-    holding the coordinate of zeta^u * x^j (w = 1 for
-    ``_twisted_vector_sums``, n for ``_cleared_sums``).  Each s shifts every
-    t_r once, by k*w*(-sr mod n) bits, and sums the shifted ints: a shift is
-    the twist by zeta^(-sr) mod 2^(k*w*n) - 1, and ``_unpack`` takes any
-    representative, so neither a t_r nor a sum is reduced before it.  Each
-    sum is unpacked once and each x-coefficient reduced mod Phi_n once: a
-    ring map too, as Phi_n divides zeta^n - 1, and one that must stay, as the
-    identities hold only at a primitive zeta.  The callers prove that every
-    digit of a sum fits its slot.
+    """For s = 0..n-1, the x-coefficients c_0..c_(w-1), as int coordinate
+    lists, of sum_r zeta^(-sr) t_r, for the pairs (r, t_r) of ``packed`` with t_r
+    packed by x -> 2^k and zeta -> 2^(k*w), slot u*w + j holding the
+    coordinate of zeta^u * x^j (w = 1 for ``_twisted_vector_sums``, n for
+    ``_cleared_sums``).  Each s shifts every t_r once, by k*w*(-sr mod n)
+    bits, and sums the shifted ints: a shift is the twist by zeta^(-sr)
+    mod 2^(k*w*n) - 1, and ``_unpack`` takes any representative, so
+    neither a t_r nor a sum is reduced before it.  Each sum is unpacked
+    once and each x-coefficient reduced mod Phi_n once.
+    Phi_n divides zeta^n - 1, so that reduction is a ring map too, and it
+    must stay, as the identities hold only at a primitive zeta.  The callers
+    prove that every digit of a sum fits its slot.
     """
-    n, sums = ctx.n, []
-    rs, ps = [r for r, _ in packed], [p for _, p in packed]
+    n = ctx.n
+    rs = [r for r, _ in packed]
+    ps = [p for _, p in packed]
+    sums = []
     for s in range(n):
-        digits = _unpack(sum(map(lshift, ps, [k * w * (-s * r % n) for r in rs])), k, n * w)
+        total = sum(map(lshift, ps, [k * w * (-s * r % n) for r in rs]))
+        digits = _unpack(total, k, n * w)
         sums.append([_reduce(ctx, digits[j::w]) for j in range(w)])
     return sums
 
@@ -247,7 +257,8 @@ def partial_fraction_check(ctx: CycloContext) -> list[bool]:
     pass, and the right side has the coordinates [1 - n*[j == s], 0, ..., 0]
     at x^j for j = 0..n-1.
     """
-    n, zeros = ctx.n, [0] * (ctx.degree - 1)
+    n = ctx.n
+    zeros = [0] * (ctx.degree - 1)
     return [all(c == [1 - n * (j == s), *zeros] for j, c in enumerate(total))
             for s, total in enumerate(_cleared_sums(ctx))]
 
@@ -263,15 +274,15 @@ def row_sum_x_check(ctx: CycloContext) -> list[list[bool]]:
     (1 - n*[s == 0])(x^n - 1) + 2*(sum_j x^j - n*x^s).  With S the sums of
     ``_cleared_sums``, the left side is S[s] + x*S[s - 1]:
     zeta^(-sr) * zeta^r = zeta^(-(s-1)r), and zeta^n = 1 makes
-    S[-1] = S[n - 1].  Both sides are compared as coordinate lists, at
-    x^0..x^n, each right one [a, 0, ..., 0].
+    S[-1] = S[n - 1].  The left side is added in the field, and both sides
+    are compared coefficient by coefficient, at x^0..x^n.
     """
-    n, zero = ctx.n, [0] * ctx.degree
-    sums = _cleared_sums(ctx)
+    n = ctx.n
+    sums = [[CycloElem(ctx, c) for c in total] for total in _cleared_sums(ctx)]
     row = []
     for s in range(n):
         c = 1 - n * (s == 0)
-        right = [[2 * (1 - n * (j == s)) - c * (j == 0), *zero[1:]] for j in range(n)]
-        left = [list(map(add, a, b)) for a, b in zip([*sums[s], zero], [zero, *sums[s - 1]])]
-        row.append(left == [*right, [c, *zero[1:]]])
+        right = [2 * (1 - n * (j == s)) - c * (j == 0) for j in range(n)] + [c]
+        left = [a + b for a, b in zip([*sums[s], 0], [0, *sums[s - 1]])]
+        row.append(left == right)
     return [list(row) for _ in range(n)]  # every row is the k-free sum

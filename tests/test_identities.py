@@ -676,11 +676,12 @@ def test_registry_rows_keep_their_fields_and_defaults():
     row = DetIdentity(MatrixKind.A, a_det_value, None, (3,))
     assert (row.oracle, row.galois) == (False, False)
     assert IdentityInfo._fields == ("check", "default_grid", "odd_only", "supports_oracle",
-                                    "text")
+                                    "text", "over_n")
     info = IdentityInfo(len, (2,), False)
-    assert info.supports_oracle is False and info.text is identities._text
-    assert info.text([Fraction(3, 5), 4], 5) == render([Fraction(3, 5), 4]) == "[3/5, 4]"
+    assert info.supports_oracle is False and info.text is render and info.over_n is False
+    assert info.text([Fraction(3, 5), 4]) == "[3/5, 4]"
     # the sums rows keep n times each sum and read it over n
+    assert [name for name, row in IDENTITIES.items() if row.over_n] == ["root-sums", "row-sums"]
     assert IDENTITIES["root-sums"].text is IDENTITIES["row-sums"].text is render
     assert render([[6, -15, 0, 4]], 6) == "[[1, -5/2, 0, 2/3]]"
     with pytest.raises(AttributeError):
