@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--n", required=True,
                        help="integer n >= 2 (ASCII digits, optional sign)")
     p_det.add_argument("--x", default="0",
-                       help="rational shift added to every entry (p/q); default 0")
+                       help="rational shift added to every entry (p/q); default 0; "
+                            "a negative shift needs the form --x=-1/2")
     p_det.set_defaults(func=cmd_det)
     return parser
 

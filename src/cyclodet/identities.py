@@ -245,15 +245,16 @@ def spectrum_poly(ctx: CycloContext, roots) -> CPoly:
     and built once, with no field operation.  With d the lcm of the
     denominators and a_i = d*root_i, prod (y - a_i) = sum_j c_j y^j has int
     coefficients, and y = d*x gives prod (x - root_i) = d^-m prod (y - a_i),
-    so the coefficient of x^j is c_j / d^(m-j)."""
+    so the coefficient of x^j is c_j / d^(m-j), built as a field element
+    with no Fraction."""
     roots = [exact(r) for r in roots]
     d = lcm(*(r.denominator for r in roots))
     coeffs = [1]  # lowest degree first
     for r in roots:
         a = r.numerator * (d // r.denominator)
         coeffs = [low - a * c for low, c in zip([0, *coeffs], [*coeffs, 0])]  # times (y - a)
-    m = len(roots)
-    return CPoly(ctx, [Fraction(c, d ** (m - j)) for j, c in enumerate(coeffs)])
+    m, zeros = len(roots), [0] * (ctx.degree - 1)
+    return CPoly(ctx, [CycloElem(ctx, [c, *zeros], d ** (m - j)) for j, c in enumerate(coeffs)])
 
 
 # -- reports ----------------------------------------------------------------

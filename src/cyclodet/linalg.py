@@ -28,13 +28,21 @@ is the residue of c_i(L) in (-m/2, m/2).  Every kind's circulant and its
 cyclic minors pass the check (sigma_t of the entry at u is the entry at
 t*u); any other matrix runs in Z/(2^(kn) - 1), with x -> 2^k, and each
 coefficient is unpacked into its n coordinates.
+
+Those circulants and minors are also Toeplitz: entry (r, k) depends only
+on r - k.  In the rational ring, a matrix whose slot index (``_slots``) is
+Toeplitz gets each Berkowitz matvec A*col as one product of two packed ints
+(``_toeplitz_matvec``; the slot width is proved in ``charpoly``).  Every
+other matrix keeps the dense loop: one that is not Toeplitz has no symbol
+to pack, and the cyclic ring serves only matrices that no ``verify`` row
+builds, whose kn-bit residues would make each slot over 2kn bits wide.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _lift, _pack, _phi_modulus,
                          _reduce, _unpack)
@@ -100,8 +108,8 @@ class CMatrix:
         entry is lifted over the common denominator D to L_jk = D*m_jk, an
         int vector over 1, zeta, ..., and coefficient i (from the top) is
         c_i(L) = D^i c_i(M), reduced once per dot product.  Each distinct
-        entry object is lifted, measured and packed once (a circulant holds
-        n of them), and the d^2 slots index those results.
+        entry value is lifted, measured and packed once (a circulant holds
+        n of them), and the d^2 slots of ``_slots`` index those results.
 
         The bound.  A coordinate of f in Z[x]/(x^n - 1) is
         (1/n) sum_w f(w) w^(-j) over the n-th roots w, so it is at most
@@ -124,6 +132,22 @@ class CMatrix:
         against 3.4-3.8 ms in the cyclic ring at n = 11, and 21-32 ms
         against 1.6 s at n = 25.
 
+        The Toeplitz matvec, in the rational ring.  When row r of the slot
+        index from column 1 equals row r - 1 up to its last column,
+        M[r][k] = s(r - k), and so does every trailing block: A[r][k] =
+        s(r - k) at size m.  Pack s(-(m-1)), ..., s(m-1) (slots 0..2m-2)
+        and col (slots 0..m-1) in W-bit slots, every residue first reduced
+        into [0, modulus).  Slot m - 1 + r of their product is then
+        sum_k s(r - k) col[k] = (A*col)[r], if no slot carries.  None does:
+        a slot of the product sums at most m products of two residues, each
+        in [0, (modulus - 1)^2], and m <= d - 1 for the d x d matrix M, so
+        the slot lies in [0, (d - 1)(modulus - 1)^2], below 2^W for
+        W = bitlen((d - 1)(modulus - 1)^2).  Nothing is negative, so there
+        is no borrow either, and W-bit masks read each slot exactly.  -J
+        reaches the bound: every residue is modulus - 1, and the first
+        product on the (d-1)-block holds the bound in each slot it reads.
+        The dense loop is kept for every other matrix.
+
         Otherwise the loop runs in Z/(2^(kn) - 1), packing by x -> 2^k, a
         ring map from Z[x]/(x^n - 1) since x^n -> 2^(kn) = 1, and each
         c_i(L) is unpacked once, reduced mod Phi_n and divided by D^i.  Only
@@ -133,34 +157,47 @@ class CMatrix:
         if not self.is_square():
             raise ValueError("characteristic polynomial requires a square matrix")
         ctx, dim, n = self.ctx, self.rows, self.ctx.n
-        distinct = {id(e): e for e in self.data}  # each entry object once
-        slot = {key: i for i, key in enumerate(distinct)}
-        where = [slot[id(e)] for e in self.data]
-        den, lifts = _lift(list(distinct.values()))
+        entries, where = _slots(self)
+        den, lifts = _lift(entries)
         norms = [sum(map(abs, v)) ** 2 for v in lifts]
-        k = prod(2 + isqrt(sum(norms[i] for i in where[r * dim:(r + 1) * dim]))
+        k = prod(2 + isqrt(sum(map(norms.__getitem__, where[r * dim:(r + 1) * dim])))
                  for r in range(dim)).bit_length() + 1
-        rational = _equivariant(self)
+        rational = _equivariant(self, entries, where)
         if rational:
             j, modulus = _phi_modulus(ctx, 1 << k)
-            packed = [_pack(v, j) for v in lifts]
+            packed = [_pack(v, j) % modulus for v in lifts]
         else:
             modulus = (1 << (k * n)) - 1
             packed = [_pack(v, k) for v in lifts]
-        m = [[packed[i] for i in where[r * dim:(r + 1) * dim]] for r in range(dim)]
+        if rational and all(where[r * dim + 1:(r + 1) * dim] == where[(r - 1) * dim:r * dim - 1]
+                            for r in range(1, dim)):
+            # s(-(d-1)), ..., s(d-1) of M[r][k] = s(r - k): row 0 backwards, then column 0
+            diagonals = list(map(packed.__getitem__, where[dim - 1:0:-1] + where[::dim]))
+            width = ((dim - 1) * (modulus - 1) ** 2).bit_length()
+        else:
+            diagonals = None
+            m = [list(map(packed.__getitem__, where[r * dim:(r + 1) * dim])) for r in range(dim)]
         poly = [1]  # charpoly of the empty trailing submatrix, highest first
         for c in range(dim - 1, -1, -1):
-            sub = [r[c + 1:] for r in m[c + 1:]]  # A
-            row, col = m[c][c + 1:], [r[c] for r in m[c + 1:]]
-            toeplitz = [1, -m[c][c]]
-            for i in range(dim - c - 1):
+            size = dim - c - 1  # of A
+            if diagonals is None:
+                sub = [r[c + 1:] for r in m[c + 1:]]
+                row, col, toeplitz = m[c][c + 1:], [r[c] for r in m[c + 1:]], [1, -m[c][c]]
+            else:
+                symbol = _pack(diagonals[c + 1:dim + size - 1], width)
+                row, col = diagonals[c:dim - 1][::-1], diagonals[dim:dim + size]
+                toeplitz = [1, -diagonals[dim - 1]]
+            for i in range(size):
                 if i:
-                    col = [sum(map(mul, r, col)) % modulus for r in sub]
+                    if diagonals is None:
+                        col = [sum(map(mul, r, col)) % modulus for r in sub]
+                    else:
+                        col = _toeplitz_matvec(symbol, col, width, modulus)
                 toeplitz.append(-sum(map(mul, row, col)) % modulus)
             poly = [sum(map(mul, toeplitz[i::-1], poly)) % modulus for i in range(len(poly) + 1)]
         if rational:
-            half = modulus >> 1
-            return CPoly(ctx, [Fraction(p - modulus if p > half else p, den ** i)
+            half, zeros = modulus >> 1, [0] * (ctx.degree - 1)
+            return CPoly(ctx, [CycloElem(ctx, [p - modulus if p > half else p, *zeros], den ** i)
                                for i, p in enumerate(poly)][::-1])
         return CPoly(ctx, [CycloElem(ctx, _reduce(ctx, _unpack(p, k, n)), den ** i)
                            for i, p in enumerate(poly)][::-1])
@@ -206,33 +243,71 @@ class CMatrix:
         return _eliminate(bordered, self.ctx)
 
 
-def _equivariant(matrix: CMatrix) -> bool:
+def _slots(matrix: CMatrix) -> tuple[list[CycloElem], list[int]]:
+    """(entries, where): the distinct entry values of the matrix, each once,
+    and the slot in ``entries`` of each of its d^2 entries, row-major.
+    Entries are grouped by object first, so a circulant's d^2 entries cost
+    one dict lookup each and its n distinct objects one value key each."""
+    keys = list(map(id, matrix.data))
+    entries, by_value, slot = [], {}, {}
+    for key, e in dict(zip(keys, matrix.data)).items():
+        value = (e.num, e.den)
+        if value not in by_value:
+            by_value[value] = len(entries)
+            entries.append(e)
+        slot[key] = by_value[value]
+    return entries, list(map(slot.__getitem__, keys))
+
+
+@lru_cache(maxsize=None)
+def _label_permutation(n: int, dim: int, t: int) -> itemgetter:
+    """Picks, from a row-major list of d^2 values, the value at
+    (t*a, t*b) for each position (a, b), with the labels of the module
+    docstring (i, or i + 1 at dimension n - 1)."""
+    shift = n - dim
+    index = [t * (i + shift) % n - shift for i in range(dim)]  # the index of label t*label
+    return itemgetter(*[ta * dim + tb for ta in index for tb in index])
+
+
+def _equivariant(matrix: CMatrix, entries: list[CycloElem], where: list[int]) -> bool:
     """Whether sigma_t(M[a][b]) = M[ta][tb] for each t of ``_generators(n)``,
-    with the labels of the module docstring (i, or i + 1 at dimension
-    n - 1), so that the charpoly is rational.  sigma_t of an entry is
-    computed as ``CycloElem.galois`` does, by the slot permutation
-    k -> kt mod n of its integer numerator and one reduction, and once per
-    distinct entry object; sigma_t keeps the content of the numerator, so
-    the image has the same denominator."""
+    with the labels of the module docstring, so that the charpoly is
+    rational; ``entries`` and ``where`` are the slot index of ``_slots``.
+    sigma_t of each distinct entry is computed once, as
+    ``CycloElem.galois`` does, by the slot permutation k -> kt mod n of its
+    integer numerator and one reduction (sigma_t keeps the content of the
+    numerator, so the image has the same denominator), and its slot is
+    found by value.  The check is then one comparison of the d^2 image
+    slots with the slot list under the label permutation."""
     ctx, dim, n = matrix.ctx, matrix.rows, matrix.ctx.n
     if not matrix.is_square() or dim not in (n, n - 1):
         return False
-    shift, data = n - dim, matrix.data
+    slot = {(e.num, e.den): i for i, e in enumerate(entries)}
     for t in _generators(n):
-        index = [t * (i + shift) % n - shift for i in range(dim)]  # the index of label t*label
-        images = {}  # id(entry) -> numerator of sigma_t(entry)
-        for a, ta in enumerate(index):
-            for b, tb in enumerate(index):
-                e, target = data[a * dim + b], data[ta * dim + tb]
-                image = images.get(id(e))
-                if image is None:
-                    v = [0] * n
-                    for s, c in enumerate(e.num):
-                        v[s * t % n] = c
-                    image = images[id(e)] = tuple(_reduce(ctx, v))
-                if image != target.num or e.den != target.den:
-                    return False
+        images = []  # the slot of sigma_t(entries[i])
+        for e in entries:
+            v = [0] * n
+            for s, c in enumerate(e.num):
+                v[s * t % n] = c
+            image = slot.get((tuple(_reduce(ctx, v)), e.den))
+            if image is None:
+                return False
+            images.append(image)
+        if tuple(map(images.__getitem__, where)) != _label_permutation(n, dim, t)(where):
+            return False
     return True
+
+
+def _toeplitz_matvec(symbol: int, col: list[int], width: int, modulus: int) -> list[int]:
+    """A*col mod modulus for the m x m Toeplitz A with A[r][k] = s(r - k), by
+    one product of packed ints: ``symbol`` holds s(-(m-1)), ..., s(m-1) in
+    ``width``-bit slots 0..2m-2, and every residue, of A and of col, lies in
+    [0, modulus).  Slot m - 1 + r of symbol * col is
+    sum_k s(r - k) col[k] = (A*col)[r] (see ``CMatrix.charpoly`` for why
+    no slot carries)."""
+    m, mask = len(col), (1 << width) - 1
+    p = symbol * _pack(col, width) >> width * (m - 1)
+    return [(p >> width * r & mask) % modulus for r in range(m)]
 
 
 def _eliminate(a: list[list[CycloElem]], ctx: CycloContext) -> tuple[CycloElem, CycloElem]:

@@ -134,6 +134,14 @@ def test_det_rejects_non_ascii_digit_shift(capsys):
     assert code == 2 and "not a rational literal" in err
 
 
+def test_det_negative_shift_in_the_equals_form(capsys):
+    code, out, _ = run(capsys, "det", "--matrix", "c", "--n", "3", "--x=-1/2")
+    assert code == 0 and out.strip() == "1/6"
+    # argparse reads a separate -1/2 as an option
+    code, out, err = run(capsys, "det", "--matrix", "c", "--n", "3", "--x", "-1/2")
+    assert code == 2 and out == "" and "argument --x: expected one argument" in err
+
+
 def test_det_rejects_zero_denominator_shift(capsys):
     code, _, err = run(capsys, "det", "--matrix", "a", "--n", "3", "--x", "1/0")
     assert code == 2

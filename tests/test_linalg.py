@@ -6,9 +6,9 @@ import pytest
 
 from cyclodet import linalg
 from cyclodet.cyclotomic import CycloElem, _generators, _pack, _unpack, shared_context
-from cyclodet.identities import (MatrixKind, _cyclic_minor, build_matrix, circulant,
-                                 coprime_residues, residue_table)
-from cyclodet.linalg import CMatrix, _equivariant
+from cyclodet.identities import (IDENTITIES, MatrixKind, _cyclic_minor, build_matrix,
+                                 circulant, coprime_residues, residue_table, run_identity)
+from cyclodet.linalg import CMatrix, _slots
 from cyclodet.polynomials import CPoly
 
 from helpers import (
@@ -31,6 +31,10 @@ from helpers import (
 
 def _identity(ctx, dim):
     return CMatrix(ctx, [[1 if r == c else 0 for c in range(dim)] for r in range(dim)])
+
+
+def _equivariant(m):
+    return linalg._equivariant(m, *_slots(m))
 
 
 def ctx3():
@@ -257,6 +261,87 @@ def test_charpoly_of_empty_and_zero_matrices():
     assert CMatrix(ctx, []).matvec([]) == []
     null = CMatrix(ctx, [[0] * 3 for _ in range(2)])
     assert null.matvec([zeta_pow(ctx, 1), 1, Fraction(1, 2)]) == [zero(ctx)] * 2
+
+
+def _record_matvecs(patch):
+    """Spy on the packed Toeplitz matvec: the list of its argument tuples."""
+    calls, real = [], linalg._toeplitz_matvec
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    patch.setattr(linalg, "_toeplitz_matvec", record)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 13])
+def test_toeplitz_matvec_fills_its_slots_to_the_bound(n, monkeypatch):
+    # -J, every entry -1 = modulus - 1: the first product on the largest
+    # block (the d - 2 calls of the last step), on a column of d - 1 entries
+    # modulus - 1, holds (d - 1)(modulus - 1)^2 in every slot it reads,
+    # which takes all W bits
+    ctx = shared_context(n)
+    monkeypatch.setattr(linalg, "_unpack", _no_unpack)
+    calls = _record_matvecs(monkeypatch)
+    for dim in (n - 1, n):
+        calls.clear()
+        p = CMatrix(ctx, [[-1] * dim for _ in range(dim)]).charpoly()
+        assert p == CPoly(ctx, [0] * (dim - 1) + [dim, 1])  # x^(d-1) (x + d)
+        assert len(calls) == (dim - 1) * (dim - 2) // 2
+        symbol, col, width, modulus = calls[-(dim - 2)]
+        assert col == [modulus - 1] * (dim - 1)
+        assert symbol == _pack([modulus - 1] * (2 * dim - 3), width)
+        assert width == ((dim - 1) * (modulus - 1) ** 2).bit_length()
+
+
+def _refuse_matvec(*args):
+    raise AssertionError("the packed Toeplitz matvec was taken")
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11])
+def test_equivariant_matrix_that_is_not_toeplitz_takes_the_dense_loop(n, monkeypatch):
+    # label 0 is fixed by every t, so diag(1, 2, ..., 2), and J plus it, are
+    # equivariant at dimension n; row 1 breaks the Toeplitz index (the J
+    # makes the matvec matter).  At n = 3 the last matrix breaks it only in
+    # its last row.
+    ctx = shared_context(n)
+    diag = [[(1 if r == 0 else 2) * (r == c) for c in range(n)] for r in range(n)]
+    matrices = [CMatrix(ctx, diag), CMatrix(ctx, [[v + 1 for v in row] for row in diag])]
+    if n == 3:
+        matrices.append(CMatrix(ctx, [[0, 1, 1], [2, 0, 1], [2, 1, 0]]))
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_unpack", _no_unpack)
+        patch.setattr(linalg, "_toeplitz_matvec", _refuse_matvec)
+        polys = [m.charpoly() for m in matrices]
+    # (x - 1)(x - 2)^(n - 1)
+    assert polys[0] == CPoly(ctx, [-1, 1]) * CPoly(ctx, [comb(n - 1, i) * (-2) ** (n - 1 - i)
+                                                         for i in range(n)])
+    for m, p in zip(matrices, polys):
+        assert _equivariant(m)
+        assert p == reference_charpoly(m)
+
+
+def test_default_grid_spectral_rows_take_the_packed_matvec(monkeypatch):
+    # every charpoly of the eigen, EEI and spectrum rows is of a circulant
+    # or of its cyclic minor: Toeplitz, in the rational ring
+    rows = [name for name in IDENTITIES
+            if name.startswith(("eigen-", "eei-")) or name.endswith("-spectrum")]
+    calls, dims, real = _record_matvecs(monkeypatch), [], CMatrix.charpoly
+
+    def charpoly(m):
+        dims.append((m.rows, len(calls)))
+        return real(m)
+
+    monkeypatch.setattr(CMatrix, "charpoly", charpoly)
+    monkeypatch.setattr(linalg, "_unpack", _no_unpack)
+    for name in rows:
+        for n in IDENTITIES[name].default_grid:
+            assert run_identity(name, n).passed, (name, n)
+    assert len(dims) == sum(len(IDENTITIES[name].default_grid) for name in rows)
+    ends = [start for _, start in dims[1:]] + [len(calls)]
+    assert [end - start for (_, start), end in zip(dims, ends)] == \
+        [(dim - 1) * (dim - 2) // 2 for dim, _ in dims]
 
 
 def test_charpoly_is_division_free(monkeypatch):
