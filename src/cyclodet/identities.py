@@ -4,7 +4,9 @@ Every matrix here is circulant, so a kind at n is its residue table t:
 t[u] is the entry at u = (j - k) mod n and t[0] the diagonal.  A kind's
 off-diagonal entries are first int vectors in Z[x]/(x^n - 1), never reduced
 (``residue_vectors``); ``residue_table`` reduces each once into a field
-element.  ``circulant`` expands a table, and ``_spectral_det`` reads the
+element.  ``circulant`` expands a table; ``build_matrix`` expands a kind's
+and keeps it, with the vectors, in the matrix, for ``CMatrix.charpoly``
+and ``_twist_eigenvalues`` to read.  ``_spectral_det`` reads the
 determinant of the leading block off the twisted sums of a table of int
 vectors, the eigenvalues of the circulant: a kind's (``kind_block_det``),
 each sum one integer mod Phi_n(2^j) (``polynomials._rational_twisted_sums``),
@@ -39,9 +41,9 @@ from math import gcd, lcm
 
 from . import combinatorics
 from .combinatorics import double_factorial, factorial, signed_derangement_sum
-from .cyclotomic import (CycloContext, CycloElem, _inv_one_minus_zeta_vector,
+from .cyclotomic import (CycloContext, CycloElem, _entry, _inv_one_minus_zeta_vector,
                          _inv_one_plus_zeta_vector, _lift, _reduce, shared_context)
-from .linalg import CMatrix
+from .linalg import CMatrix, _circulant
 from . import polynomials
 from .polynomials import CPoly, _rational_twisted_sums, _twisted_vector_sums
 from .rationals import exact, format_rational
@@ -96,18 +98,22 @@ def residue_table(kind: MatrixKind, ctx: CycloContext) -> tuple[CycloElem, ...]:
     u = (j - k) mod n for u = 0..n-1, so t[0] is the diagonal.  Each entry
     u >= 1 is its vector of ``residue_vectors`` over n, reduced once, with
     no field product or sum."""
+    return _reduced_table(ctx, *residue_vectors(kind, ctx.n))
+
+
+def _reduced_table(ctx: CycloContext, diagonal: Fraction, vectors) -> tuple[CycloElem, ...]:
+    """The residue table of the diagonal and the vectors of
+    ``residue_vectors``, each vector over n reduced once, on a copy."""
     n = ctx.n
-    diagonal, vectors = residue_vectors(kind, n)
-    return (ctx.from_rational(diagonal), *(CycloElem(ctx, _reduce(ctx, v), n) for v in vectors))
+    return (ctx.from_rational(diagonal), *(CycloElem(ctx, _reduce(ctx, v[:]), n) for v in vectors))
 
 
 def circulant(ctx: CycloContext, table, size: int) -> CMatrix:
     """Row j, column k holds table[(j - k) mod n]: the circulant of a residue
-    table or its leading block; size must be n-1 or n, as the identities use."""
-    n = ctx.n
-    if size not in (n - 1, n):
-        raise ValueError(f"size must be {n - 1} or {n}")
-    return CMatrix(ctx, [[table[(j - k) % n] for k in range(size)] for j in range(size)])
+    table or its leading block; size must be n-1 or n, as the identities use.
+    The n entries are coerced once and expanded through the cached index of
+    ``linalg._circulant``."""
+    return _circulant(ctx, [_entry(ctx, e) for e in table], size)
 
 
 def _block_det(diagonal: Fraction, sums: list[int], den: int) -> tuple[Fraction, Fraction]:
@@ -187,8 +193,14 @@ def kind_block_det(kind: MatrixKind, n: int) -> tuple[Fraction, Fraction]:
 
 
 def build_matrix(kind: MatrixKind, ctx: CycloContext, size: int) -> CMatrix:
-    """The size x size ``kind`` matrix over ctx: its residue table expanded."""
-    return circulant(ctx, residue_table(kind, ctx), size)
+    """The size x size ``kind`` matrix over ctx (size n - 1 or n): its
+    residue table expanded.  ``residue_vectors`` runs once, and the matrix
+    keeps the reduced table next to the unreduced vectors it came from
+    (``linalg._circulant``), so ``CMatrix.charpoly``, ``_cyclic_minor`` and
+    ``_twist_eigenvalues`` read the n table entries, not the d^2 matrix
+    entries."""
+    diagonal, vectors = residue_vectors(kind, ctx.n)
+    return _circulant(ctx, _reduced_table(ctx, diagonal, vectors), size, vectors)
 
 
 def coprime_residues(n: int) -> list[int]:
@@ -321,9 +333,25 @@ def first_difference(expected, computed) -> str:
 def render(value, den: int = 1) -> str:
     """Exact text of a report value: a rational as p/q, a field element or a
     polynomial in canonical form, a tuple as (...) and a list as [...].  An
-    int or a field element is read over ``den``, an int by one gcd."""
+    int or a field element is read over ``den``, an int by one gcd.  A
+    sequence renders each distinct element object once (``row-sums`` holds
+    n references to one row), and an int, a bool or a Fraction inline."""
     if isinstance(value, (tuple, list)):
-        inner = ", ".join([render(v, den) for v in value])
+        texts = {}  # id -> text, for the elements, which outlive the dict
+        for v in value:
+            if id(v) not in texts:
+                kind = type(v)
+                if kind is int:
+                    g = gcd(v, den)
+                    text = str(v // g) if g == den else f"{v // g}/{den // g}"
+                elif kind is bool:
+                    text = str(v)
+                elif kind is Fraction:
+                    text = format_rational(v)
+                else:
+                    text = render(v, den)
+                texts[id(v)] = text
+        inner = ", ".join([texts[id(v)] for v in value])
         return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
     if isinstance(value, CycloElem) and den != 1:
         value = CycloElem(value.ctx, value.num, value.den * den)
@@ -455,13 +483,25 @@ def _twist_eigenvalues(matrix: CMatrix) -> list[CycloElem | None]:
     v(s) is an eigenvector exactly when U_k(s) = U_0(s) for every k, and
     then mu_s = U_0(s).
 
-    Rows with the same table have the same U_k, so each distinct table of
-    ``_row_tables`` takes one ``_twisted_vector_sums`` pass over its lifts,
-    the diagonal at r = n, where the twist is zeta^(-sn) = 1.  A circulant
-    has one table: one pass and n reductions, and no field element is
-    twisted.
+    A kind's n x n circulant (``build_matrix``) keeps its residue table t
+    and the unreduced vectors V_u = n * t[u], and its one row table is
+    r_0[u] = t[-u mod n], so mu_s = t[0] + N_s/n for the twisted sums N_s of
+    V_(-r mod n) at r = 1..n-1: one ``_rational_twisted_sums`` pass, the
+    ints read mod Phi_n(2^j), as the det rows read their eigenvalues.  Every
+    other matrix, and a table that pass refuses, takes the route that holds
+    for any matrix: rows with the same table have the same U_k, so each
+    distinct table of ``_row_tables`` takes one ``_twisted_vector_sums``
+    pass over its lifts, the diagonal at r = n, where the twist is
+    zeta^(-sn) = 1.
     """
     ctx, n = matrix.ctx, matrix.ctx.n
+    table = matrix._table
+    if table is not None and matrix.rows == n:
+        sums = _rational_twisted_sums(ctx, table[1][::-1])
+        if sums is not None:
+            diagonal, zeros = table[0][0], [0] * (ctx.degree - 1)
+            b, q = diagonal.num[0], diagonal.den  # t[0] = b/q
+            return [CycloElem(ctx, [b * n + q * sums[s], *zeros], q * n) for s in (*range(1, n), 0)]
     first, *others = [_twisted_vector_sums(ctx, lifts, den)
                       for den, lifts in map(_lift, _row_tables(matrix))]
     return [first[s] if all(u[s] == first[s] for u in others) else None
@@ -486,8 +526,12 @@ def _cyclic_minor(matrix: CMatrix, j: int) -> CMatrix:
     """The j-th principal minor with rows and columns listed cyclically from
     j + 1: P M_j P^T for a cyclic shift P, so it has the charpoly of M with
     row and column j deleted; for a circulant matrix it is the same for
-    every j."""
-    n = matrix.rows
+    every j.  The minor of a kind's n x n circulant is its leading
+    (n - 1) x (n - 1) block, built from the residue table it keeps and
+    keeping that table, as ``build_matrix`` at size n - 1 would."""
+    n, table = matrix.rows, matrix._table
+    if table is not None and n == matrix.ctx.n:
+        return _circulant(matrix.ctx, table[0], n - 1, table[1])
     keep = [i % n for i in range(j, j + n - 1)]  # rows j+1, ..., n, 1, ..., j-1
     return CMatrix(matrix.ctx, [[matrix[r, c] for c in keep] for r in keep])
 

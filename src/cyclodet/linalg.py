@@ -32,10 +32,25 @@ coefficient is unpacked into its n coordinates.
 Those circulants and minors are also Toeplitz: entry (r, k) depends only
 on r - k.  In the rational ring, a matrix whose slot index (``_slots``) is
 Toeplitz gets each Berkowitz matvec A*col as one product of two packed ints
-(``_toeplitz_matvec``; the slot width is proved in ``charpoly``).  Every
+(``_toeplitz_berkowitz``; the slot width is proved in ``charpoly``).  Every
 other matrix keeps the dense loop: one that is not Toeplitz has no symbol
 to pack, and the cyclic ring serves only matrices that no ``verify`` row
 builds, whose kn-bit residues would make each slot over 2kn bits wide.
+
+A kind's circulant (``identities.build_matrix``) and its cyclic minor keep
+the kind's residue table in ``_table``: the n reduced entries t[u], with
+M[a][b] = t[(a - b) mod n], and the unreduced int vectors V_u = n*t[u] in
+Z[x]/(x^n - 1) they were reduced from.  There ``charpoly`` needs neither
+the slot index nor a sigma_t of any entry.  sigma_t acts on Z[x]/(x^n - 1)
+as the slot permutation x^i -> x^(ti), a ring map that commutes with the
+reduction mod Phi_n, so sigma_t(V_u) = V_(tu mod n) as vectors gives
+sigma_t(t[u]) = t[tu]; t[0] is rational; and then
+sigma_t(M[a][b]) = t[t(a - b)] = M[ta][tb] with either labelling, the
+check above.  That is n - 1 tuple comparisons per generator
+(``polynomials._equivariant_vectors``, which ``_rational_twisted_sums``
+runs too), and the diagonals are s(v) = t[v mod n].  A table whose vectors
+fail it, and every matrix built by ``CMatrix(...)`` or
+``identities.circulant``, take the slot route, the tests' reference.
 """
 
 from __future__ import annotations
@@ -46,13 +61,16 @@ from operator import itemgetter, mul
 
 from .cyclotomic import (CycloContext, CycloElem, _entry, _generators, _lift, _pack, _phi_modulus,
                          _reduce, _unpack)
-from .polynomials import CPoly
+from .polynomials import CPoly, _equivariant_vectors
 
 
 class CMatrix:
-    """Row-major dense matrix of CycloElem sharing one context."""
+    """Row-major dense matrix of CycloElem sharing one context.  A kind's
+    circulant (``identities.build_matrix``) and its cyclic minor also keep
+    the kind's residue table in ``_table`` (see ``_circulant``); every other
+    matrix has None there."""
 
-    __slots__ = ("ctx", "rows", "cols", "data")
+    __slots__ = ("ctx", "rows", "cols", "data", "_table")
 
     def __init__(self, ctx: CycloContext, rows_of_entries):
         data: list[CycloElem] = []
@@ -66,6 +84,7 @@ class CMatrix:
         self.rows = rows
         self.cols = cols
         self.data = tuple(data)
+        self._table = None
 
     def __getitem__(self, rc) -> CycloElem:
         r, c = rc
@@ -132,6 +151,17 @@ class CMatrix:
         against 3.4-3.8 ms in the cyclic ring at n = 11, and 21-32 ms
         against 1.6 s at n = 25.
 
+        A kind's table (see the module docstring), when its vectors pass
+        ``_equivariant_vectors``: the matrix is rational and Toeplitz with
+        s(v) = t[v mod n], and row r of the d x d block holds t[(r - k) mod n]
+        for k < d, so every t[u] at d = n and every one but t[r + 1] at
+        d = n - 1; the row norms of the bound are read off the n lifts.
+        Those are the lifts of the reduced entries, not the vectors V_u:
+        the bound holds for any lift over one denominator, and the vectors,
+        over n, widen the ring where t[u] is over a proper divisor of n
+        (the a matrix at n = 25: k = 260 bits against 212, t[u] being over
+        5), while at n = 13, 15 and 21 they save only 6-8% of k.
+
         The Toeplitz matvec, in the rational ring.  When row r of the slot
         index from column 1 equals row r - 1 up to its last column,
         M[r][k] = s(r - k), and so does every trailing block: A[r][k] =
@@ -157,44 +187,38 @@ class CMatrix:
         if not self.is_square():
             raise ValueError("characteristic polynomial requires a square matrix")
         ctx, dim, n = self.ctx, self.rows, self.ctx.n
-        entries, where = _slots(self)
+        table = self._table
+        if table is not None and _equivariant_vectors(n, table[1]):
+            entries, where = table[0], None  # rational and Toeplitz, with s(v) = t[v mod n]
+        else:
+            entries, where = _slots(self)
         den, lifts = _lift(entries)
         norms = [sum(map(abs, v)) ** 2 for v in lifts]
-        k = prod(2 + isqrt(sum(map(norms.__getitem__, where[r * dim:(r + 1) * dim])))
-                 for r in range(dim)).bit_length() + 1
-        rational = _equivariant(self, entries, where)
+        if where is None:  # row r holds every t[u], or every t[u] but t[r + 1] at d = n - 1
+            total = sum(norms)
+            row_norms = [total - norms[(r + 1) % n] * (dim < n) for r in range(dim)]
+        else:
+            row_norms = [sum(map(norms.__getitem__, where[r * dim:(r + 1) * dim]))
+                         for r in range(dim)]
+        k = prod(2 + isqrt(w) for w in row_norms).bit_length() + 1
+        rational = where is None or _equivariant(self, entries, where)
         if rational:
             j, modulus = _phi_modulus(ctx, 1 << k)
             packed = [_pack(v, j) % modulus for v in lifts]
         else:
             modulus = (1 << (k * n)) - 1
             packed = [_pack(v, k) for v in lifts]
-        if rational and all(where[r * dim + 1:(r + 1) * dim] == where[(r - 1) * dim:r * dim - 1]
-                            for r in range(1, dim)):
+        if where is None:
+            poly = _toeplitz_berkowitz([packed[v % n] for v in range(1 - dim, dim)], modulus)
+        elif rational and all(where[r * dim + 1:(r + 1) * dim] == where[(r - 1) * dim:r * dim - 1]
+                              for r in range(1, dim)):
             # s(-(d-1)), ..., s(d-1) of M[r][k] = s(r - k): row 0 backwards, then column 0
-            diagonals = list(map(packed.__getitem__, where[dim - 1:0:-1] + where[::dim]))
-            width = ((dim - 1) * (modulus - 1) ** 2).bit_length()
+            poly = _toeplitz_berkowitz(
+                list(map(packed.__getitem__, where[dim - 1:0:-1] + where[::dim])), modulus)
         else:
-            diagonals = None
-            m = [list(map(packed.__getitem__, where[r * dim:(r + 1) * dim])) for r in range(dim)]
-        poly = [1]  # charpoly of the empty trailing submatrix, highest first
-        for c in range(dim - 1, -1, -1):
-            size = dim - c - 1  # of A
-            if diagonals is None:
-                sub = [r[c + 1:] for r in m[c + 1:]]
-                row, col, toeplitz = m[c][c + 1:], [r[c] for r in m[c + 1:]], [1, -m[c][c]]
-            else:
-                symbol = _pack(diagonals[c + 1:dim + size - 1], width)
-                row, col = diagonals[c:dim - 1][::-1], diagonals[dim:dim + size]
-                toeplitz = [1, -diagonals[dim - 1]]
-            for i in range(size):
-                if i:
-                    if diagonals is None:
-                        col = [sum(map(mul, r, col)) % modulus for r in sub]
-                    else:
-                        col = _toeplitz_matvec(symbol, col, width, modulus)
-                toeplitz.append(-sum(map(mul, row, col)) % modulus)
-            poly = [sum(map(mul, toeplitz[i::-1], poly)) % modulus for i in range(len(poly) + 1)]
+            poly = _dense_berkowitz(
+                [list(map(packed.__getitem__, where[r * dim:(r + 1) * dim])) for r in range(dim)],
+                modulus)
         if rational:
             half, zeros = modulus >> 1, [0] * (ctx.degree - 1)
             return CPoly(ctx, [CycloElem(ctx, [p - modulus if p > half else p, *zeros], den ** i)
@@ -241,6 +265,30 @@ class CMatrix:
                             + [mj0 - m00])
         bordered.append([self[0, k] - m00 for k in range(1, dim)] + [m00])
         return _eliminate(bordered, self.ctx)
+
+
+@lru_cache(maxsize=None)
+def _circulant_index(n: int, size: int) -> tuple[int, ...]:
+    """(j - k) mod n for row j, column k of a size x size block, row-major."""
+    return tuple((j - k) % n for j in range(size) for k in range(size))
+
+
+def _circulant(ctx: CycloContext, table, size: int, vectors=None) -> CMatrix:
+    """The leading size x size block (size n - 1 or n) of the circulant with
+    row j, column k holding table[(j - k) mod n], for the n field elements
+    ``table`` of ctx: each entry is the table's object, read through the
+    cached index, with no coercion.  Given ``vectors``, the unreduced int
+    vectors of n * table[u] for u = 1..n-1 that the table was reduced from
+    (``identities.residue_vectors``), the matrix keeps (table, vectors) as
+    its ``_table``."""
+    n = ctx.n
+    if size not in (n - 1, n):
+        raise ValueError(f"size must be {n - 1} or {n}")
+    matrix = object.__new__(CMatrix)
+    matrix.ctx, matrix.rows, matrix.cols = ctx, size, size
+    matrix.data = tuple(map(table.__getitem__, _circulant_index(n, size)))
+    matrix._table = None if vectors is None else (table, vectors)
+    return matrix
 
 
 def _slots(matrix: CMatrix) -> tuple[list[CycloElem], list[int]]:
@@ -296,6 +344,43 @@ def _equivariant(matrix: CMatrix, entries: list[CycloElem], where: list[int]) ->
         if tuple(map(images.__getitem__, where)) != _label_permutation(n, dim, t)(where):
             return False
     return True
+
+
+def _dense_berkowitz(m: list[list[int]], modulus: int) -> list[int]:
+    """The charpoly coefficients mod modulus, highest first, of the d x d
+    matrix of residues m (its rows) by Berkowitz's loop (see
+    ``CMatrix.charpoly``): per trailing block, the first column of its
+    lower-triangular Toeplitz factor, times the charpoly so far."""
+    dim, poly = len(m), [1]  # charpoly of the empty trailing submatrix
+    for c in range(dim - 1, -1, -1):
+        sub = [r[c + 1:] for r in m[c + 1:]]
+        row, col, toeplitz = m[c][c + 1:], [r[c] for r in m[c + 1:]], [1, -m[c][c]]
+        for i in range(dim - c - 1):
+            if i:
+                col = [sum(map(mul, r, col)) % modulus for r in sub]
+            toeplitz.append(-sum(map(mul, row, col)) % modulus)
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) % modulus for i in range(len(poly) + 1)]
+    return poly
+
+
+def _toeplitz_berkowitz(diagonals: list[int], modulus: int) -> list[int]:
+    """``_dense_berkowitz`` of the d x d Toeplitz matrix M[r][k] = s(r - k)
+    given as its 2d - 1 residues s(-(d-1)), ..., s(d-1) in [0, modulus):
+    each matvec is one ``_toeplitz_matvec`` product with W-bit slots
+    (see ``CMatrix.charpoly`` for W)."""
+    dim, poly = (len(diagonals) + 1) // 2, [1]
+    width = ((dim - 1) * (modulus - 1) ** 2).bit_length()
+    for c in range(dim - 1, -1, -1):
+        size = dim - c - 1  # of the trailing block A
+        symbol = _pack(diagonals[c + 1:dim + size - 1], width)
+        row, col = diagonals[c:dim - 1][::-1], diagonals[dim:dim + size]
+        toeplitz = [1, -diagonals[dim - 1]]
+        for i in range(size):
+            if i:
+                col = _toeplitz_matvec(symbol, col, width, modulus)
+            toeplitz.append(-sum(map(mul, row, col)) % modulus)
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) % modulus for i in range(len(poly) + 1)]
+    return poly
 
 
 def _toeplitz_matvec(symbol: int, col: list[int], width: int, modulus: int) -> list[int]:

@@ -31,9 +31,11 @@ A table of unreduced vectors that is Galois-equivariant (every kind's
 table in ``identities``, and both halves of ``root-sums``) has integer
 sums N_s = den * lambda_s, and ``_rational_twisted_sums`` returns each as
 one small integer read mod Phi_n(2^j), with no unpack, no reduction and no
-field element; any other table (the lifted conjugate tables of the
-``galois-*`` rows, the row tables of ``identities._twist_eigenvalues``),
-and ``_cleared_sums``, keep the cyclic ring.
+field element; its check, ``_equivariant_vectors``, also lets
+``CMatrix.charpoly`` read a kind's matrix off its table.  Any other table
+(the lifted conjugate tables of the ``galois-*`` rows, the row tables of
+``identities._twist_eigenvalues`` for a matrix that keeps no residue
+table), and ``_cleared_sums``, keep the cyclic ring.
 """
 
 from __future__ import annotations
@@ -142,19 +144,36 @@ def _twisted_vector_sums(ctx: CycloContext, vectors, den: int) -> list[CycloElem
     return [CycloElem(ctx, coords, den) for [coords] in _rotated_sums(ctx, packed, k, 1)]
 
 
+def _equivariant_vectors(n: int, vectors) -> bool:
+    """Whether sigma_t(V_r) = V_(tr mod n) as vectors, for each t of
+    ``_generators(n)`` and the n - 1 int vectors V_r = vectors[r - 1] of
+    length n in Z[x]/(x^n - 1), where sigma_t is the slot permutation
+    x^i -> x^(ti): a ring map that commutes with the reduction mod Phi_n, so
+    the reduced entries V_r / den are then Galois-equivariant too.  The check
+    first compares one slot per t, x^t of V_t with x^1 of V_1, which refuses
+    the padded lifts of the ``galois-*`` rows before any tuple is built; then
+    it makes n - 1 tuple comparisons per generator, one ``itemgetter`` each.
+    ``_rational_twisted_sums`` and ``CMatrix.charpoly`` of a kind's matrix
+    both run on it."""
+    gens = _generators(n)
+    for t in gens:
+        if vectors[t - 1][t] != vectors[0][1]:  # sigma_t(V_1) and V_t differ at x^t
+            return False
+    rows = list(map(tuple, vectors))
+    for t in gens:
+        image = itemgetter(*[t * i % n for i in range(n)])  # V -> sigma_t^-1(V)
+        if any(image(rows[t * r % n - 1]) != row for r, row in enumerate(rows, 1)):
+            return False
+    return True
+
+
 def _rational_twisted_sums(ctx: CycloContext, vectors) -> list[int] | None:
     """The twisted sums N_s = sum_{r=1..n-1} zeta^(-sr) V_r for s = 0..n-1,
     as ints, of the n - 1 int vectors V_r = vectors[r - 1]
     of length n in Z[x]/(x^n - 1), never reduced mod Phi_n, when the table
-    is Galois-equivariant; None when it is not.  For vectors that hold den
-    times the entries t_r, N_s = den * lambda_s.
-
-    Equivariant means sigma_t(V_r) = V_(tr mod n) as vectors, for each t of
-    ``_generators(n)``, where sigma_t is the slot permutation x^i -> x^(ti):
-    a ring map that commutes with the reduction mod Phi_n.  The check first
-    compares one slot per t, x^t of V_t with x^1 of V_1, which refuses the
-    padded lifts of the ``galois-*`` rows before any tuple is built; then
-    it takes one ``itemgetter`` per vector and generator.  When it holds:
+    is Galois-equivariant (``_equivariant_vectors``); None when it is not.
+    For vectors that hold den times the entries t_r, N_s = den * lambda_s.
+    When the check holds:
     - Substituting r' = tr, sigma_t(N_s) = sum_r zeta^(-tsr) V_(tr)(zeta) =
       N_s for N_s = den * lambda_s.  Fixed by a generating set, N_s is fixed
       by the Galois group, so it is rational; it lies in Z[zeta], so it is
@@ -169,15 +188,8 @@ def _rational_twisted_sums(ctx: CycloContext, vectors) -> list[int] | None:
       ``CycloElem``.
     """
     n = ctx.n
-    gens = _generators(n)
-    for t in gens:
-        if vectors[t - 1][t] != vectors[0][1]:  # sigma_t(V_1) and V_t differ at x^t
-            return None
-    rows = list(map(tuple, vectors))
-    for t in gens:
-        image = itemgetter(*[t * i % n for i in range(n)])  # V -> sigma_t^-1(V)
-        if any(image(rows[t * r % n - 1]) != row for r, row in enumerate(rows, 1)):
-            return None
+    if not _equivariant_vectors(n, vectors):
+        return None
     bound = sum(sum(map(abs, v)) for v in vectors)
     j, m = _phi_modulus(ctx, 2 * bound)
     packed = [_pack(v, j) % m for v in vectors]

@@ -37,7 +37,7 @@ from cyclodet.polynomials import CPoly
 
 from helpers import (add_scalar, fraction_block_det, from_coeffs, inv_one_plus_zeta, is_hermitian,
                      minor_delete, non_circulant, random_element, random_matrix,
-                     reference_spectrum_poly, table_block_det, zero, zeta_pow)
+                     reference_charpoly, reference_spectrum_poly, table_block_det, zero, zeta_pow)
 
 
 def test_build_ratio_matrix_entries():
@@ -892,22 +892,145 @@ def test_twist_eigenvalues_at_the_slot_width():
 
 
 def test_circulant_eigenvalues_take_one_pass_with_one_slot(monkeypatch):
-    calls = []
+    # a circulant built from its entries takes one row-table pass; a kind's
+    # matrix, which keeps its residue table, one rational pass over the
+    # n - 1 unreduced vectors and no row-table pass, with the same values
+    calls, rational = [], []
 
     def spy(ctx, vectors, den):
         calls.append(len(vectors))
         return polynomials._twisted_vector_sums(ctx, vectors, den)
 
+    def rational_spy(ctx, vectors):
+        rational.append(len(vectors))
+        return polynomials._rational_twisted_sums(ctx, vectors)
+
     monkeypatch.setattr(identities, "_twisted_vector_sums", spy)
+    monkeypatch.setattr(identities, "_rational_twisted_sums", rational_spy)
     for kind in MatrixKind:
         for n in range(2, 14):
             if kind is MatrixKind.S19 and n % 2 == 0:
                 continue  # 1 + zeta^(n/2) = 0
-            m = build_matrix(kind, shared_context(n), n)
+            ctx = shared_context(n)
+            m = circulant(ctx, residue_table(kind, ctx), n)
             calls.clear()
             mus = identities._twist_eigenvalues(m)
             assert calls == [n], (kind, n)  # one pass over the one table
             assert None not in mus, (kind, n)
+            calls.clear()
+            rational.clear()
+            assert identities._twist_eigenvalues(build_matrix(kind, ctx, n)) == mus, (kind, n)
+            assert (calls, rational) == ([], [n - 1]), (kind, n)
+
+
+def _kinds_at(n):
+    """Every kind defined at n: s19 needs 1 + zeta^u != 0, so odd n."""
+    return [kind for kind in MatrixKind if kind is not MatrixKind.S19 or n % 2]
+
+
+@pytest.mark.parametrize("n", [*range(2, 16), 24, 25])
+def test_table_eigenvalues_equal_the_row_table_route(n, monkeypatch):
+    # mu_s = t[0] + N_s/n off the table equals the route that holds for any
+    # matrix, on the same circulant built with no table; a kind's minor is
+    # not n x n and is refused either way
+    ctx = shared_context(n)
+    for kind in _kinds_at(n):
+        want = identities._twist_eigenvalues(circulant(ctx, residue_table(kind, ctx), n))
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "_twisted_vector_sums", _refuse_route)
+            patch.setattr(identities, "_row_tables", _refuse_route)
+            assert identities._twist_eigenvalues(build_matrix(kind, ctx, n)) == want, (kind, n)
+        with pytest.raises(ValueError):
+            identities._twist_eigenvalues(build_matrix(kind, ctx, n - 1))
+
+
+def _refuse_route(*args):
+    raise AssertionError("a kind's matrix took a route that does not read its table")
+
+
+def test_default_grid_spectral_rows_read_the_table(monkeypatch):
+    # no eigen, EEI or spectrum row builds a slot index, proves equivariance
+    # on matrix entries or twists a row table: each reads its kind's table
+    for module, name in ((linalg, "_slots"), (linalg, "_equivariant"),
+                         (identities, "_twisted_vector_sums"),
+                         (polynomials, "_twisted_vector_sums")):
+        monkeypatch.setattr(module, name, _refuse_route)
+    rows = [name for name in IDENTITIES
+            if name.startswith(("eigen-", "eei-")) or name.endswith("-spectrum")]
+    for name in rows:
+        for n in IDENTITIES[name].default_grid:
+            assert run_identity(name, n).passed, (name, n)
+
+
+def _patch_vector_at_one(monkeypatch, extra):
+    """Adds the int vector extra(n) to n/(1 - zeta) (r = 1) as ``identities``
+    builds it, for the kinds that use it (a, b, c, c1, tilde-a, two-c)."""
+    real = identities._inv_one_minus_zeta_vector
+
+    def patched(n, r):
+        v = real(n, r)
+        return [a + b for a, b in zip(v, extra(n))] if r == 1 else v
+
+    monkeypatch.setattr(identities, "_inv_one_minus_zeta_vector", patched)
+
+
+def _count_slots(monkeypatch):
+    calls, real = [], linalg._slots
+
+    def spy(matrix):
+        calls.append(matrix.rows)
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "_slots", spy)
+    return calls
+
+
+def _phi_padded(n):
+    phi = shared_context(n).phi
+    return [*phi, *[0] * (n - len(phi))]
+
+
+def test_a_table_that_is_not_equivariant_falls_back(monkeypatch):
+    # Phi_n added to the vector of n/(1 - zeta) changes no entry, but the
+    # vectors are no longer equivariant: charpoly takes the slot route (one
+    # slot index per call) and the eigenvalues the row-table route, and
+    # every report still passes
+    _patch_vector_at_one(monkeypatch, _phi_padded)
+    slots = _count_slots(monkeypatch)
+    for n in (3, 5, 8, 9):
+        ctx = shared_context(n)
+        for kind in (MatrixKind.A, MatrixKind.B, MatrixKind.C_PLUS_I):
+            m = build_matrix(kind, ctx, n)
+            assert not polynomials._equivariant_vectors(n, m._table[1])
+            assert m == circulant(ctx, residue_table(kind, ctx), n)
+            slots.clear()
+            assert m.charpoly() == reference_charpoly(m) and slots == [n], (kind, n)
+            assert identities._twist_eigenvalues(m) == _mus_by_matvec(m), (kind, n)
+        for name in ("eigen-a", "eigen-b", "eigen-c1", "eei-a", "eei-b", "eei-c1",
+                     "c1-spectrum", "two-c-spectrum"):
+            if IDENTITIES[name].admits(n):
+                assert run_identity(name, n).passed, (name, n)
+
+
+def test_a_wrong_table_fails_with_the_texts_of_the_field_routes(monkeypatch):
+    # zeta added to the vector of n/(1 - zeta): the entry at u = 1 is off by
+    # 2*zeta/n in the a matrix, and its charpoly and eigenvalues are no longer
+    # rational.  The report renders what the slot and row-table routes
+    # computed before a matrix kept its table
+    _patch_vector_at_one(monkeypatch, lambda n: [0, 1] + [0] * (n - 2))
+    slots = _count_slots(monkeypatch)
+    m = build_matrix(MatrixKind.A, shared_context(5), 5)
+    assert m.charpoly() == reference_charpoly(m) and slots == [5]
+    assert identities._twist_eigenvalues(m) == _mus_by_matvec(m)
+    report = run_identity("eigen-a", 3)
+    assert not report.passed and report.first_difference == "[0][0]"
+    assert report.expected == "([-1, 1, 0], x^3 - x)"
+    assert report.computed == \
+        "([-5/3 - 2/3*z, 5/3, 2/3*z], x^3 + (-7/3 - 2/3*z)*x + (-20/27 + 10/9*z))"
+    report = run_identity("c1-spectrum", 4)
+    assert (report.expected, report.computed) == (
+        "x^4 - 4*x^3 + 7/2*x^2 + x - 15/16",
+        "x^4 - 4*x^3 + (3 - 1/2*z)*x^2 + (21/8 + 1/2*z)*x + (-441/256 + 21/32*z)")
 
 
 def test_eigenpairs_make_no_matvec_call(monkeypatch):
@@ -1052,6 +1175,27 @@ def test_render_of_a_field_element():
     ctx = shared_context(3)
     assert render(ctx.from_rational(Fraction(-1, 3))) == "-1/3"
     assert render(zeta_pow(ctx, 1)) == "z"
+
+
+def test_render_of_a_sequence_renders_each_distinct_element_once(monkeypatch):
+    # row-sums holds n references to one row: that row renders once, and
+    # ints (read over den), bools and Fractions are written inline; every
+    # element renders as it does on its own
+    ctx = shared_context(3)
+    row = [6, -4, 0, True, Fraction(1, 2), None, zeta_pow(ctx, 1), (2, Fraction(3))]
+    calls, real = [], identities.render
+
+    def spy(value, den=1):
+        calls.append(value)
+        return real(value, den)
+
+    monkeypatch.setattr(identities, "render", spy)
+    value = [row] * 4
+    text = spy(value, 3)
+    assert [id(v) for v in calls] == [id(v) for v in (value, row, None, row[6], row[7])]
+    one = "[2, -4/3, 0, True, 1/2, None, 1/3*z, (2/3, 3)]"
+    assert text == f"[{', '.join([one] * 4)}]"
+    assert one == f"[{', '.join(real(v, 3) for v in row)}]"
 
 
 def _with_wrong_term(build):

@@ -179,6 +179,47 @@ def test_charpoly_matches_field_berkowitz_on_every_kind(n, monkeypatch):
         assert p == reference_charpoly(m)
 
 
+def _refuse_slots(*args):
+    raise AssertionError("a kind's matrix took the slot route")
+
+
+@pytest.mark.parametrize("n", [*range(2, 16), 24, 25])
+def test_table_charpoly_equals_the_slot_route(n, monkeypatch):
+    # a kind's matrix, its cyclic minor and its leading block keep the
+    # residue table, and their charpoly reads its n entries: no slot index,
+    # no equivariance check on the matrix entries and no unpack, and the same
+    # polynomial as the slot route on the circulant built with no table (the
+    # field reference is checked to n = 15 above)
+    ctx = shared_context(n)
+    for kind in MatrixKind:
+        if kind is MatrixKind.S19 and n % 2 == 0:
+            continue
+        table = residue_table(kind, ctx)
+        full = build_matrix(kind, ctx, n)
+        for m in (full, _cyclic_minor(full, 1 + n // 2), build_matrix(kind, ctx, n - 1)):
+            plain = circulant(ctx, table, m.rows)
+            assert m == plain and m._table is not None and plain._table is None
+            with monkeypatch.context() as patch:
+                for name in ("_slots", "_equivariant", "_unpack"):
+                    patch.setattr(linalg, name, _refuse_slots)
+                p = m.charpoly()
+            assert p == plain.charpoly(), (kind, n, m.rows)
+
+
+def test_table_charpoly_refuses_vectors_fixed_by_one_generator_only():
+    # zeta + zeta^3 at n = 8 is fixed by sigma_3 but not by sigma_5, so a
+    # table of seven copies passes the first generator only; its matrix
+    # alpha*(J - I) has a charpoly that is not rational
+    ctx = shared_context(8)
+    assert _generators(8) == (3, 5)
+    alpha = (zeta_pow(ctx, 1) + zeta_pow(ctx, 3)) * Fraction(1, 8)
+    vectors = [[0, 1, 0, 1, 0, 0, 0, 0] for _ in range(7)]
+    for size in (7, 8):
+        m = linalg._circulant(ctx, [ctx.from_rational(0), *[alpha] * 7], size, vectors)
+        p = m.charpoly()
+        assert p == reference_charpoly(m) and any(c.as_rational() is None for c in p.coeffs)
+
+
 def test_generators_generate_the_unit_group():
     # and a cyclic group gets one primitive root; the trivial one at n = 2 none
     for n in range(2, 101):
